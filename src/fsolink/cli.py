@@ -8,8 +8,10 @@ runs the delay-mismatch scan or the two-wavelength link; report renders a
 markdown summary of everything in the run directory.
 
 All artifacts are stamped with the scenario hash and are byte-identical on
-reruns.  Exit codes: 0 ok, 2 configuration error, 3 missing prerequisite
-artifact, 4 numerical-contract violation (including mixed scenario hashes).
+reruns.  Exit codes: 0 ok, 2 configuration error (including a value the
+run cannot use, such as a run too short for the BER window), 3 missing
+prerequisite artifact, 4 numerical-contract violation (including mixed
+scenario hashes) or any other numerical failure.
 """
 
 import argparse
@@ -36,6 +38,8 @@ from .errors import (
     FsolinkError,
     MissingArtifactError,
     NumericalContractError,
+    ParameterError,
+    ScanRangeError,
 )
 from .field import uniform_disc_field, write_field_bin
 from .modes import ModeBasis, decompose, modes_up_to_group, optimize_smf_waist, smf_coupling_efficiency
@@ -586,6 +590,14 @@ def main(argv=None) -> int:
         return 3
     except NumericalContractError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
+        return 4
+    except (ParameterError, ScanRangeError) as exc:
+        # a value the validator accepts but the run cannot use, e.g. a BER
+        # window shorter than the 1 s sync-loss replay on a short run
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except FsolinkError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 
 

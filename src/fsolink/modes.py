@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import eval_hermite
 
 from .errors import DimensionError, ParameterError, ZeroPowerError
-from .field import ComplexFieldGrid, GridSpec, gaussian_field, total_power
+from .field import ComplexFieldGrid, GridSpec, _gaussian_profile, total_power
 
 __all__ = [
     "MODE_ORDER",
@@ -109,9 +109,9 @@ class ModeBasis:
                 raise ParameterError("give either waist_m or aperture_diameter_m")
             max_group = max(m + n for m, n in indices)
             waist_m = fit_basis_waist(aperture_diameter_m, max_group)
-        modes = np.stack(
-            [hg_mode_field(m, n, waist_m, grid).samples for m, n in indices]
-        )
+        modes = np.empty((len(indices), grid.n, grid.n), dtype=np.complex128)
+        for k, (m, n) in enumerate(indices):
+            modes[k] = hg_mode_field(m, n, waist_m, grid).samples
         return cls(indices=indices, waist_m=waist_m, grid=grid, sampled=modes)
 
     @property
@@ -169,7 +169,9 @@ def decompose(field: ComplexFieldGrid, basis: ModeBasis) -> ModeCoefficients:
     ):
         raise DimensionError("field and basis grids differ")
     dx2 = field.spacing_m**2
-    coeffs = np.einsum("kij,ij->k", basis.sampled.conj(), field.samples) * dx2
+    # conj(B) f = conj(B conj(f)): one BLAS pass over the basis, no conjugated copy
+    flat = basis.sampled.reshape(basis.size, -1)
+    coeffs = (flat @ field.samples.ravel().conj()).conj() * dx2
     residual = total_power(field) - float(np.sum(np.abs(coeffs) ** 2))
     return ModeCoefficients(coeffs=coeffs, residual_power=residual)
 
@@ -179,13 +181,14 @@ def smf_coupling_efficiency(field: ComplexFieldGrid, smf_waist_m: float) -> floa
 
     The fiber is represented by its backpropagated fundamental mode in the
     field plane (ideal afocal relay): eta = |<g, f>|^2 / P_f with g the unit
-    power Gaussian of the given waist.
+    power Gaussian of the given waist.  The Gaussian is real and separable,
+    outer(g1, g1), so the overlap is the contraction g1 . f . g1.
     """
     p = total_power(field)
     if p <= 0:
         raise ZeroPowerError("coupling efficiency undefined for a zero-power field")
-    g = gaussian_field(field.grid, smf_waist_m)
-    overlap = np.vdot(g.samples, field.samples) * field.spacing_m**2
+    g1 = _gaussian_profile(field.grid, smf_waist_m)
+    overlap = (g1 @ field.samples @ g1) * field.spacing_m**2
     return float(np.abs(overlap) ** 2 / p)
 
 

@@ -16,6 +16,7 @@ from .comms import ReceiverModel
 from .controller import ControllerConfig
 from .errors import ConfigError
 from .field import GridSpec
+from .modes import MODE_ORDER
 from .turbulence import AtmosphereProfile, default_profile
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
@@ -57,6 +58,10 @@ def _section(cfg, name, known):
         if key not in known:
             raise ConfigError(f"{name}.{key}", "unknown field")
     return section
+
+
+# the highest mode group the receiver basis is built for
+_MAX_MODE_GROUP = max(m + n for m, n in MODE_ORDER)
 
 
 _DEFAULTS = {
@@ -284,7 +289,7 @@ def scenario_from_dict(cfg: dict, overrides: dict = None) -> Scenario:
         "transmit_aperture_m": _num(opt.get("transmit_aperture_m", _DEFAULTS["optics"]["transmit_aperture_m"]),
                                     "optics.transmit_aperture_m", lo=1e-3),
         "max_mode_group": _num(opt.get("max_mode_group", _DEFAULTS["optics"]["max_mode_group"]),
-                               "optics.max_mode_group", lo=0, hi=12, integer=True),
+                               "optics.max_mode_group", lo=0, hi=_MAX_MODE_GROUP, integer=True),
         "absorb_edges": _bool(opt.get("absorb_edges", _DEFAULTS["optics"]["absorb_edges"]),
                               "optics.absorb_edges"),
     }
@@ -349,8 +354,9 @@ def scenario_from_dict(cfg: dict, overrides: dict = None) -> Scenario:
         "rop_step_db": _num(ber.get("rop_step_db", _DEFAULTS["ber"]["rop_step_db"]),
                             "ber.rop_step_db", lo=1e-3),
         "target_bers": ber.get("target_bers", list(_DEFAULTS["ber"]["target_bers"])),
+        # the sync-loss replay plays a window at 3 Hz and needs 1 s of trace
         "window_len": _num(ber.get("window_len", _DEFAULTS["ber"]["window_len"]),
-                           "ber.window_len", lo=2, integer=True),
+                           "ber.window_len", lo=3, integer=True),
         "window_stride": _num(ber.get("window_stride", _DEFAULTS["ber"]["window_stride"]),
                               "ber.window_stride", lo=1, integer=True),
         "sync_threshold": _num(ber.get("sync_threshold", _DEFAULTS["ber"]["sync_threshold"]),

@@ -146,8 +146,7 @@ class _SpectralScreen:
             psd[np.ix_((-1, 0, 1), (-1, 0, 1))] = 0.0
         noise = rng.standard_normal((2, n, n))
         self._coeff = (noise[0] + 1j * noise[1]) * np.sqrt(psd) * df
-        self._fx = f1[None, :]
-        self._fy = f1[:, None]
+        self._f1 = f1
 
         sub_f = []
         sub_c = []
@@ -167,18 +166,23 @@ class _SpectralScreen:
                         sub_c.append((g[0] + 1j * g[1]) * math.sqrt(power))
         self._sub_f = np.asarray(sub_f, dtype=np.float64).reshape(-1, 2)
         self._sub_c = np.asarray(sub_c, dtype=np.complex128)
+        # the augmentation components sampled on the grid, (n, K) each
+        x = (np.arange(self.n) - self.n // 2) * self.spacing_m
+        self._sub_cx = np.exp(2j * np.pi * np.outer(x, self._sub_f[:, 0]))
+        self._sub_cy = np.exp(2j * np.pi * np.outer(x, self._sub_f[:, 1]))
 
     def phase_at(self, shift_xy=(0.0, 0.0)) -> np.ndarray:
         """Render the screen translated by (sx, sy) meters."""
         sx, sy = float(shift_xy[0]), float(shift_xy[1])
-        ramp = np.exp(-2j * np.pi * (self._fx * sx + self._fy * sy))
-        out = np.fft.fftshift(_fft.ifft2(self._coeff * ramp).real) * self.n**2
+        # the translation ramp exp(-2 pi i (fx sx + fy sy)) is separable
+        ramp_x = np.exp(-2j * np.pi * self._f1 * sx)
+        ramp_y = np.exp(-2j * np.pi * self._f1 * sy)
+        spectrum = self._coeff * ramp_y[:, None]
+        spectrum *= ramp_x[None, :]
+        out = np.fft.fftshift(_fft.ifft2(spectrum, overwrite_x=True).real) * self.n**2
         if self._sub_c.size:
-            x = (np.arange(self.n) - self.n // 2) * self.spacing_m
-            cx = np.exp(2j * np.pi * np.outer(x, self._sub_f[:, 0]))  # (n, K)
-            cy = np.exp(2j * np.pi * np.outer(x, self._sub_f[:, 1]))
             amp = self._sub_c * np.exp(-2j * np.pi * (self._sub_f[:, 0] * sx + self._sub_f[:, 1] * sy))
-            out += ((cy * amp) @ cx.T).real
+            out += ((self._sub_cy * amp) @ self._sub_cx.T).real
         return out
 
 

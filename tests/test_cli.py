@@ -167,3 +167,42 @@ class TestSaveFields:
 
         field = read_field_bin(os.path.join(out, "fields", "frame_000000.bin"))
         assert field.n == 128
+
+
+TINY = {
+    "run": {"label": "tiny", "seed": 5, "n_frames": 4, "frame_rate_hz": 1500.0},
+    "grid": {"n": 64},
+}
+
+
+class TestExitCodes:
+    """Every accepted scenario runs or exits with a documented code."""
+
+    @staticmethod
+    def _run(tmp_path, cfg, *commands):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "run")
+        return [main([c, "--config", str(path), "--out", out]) for c in commands]
+
+    def test_ber_window_shorter_than_replay_rejected(self, tmp_path, capsys):
+        cfg = dict(TINY, ber={"window_len": 2})
+        assert self._run(tmp_path, cfg, "synth") == [2]
+        err = capsys.readouterr().err
+        assert "ber.window_len" in err and "Traceback" not in err
+
+    def test_shortest_ber_window_runs(self, tmp_path):
+        cfg = dict(TINY, ber={"window_len": 3})
+        assert self._run(tmp_path, cfg, "synth", "ber") == [0, 0]
+
+    def test_mode_group_beyond_basis_rejected(self, tmp_path, capsys):
+        cfg = dict(TINY, optics={"max_mode_group": 7})
+        assert self._run(tmp_path, cfg, "synth") == [2]
+        err = capsys.readouterr().err
+        assert "optics.max_mode_group" in err and "Traceback" not in err
+
+    def test_ber_on_run_shorter_than_replay_exits_2(self, tmp_path, capsys):
+        cfg = dict(TINY, run=dict(TINY["run"], n_frames=2))
+        assert self._run(tmp_path, cfg, "synth", "ber") == [0, 2]
+        err = capsys.readouterr().err
+        assert "1 s of trace" in err and "Traceback" not in err

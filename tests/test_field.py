@@ -7,6 +7,7 @@ from fsolink.errors import DimensionError, InvalidFieldError, ParameterError
 from fsolink.field import (
     ComplexFieldGrid,
     GridSpec,
+    _transfer_function,
     angular_spectrum_propagate,
     apply_aperture,
     apply_phase_screen,
@@ -85,6 +86,34 @@ class TestPropagation:
         with pytest.warns(RuntimeWarning, match="sampling bound"):
             angular_spectrum_propagate(beam, 1e4)
 
+    def test_sampling_bound_warns_on_every_call(self):
+        # the second call hits the cached transfer function and still warns
+        grid = GridSpec(64, 0.064, LAM)
+        beam = gaussian_field(grid, 0.005)
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="sampling bound"):
+                angular_spectrum_propagate(beam, 1e4)
+
+    def test_cached_transfer_function_is_fresh_and_read_only(self):
+        args = (128, 1.0 / 128, LAM, 700.0)
+        cached = _transfer_function(*args)
+        again = _transfer_function(*args)
+        fresh = _transfer_function.__wrapped__(*args)
+        assert again is cached
+        assert np.array_equal(cached, fresh)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+
+    def test_matches_shifted_reference(self, random_smooth_field):
+        # reference: the transfer function applied to the ifftshift-ed field
+        f = random_smooth_field
+        d = 700.0
+        h = _transfer_function.__wrapped__(f.n, f.spacing_m, f.wavelength_m, d)
+        ref = np.fft.fftshift(np.fft.ifft2(np.fft.fft2(np.fft.ifftshift(f.samples)) * h))
+        out = angular_spectrum_propagate(f, d).samples
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_negative_distance_rejected(self, grid64):
         with pytest.raises(ParameterError):
             angular_spectrum_propagate(plane_wave(grid64), -1.0)
@@ -151,6 +180,13 @@ class TestAperture:
         second = apply_aperture(first, 0.5)
         np.testing.assert_array_equal(first.samples, second.samples)
 
+    def test_cached_mask_follows_diameter(self, grid128):
+        pw = plane_wave(grid128)
+        r = grid128.radius_grid()
+        for d in (0.5, 0.3, 0.5):
+            out = apply_aperture(pw, d).samples
+            np.testing.assert_array_equal(out, np.where(r <= d / 2, pw.samples, 0.0))
+
     def test_narrow_gaussian_barely_clipped(self):
         grid = GridSpec(256, 1.0, LAM)
         beam = gaussian_field(grid, 0.05)
@@ -174,6 +210,14 @@ class TestTotalPower:
 
     def test_unit_gaussian(self, grid128):
         assert abs(total_power(gaussian_field(grid128, 0.1)) - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("waist_m, power_w", [(0.02, 1.0), (0.1, 2.5), (0.3, 1e-3)])
+    def test_separable_gaussian_matches_radial_form(self, grid128, waist_m, power_w):
+        r = grid128.radius_grid()
+        ref = np.exp(-(r**2) / waist_m**2)
+        ref *= np.sqrt(power_w / (np.sum(ref**2) * grid128.spacing_m**2))
+        out = gaussian_field(grid128, waist_m, power_w).samples
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(ref)
 
     def test_quadratic_scaling(self, random_smooth_field):
         doubled = random_smooth_field.with_samples(2.0 * random_smooth_field.samples)

@@ -108,6 +108,10 @@ class TestBasis:
         sub = basis.subset(6)
         assert sub.indices == MODE_ORDER[:6]
 
+    def test_build_matches_stacked_modes(self, grid, basis):
+        ref = np.stack([hg_mode_field(m, n, basis.waist_m, grid).samples for m, n in MODE_ORDER])
+        np.testing.assert_array_equal(basis.sampled, ref)
+
 
 class TestDecompose:
     def test_basis_element_roundtrip(self, grid, basis):
@@ -135,6 +139,12 @@ class TestDecompose:
             for i in range(grid.n):
                 direct += np.sum(np.conj(mode[i]) * field_on_grid.samples[i]) * dx2
             assert abs(direct - mc.coeffs[k]) < 1e-9 * max(1.0, abs(direct))
+
+    def test_matches_einsum_form(self, grid, basis, smooth_field):
+        ref = np.einsum("kij,ij->k", basis.sampled.conj(), smooth_field.samples)
+        ref *= grid.spacing_m**2
+        mc = decompose(smooth_field, basis)
+        assert np.max(np.abs(mc.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_bessel_inequality(self, grid, basis, smooth_field):
         mc = decompose(smooth_field, basis)
@@ -175,6 +185,13 @@ class TestSmfCoupling:
         scan = np.linspace(0.15, 0.30, 400)
         scan_eff = [smf_coupling_efficiency(disc, w) for w in scan]
         assert eff >= max(scan_eff) - 1e-5
+
+    @pytest.mark.parametrize("waist_m", [0.05, 0.13, 0.2])
+    def test_matches_full_gaussian_overlap(self, grid, smooth_field, waist_m):
+        g = gaussian_field(grid, waist_m)
+        overlap = np.vdot(g.samples, smooth_field.samples) * grid.spacing_m**2
+        ref = abs(overlap) ** 2 / total_power(smooth_field)
+        assert abs(smf_coupling_efficiency(smooth_field, waist_m) - ref) <= 1e-12 * ref
 
     def test_orthogonal_mode_does_not_couple(self, grid):
         mode = hg_mode_field(1, 0, 0.13, grid)

@@ -9,6 +9,7 @@ from fsolink.turbulence import (
     AtmosphereProfile,
     PhaseScreen,
     TurbulenceLayer,
+    _SpectralScreen,
     build_time_series,
     default_profile,
     evolve_frozen_flow,
@@ -118,6 +119,24 @@ class TestFrozenFlow:
         once = evolve_frozen_flow(screen, 1.0, 2 * dt)
         twice = evolve_frozen_flow(evolve_frozen_flow(screen, 1.0, dt), 1.0, dt)
         np.testing.assert_allclose(twice.phase, once.phase, atol=1e-9)
+
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.0137, -0.402), (3.3, 1.9)])
+    def test_render_matches_full_grid_ramp(self, shift):
+        # reference: the 2-D translation ramp and the subharmonic tables
+        # evaluated at render time
+        gen = _SpectralScreen(128, 1 / 128, 0.1, 25.0, 5e-3, np.random.default_rng(5),
+                              subharmonic_levels=3)
+        sx, sy = shift
+        f = np.fft.fftfreq(gen.n, d=gen.spacing_m)
+        ramp = np.exp(-2j * np.pi * (f[None, :] * sx + f[:, None] * sy))
+        ref = np.fft.fftshift(np.fft.ifft2(gen._coeff * ramp).real) * gen.n**2
+        x = (np.arange(gen.n) - gen.n // 2) * gen.spacing_m
+        cx = np.exp(2j * np.pi * np.outer(x, gen._sub_f[:, 0]))
+        cy = np.exp(2j * np.pi * np.outer(x, gen._sub_f[:, 1]))
+        amp = gen._sub_c * np.exp(-2j * np.pi * (gen._sub_f[:, 0] * sx + gen._sub_f[:, 1] * sy))
+        ref += ((cy * amp) @ cx.T).real
+        out = gen.phase_at(shift)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_vector_wind(self):
         screen = synth_phase_screen(128, 1 / 128, 0.1, seed=4)
