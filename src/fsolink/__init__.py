@@ -35,7 +35,6 @@ from .controller import (
     NelderMead,
     correction_bandwidth,
     correction_bandwidth_knee,
-    nelder_mead_step,
     run_closed_loop,
     uncorrected_efficiency,
     wrap_event_rate,
@@ -52,7 +51,6 @@ from .field import (
     total_power,
     uniform_disc_field,
     write_field_bin,
-    write_field_csv,
 )
 from .modes import (
     MODE_ORDER,
@@ -74,11 +72,9 @@ from .turbulence import (
     TurbulenceLayer,
     build_time_series,
     default_profile,
-    evolve_frozen_flow,
     kolmogorov_structure_function,
     measure_structure_function,
     synth_phase_screen,
-    transmit_field,
     von_karman_psd,
 )
 from .wdm import (

@@ -528,7 +528,6 @@ def _build_parser():
 
     pc = sub.add_parser("couple", parents=[common], help="derive coupling-efficiency traces")
     pc.add_argument("--modes", default="3,6,10,15", help="comma list of mode counts")
-    pc.add_argument("--lossless", action="store_true", default=True)
     pc.add_argument("--lossy", dest="lossless", action="store_false",
                     help="apply chip + demultiplexer insertion losses")
 
@@ -536,8 +535,8 @@ def _build_parser():
     pb.add_argument("--modes", default="6,10,15")
     pb.add_argument("--window", default="auto", help="auto or START:END frame range")
     pb.add_argument("--rop-sweep", help="LO:HI:STEP in dBm, overrides the scenario sweep")
-    pb.add_argument("--lossless", action="store_true", default=True)
-    pb.add_argument("--lossy", dest="lossless", action="store_false")
+    pb.add_argument("--lossy", dest="lossless", action="store_false",
+                    help="apply chip + demultiplexer insertion losses to the multimode receivers")
 
     pw = sub.add_parser("wdm", parents=[common], help="delay scan or two-wavelength link")
     g = pw.add_mutually_exclusive_group()

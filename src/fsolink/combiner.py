@@ -7,8 +7,9 @@ elements therefore combines n coherent inputs losslessly; chip and
 demultiplexer insertion losses are lumped on the output.
 """
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,35 +34,49 @@ class CombinerTopology:
     stages is a tuple of stages; each stage is a tuple of ("pair", i, j) or
     ("pass", i) entries indexing the previous stage's outputs.  Every
     "pair" consumes one element (phase actuator + split ratio), so a valid
-    tree has exactly n_inputs - 1 elements.
+    tree has exactly n_inputs - 1 elements.  Construction compiles the
+    stages into one flat list of elements over a signal buffer
+    [inputs..., element outputs...]: element k reads the slots in
+    _elements[k] and writes slot n_inputs + k, "pass" entries become slot
+    aliases, and _output is the slot of the tree output.
     """
 
     n_inputs: int
     stages: tuple
     pic_insertion_loss_db: float = 7.0
     demux_insertion_loss_db: float = 1.0
+    _elements: tuple = field(init=False, repr=False, compare=False)
+    _output: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_inputs < 1:
             raise ParameterError("n_inputs must be >= 1")
         if self.pic_insertion_loss_db < 0 or self.demux_insertion_loss_db < 0:
             raise ParameterError("insertion losses must be >= 0")
-        n_elements = sum(1 for st in self.stages for e in st if e[0] == "pair")
-        if n_elements != self.n_inputs - 1:
+        live = list(range(self.n_inputs))  # buffer slot of each signal of the stage
+        elements = []
+        for st in self.stages:
+            if any((e[0], len(e)) not in (("pair", 3), ("pass", 2)) for e in st):
+                raise ParameterError(f"stage {st} holds an entry other than pair/pass")
+            if sorted(i for e in st for i in e[1:]) != list(range(len(live))):
+                raise ParameterError(f"stage {st} does not consume signals 0..{len(live) - 1}")
+            nxt = []
+            for e in st:
+                if e[0] == "pair":
+                    elements.append((live[e[1]], live[e[2]]))
+                    nxt.append(self.n_inputs + len(elements) - 1)
+                else:
+                    nxt.append(live[e[1]])
+            live = nxt
+        if len(elements) != self.n_inputs - 1:
             raise ParameterError(
                 f"tree with {self.n_inputs} leaves needs {self.n_inputs - 1} elements, "
-                f"got {n_elements}"
+                f"got {len(elements)}"
             )
-        width = self.n_inputs
-        for st in self.stages:
-            used = sorted(
-                i for e in st for i in (e[1:] if e[0] == "pair" else (e[1],))
-            )
-            if used != list(range(width)):
-                raise ParameterError(f"stage {st} does not consume signals 0..{width - 1}")
-            width = len(st)
-        if width != 1:
+        if len(live) != 1:
             raise ParameterError("tree must end in a single output")
+        object.__setattr__(self, "_elements", tuple(elements))
+        object.__setattr__(self, "_output", live[0])
 
     @classmethod
     def balanced(cls, n_inputs: int, pic_insertion_loss_db: float = 7.0,
@@ -131,31 +146,21 @@ def combine(inputs, topology: CombinerTopology, state: CombinerState):
         raise ParameterError(
             f"expected {topology.n_inputs} input amplitudes, got shape {a.shape}"
         )
-    if not np.all(np.isfinite(a)):
+    buf = a.tolist()
+    if not all(map(cmath.isfinite, buf)):
         raise InvalidFieldError("combiner inputs must be finite")
     if state.phase_commands.shape[0] != topology.n_elements:
         raise ParameterError("state size does not match topology")
 
-    monitors = np.empty(topology.n_elements)
-    signals = a
-    k = 0
-    for stage in topology.stages:
-        nxt = np.empty(len(stage), dtype=np.complex128)
-        for slot, entry in enumerate(stage):
-            if entry[0] == "pair":
-                rho = state.split_ratios[k]
-                theta = state.phase_commands[k]
-                out = math.sqrt(rho) * signals[entry[1]] + (
-                    math.sqrt(1.0 - rho) * np.exp(1j * theta) * signals[entry[2]]
-                )
-                monitors[k] = abs(out) ** 2
-                nxt[slot] = out
-                k += 1
-            else:
-                nxt[slot] = signals[entry[1]]
-        signals = nxt
+    monitors = []
+    for (i, j), rho, theta in zip(
+        topology._elements, state.split_ratios.tolist(), state.phase_commands.tolist()
+    ):
+        out = math.sqrt(rho) * buf[i] + (math.sqrt(1.0 - rho) * np.exp(1j * theta) * buf[j])
+        monitors.append(abs(out) ** 2)
+        buf.append(out)
     attenuation = 10.0 ** (-topology.total_loss_db / 20.0)
-    return signals[0] * attenuation, monitors
+    return buf[topology._output] * attenuation, np.array(monitors)
 
 
 def align_state(inputs, topology: CombinerTopology) -> CombinerState:
@@ -167,28 +172,22 @@ def align_state(inputs, topology: CombinerTopology) -> CombinerState:
     a = np.asarray(inputs, dtype=np.complex128)
     if a.shape != (topology.n_inputs,):
         raise ParameterError("input length does not match topology")
+    buf = list(a)
     phases = []
     ratios = []
-    signals = a
-    for stage in topology.stages:
-        nxt = np.empty(len(stage), dtype=np.complex128)
-        for slot, entry in enumerate(stage):
-            if entry[0] == "pair":
-                x, y = signals[entry[1]], signals[entry[2]]
-                p = abs(x) ** 2 + abs(y) ** 2
-                if p == 0:
-                    rho, theta = 0.5, 0.0
-                    out = 0.0 + 0.0j
-                else:
-                    rho = abs(x) ** 2 / p
-                    theta = (np.angle(x) - np.angle(y)) % TWO_PI if abs(y) > 0 else 0.0
-                    out = math.sqrt(p) * np.exp(1j * (np.angle(x) if abs(x) > 0 else np.angle(y)))
-                phases.append(theta)
-                ratios.append(rho)
-                nxt[slot] = out
-            else:
-                nxt[slot] = signals[entry[1]]
-        signals = nxt
+    for i, j in topology._elements:
+        x, y = buf[i], buf[j]
+        p = abs(x) ** 2 + abs(y) ** 2
+        if p == 0:
+            rho, theta = 0.5, 0.0
+            out = 0.0 + 0.0j
+        else:
+            rho = abs(x) ** 2 / p
+            theta = (np.angle(x) - np.angle(y)) % TWO_PI if abs(y) > 0 else 0.0
+            out = math.sqrt(p) * np.exp(1j * (np.angle(x) if abs(x) > 0 else np.angle(y)))
+        phases.append(theta)
+        ratios.append(rho)
+        buf.append(out)
     return CombinerState(np.array(phases), np.array(ratios))
 
 

@@ -14,6 +14,12 @@ Actuator phases live in [0, 2 pi): when a command leaves the range the
 electronics slip it back by one turn, costing a dead-time during which the
 combined output is degraded.  Those wrap transients are what puts an
 error-rate floor on an otherwise clean link.
+
+One evaluator serves both loops, the framed acquisition of
+run_closed_loop and the continuous tracking of correction_bandwidth: it
+wraps the phase commands, maps the ratio parameters (fixed 50/50 ratios
+unless optimize_ratios), runs the combiner, applies the wrap-residual gain
+inside a dead-time and draws the detector noise.
 """
 
 import math
@@ -28,7 +34,6 @@ from .errors import ControllerFault, ParameterError
 __all__ = [
     "ControllerConfig",
     "NelderMead",
-    "nelder_mead_step",
     "LoopTrace",
     "run_closed_loop",
     "wrap_event_rate",
@@ -175,28 +180,6 @@ class NelderMead:
         return self.simplex[k].copy()
 
 
-def nelder_mead_step(objective, simplex, values):
-    """One standard simplex iteration on a maximization objective.
-
-    simplex is (d+1, d) and values the matching readings (higher is better).
-    Runs the reflection and whatever the iteration needs (expansion,
-    contraction or a full shrink) and returns (simplex, values, n_evals).
-    """
-    simplex = np.array(simplex, dtype=np.float64)
-    nm = NelderMead(simplex[0], np.ones(simplex.shape[1]))
-    nm.simplex = simplex
-    nm.values = -np.array(values, dtype=np.float64)
-    nm._phase = "start"
-    evals = 0
-    while True:
-        x = nm.ask()
-        nm.tell(-float(objective(x)))
-        evals += 1
-        if nm._phase == "start":
-            break
-    return nm.simplex, -nm.values, evals
-
-
 @dataclass(frozen=True)
 class ControllerConfig:
     """Free parameters of the power-maximization loop.
@@ -262,9 +245,35 @@ class LoopTrace:
                 fh.write(f"{float(t)!r},{float(p)!r},{float(e)!r},{int(w)}\n")
 
 
+def _evaluate(x, inputs, topology, config, rng, in_transient=False):
+    """One closed-loop evaluation of command vector x.
+
+    Returns (physical output power, optimizer reading): phases wrapped into
+    [0, 2 pi), ratios sin^2 of their parameters (50/50 unless
+    optimize_ratios), the power scaled by wrap_residual_factor inside a wrap
+    dead-time, and the reading perturbed by relative detector noise.
+    """
+    n_el = topology.n_elements
+    phases = x[:n_el] % TWO_PI
+    if config.optimize_ratios:
+        ratios = np.sin(x[n_el:]) ** 2
+    else:
+        ratios = np.full(n_el, 0.5)
+    amp, _ = combine(inputs, topology, CombinerState(phases, ratios))
+    p_physical = abs(amp) ** 2
+    if in_transient:
+        p_physical *= config.wrap_residual_factor
+    measured = p_physical
+    if config.detector_noise_rel > 0:
+        measured = max(
+            0.0, measured * (1.0 + config.detector_noise_rel * rng.standard_normal())
+        )
+    return p_physical, measured
+
+
 class _Plant:
-    """Applies commands to the combiner with wrap-transient and noise
-    side effects, and records the trace.
+    """Applies commands through _evaluate, tracks the wrap dead-time and
+    records the trace.
 
     Search coordinates are free-running; the applied phase command is
     always their value modulo 2 pi (the objective is periodic).  Wrap
@@ -276,8 +285,6 @@ class _Plant:
         self.topology = topology
         self.config = config
         self.rng = rng
-        self.n_el = topology.n_elements
-        self.dim = dim
         self.power = np.empty(n_evals)
         self.wrap_flag = np.zeros(n_evals, dtype=bool)
         self.states = np.empty((n_evals, dim)) if config.record_states else None
@@ -301,22 +308,10 @@ class _Plant:
 
     def measure(self, x):
         """Evaluate command vector x; returns the (noisy) optimizer reading."""
-        cfg = self.config
-        t = self.e / cfg.loop_rate_hz
-        phases = x[: self.n_el] % TWO_PI
-        if cfg.optimize_ratios:
-            ratios = np.sin(x[self.n_el :]) ** 2
-        else:
-            ratios = np.full(self.n_el, 0.5)
-        amp, _ = combine(self.inputs, self.topology, CombinerState(phases, ratios))
-        p_physical = abs(amp) ** 2
-        if t < self.transient_until:
-            p_physical *= cfg.wrap_residual_factor
-        measured = p_physical
-        if cfg.detector_noise_rel > 0:
-            measured = max(
-                0.0, measured * (1.0 + cfg.detector_noise_rel * self.rng.standard_normal())
-            )
+        t = self.e / self.config.loop_rate_hz
+        p_physical, measured = _evaluate(
+            x, self.inputs, self.topology, self.config, self.rng, t < self.transient_until
+        )
         self.power[self.e] = p_physical
         if self.states is not None:
             self.states[self.e] = x
@@ -485,7 +480,8 @@ def correction_bandwidth(
     current best every refresh_every evaluations.  Efficiency (combined
     power over the 2.0 W ideal) is averaged over n_periods after a settling
     span, with floors on both spans so high frequencies still exercise a
-    settled loop.
+    settled loop.  Evaluations go through the same evaluator as
+    run_closed_loop, so optimize_ratios=False holds the split at 50/50.
     """
     if disturbance_freq_hz < 0:
         raise ParameterError("disturbance frequency must be >= 0")
@@ -520,15 +516,7 @@ def correction_bandwidth(
             shift[:n_el] = -TWO_PI * turns
             nm.translate(shift)
             x = x + shift
-        amp, _ = combine(
-            inputs, topology,
-            CombinerState(x[:n_el] % TWO_PI, np.sin(x[n_el:]) ** 2),
-        )
-        measured = abs(amp) ** 2
-        if config.detector_noise_rel > 0:
-            measured = max(
-                0.0, measured * (1.0 + config.detector_noise_rel * rng.standard_normal())
-            )
+        _, measured = _evaluate(x, inputs, topology, config, rng)
         nm.tell(-measured)
         window_best = max(window_best, measured)
         if (e + 1) % refresh_every == 0:

@@ -30,7 +30,6 @@ __all__ = [
     "uniform_disc_field",
     "write_field_bin",
     "read_field_bin",
-    "write_field_csv",
 ]
 
 _GEOMETRY_RTOL = 1e-9
@@ -314,13 +313,3 @@ def read_field_bin(path) -> ComplexFieldGrid:
         n, extent_m, wavelength_m = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
         raw = np.frombuffer(fh.read(), dtype="<f8").reshape(n, n, 2)
     return ComplexFieldGrid(raw[..., 0] + 1j * raw[..., 1], extent_m, wavelength_m)
-
-
-def write_field_csv(field: ComplexFieldGrid, path) -> None:
-    """Write a field as CSV rows: row, col, re, im."""
-    with open(path, "w", newline="") as fh:
-        fh.write("row,col,re,im\n")
-        for i in range(field.n):
-            row = field.samples[i]
-            for j in range(field.n):
-                fh.write(f"{i},{j},{row[j].real:.17g},{row[j].imag:.17g}\n")

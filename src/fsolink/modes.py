@@ -187,9 +187,14 @@ def smf_coupling_efficiency(field: ComplexFieldGrid, smf_waist_m: float) -> floa
     p = total_power(field)
     if p <= 0:
         raise ZeroPowerError("coupling efficiency undefined for a zero-power field")
+    return _smf_overlap(field, smf_waist_m, p)
+
+
+def _smf_overlap(field: ComplexFieldGrid, smf_waist_m: float, power: float) -> float:
+    """smf_coupling_efficiency for a field whose total power is known."""
     g1 = _gaussian_profile(field.grid, smf_waist_m)
     overlap = (g1 @ field.samples @ g1) * field.spacing_m**2
-    return float(np.abs(overlap) ** 2 / p)
+    return float(np.abs(overlap) ** 2 / power)
 
 
 def optimize_smf_waist(aperture_field: ComplexFieldGrid, n_coarse: int = 48) -> tuple:
@@ -198,33 +203,38 @@ def optimize_smf_waist(aperture_field: ComplexFieldGrid, n_coarse: int = 48) -> 
     Coarse log-spaced scan over feasible waists followed by golden-section
     refinement of the best bracket.  Returns (waist_m, efficiency).
     """
-    if total_power(aperture_field) <= 0:
+    p = total_power(aperture_field)  # scanned once; every probe reuses it
+    if p <= 0:
         raise ZeroPowerError("cannot optimize the fiber waist of a zero-power field")
+
+    def eff(w):
+        return _smf_overlap(aperture_field, w, p)
+
     lo = 4 * aperture_field.spacing_m
     hi = aperture_field.extent_m / 2
     waists = np.geomspace(lo, hi, n_coarse)
-    effs = [smf_coupling_efficiency(aperture_field, w) for w in waists]
+    effs = [eff(w) for w in waists]
     k = int(np.argmax(effs))
     a = waists[max(k - 1, 0)]
     b = waists[min(k + 1, n_coarse - 1)]
 
     invphi = (math.sqrt(5.0) - 1) / 2
     c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc = smf_coupling_efficiency(aperture_field, c)
-    fd = smf_coupling_efficiency(aperture_field, d)
+    fc = eff(c)
+    fd = eff(d)
     for _ in range(60):
         if b - a < 1e-6 * b:
             break
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = smf_coupling_efficiency(aperture_field, c)
+            fc = eff(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = smf_coupling_efficiency(aperture_field, d)
+            fd = eff(d)
     w_best = (a + b) / 2
-    return float(w_best), smf_coupling_efficiency(aperture_field, w_best)
+    return float(w_best), eff(w_best)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .field import (
     angular_spectrum_propagate,
     apply_aperture,
     apply_phase_screen,
-    gaussian_field,
     plane_wave,
 )
 
@@ -37,9 +36,7 @@ __all__ = [
     "default_profile",
     "von_karman_psd",
     "synth_phase_screen",
-    "evolve_frozen_flow",
     "build_time_series",
-    "transmit_field",
     "measure_structure_function",
     "kolmogorov_structure_function",
 ]
@@ -222,39 +219,6 @@ def synth_phase_screen(
     return PhaseScreen(phase - phase.mean(), spacing_m, r0_m, seed=seed)
 
 
-def evolve_frozen_flow(screen: PhaseScreen, wind_mps, dt_s: float) -> PhaseScreen:
-    """Translate a screen rigidly by wind * dt (Taylor frozen flow).
-
-    wind_mps may be a scalar (motion along +x) or an (vx, vy) pair.  Integer
-    pixel shifts are applied as exact cyclic rolls; fractional shifts use a
-    spectral phase ramp (cyclic with subpixel interpolation).
-    """
-    if np.isscalar(wind_mps):
-        vx, vy = float(wind_mps), 0.0
-    else:
-        vx, vy = float(wind_mps[0]), float(wind_mps[1])
-    sx = vx * dt_s / screen.spacing_m
-    sy = vy * dt_s / screen.spacing_m
-    n = screen.n
-
-    def _near_int(v):
-        return abs(v - round(v)) < 1e-9
-
-    if _near_int(sx) and _near_int(sy):
-        out = np.roll(screen.phase, (int(round(sy)), int(round(sx))), axis=(0, 1))
-    else:
-        f1 = np.fft.fftfreq(n)
-        ramp = np.exp(-2j * np.pi * (f1[None, :] * sx + f1[:, None] * sy))
-        spec = _fft.fft2(screen.phase) * ramp
-        # the Nyquist bins have no conjugate partner under a fractional
-        # ramp; zeroing them keeps the shifted screen exactly real so
-        # translations compose to machine precision
-        spec[n // 2, :] = 0.0
-        spec[:, n // 2] = 0.0
-        out = _fft.ifft2(spec).real
-    return PhaseScreen(out, screen.spacing_m, screen.r0_m, seed=screen.seed)
-
-
 @dataclass(frozen=True)
 class TurbulenceLayer:
     """One phase-screen layer along the slant path.
@@ -369,12 +333,6 @@ def default_profile(
         elevation_deg=elevation_deg,
         subharmonic_levels=subharmonic_levels,
     )
-
-
-def transmit_field(grid: GridSpec, aperture_diameter_m: float = 0.40, waist_m=None) -> ComplexFieldGrid:
-    """Collimated Gaussian truncated by the transmit telescope aperture."""
-    w = waist_m if waist_m is not None else aperture_diameter_m / 2
-    return apply_aperture(gaussian_field(grid, w), aperture_diameter_m)
 
 
 def build_time_series(

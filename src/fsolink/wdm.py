@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comms import ReceiverModel, ber_curve, power_penalty
-from .errors import ParameterError, ScanRangeError
+from .errors import CurveCrossingError, ParameterError, ScanRangeError
 
 __all__ = [
     "C_VACUUM",
@@ -216,7 +216,7 @@ def wdm_link_run(
         curves.append(ber)
         try:
             pen = power_penalty((grid, ber), (grid, single), target_ber)
-        except Exception:
+        except CurveCrossingError:
             pen = None
         penalties.append(pen)
     return WdmLinkResult(

@@ -206,3 +206,32 @@ class TestExitCodes:
         assert self._run(tmp_path, cfg, "synth", "ber") == [0, 2]
         err = capsys.readouterr().err
         assert "1 s of trace" in err and "Traceback" not in err
+
+
+class TestLossyFlag:
+    @staticmethod
+    def _couple(path, out, *flags):
+        assert main(["couple", "--config", str(path), "--out", out, *flags]) == 0
+        effs = {}
+        for rx in ("smf", "mm3", "mm6", "mm10", "mm15"):
+            lines = open(os.path.join(out, f"couple_{rx}.csv")).read().splitlines()[2:]
+            effs[rx] = np.array([float(line.split(",")[3]) for line in lines])
+        return effs
+
+    def test_lossy_is_total_loss_below_default(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(TINY))
+        out = str(tmp_path / "run")
+        assert main(["synth", "--config", str(path), "--out", out]) == 0
+        default = self._couple(path, out)
+        lossy = self._couple(path, out, "--lossy")
+        loss_db = load_scenario(str(path)).topology().total_loss_db
+        assert loss_db > 0
+        np.testing.assert_array_equal(lossy["smf"], default["smf"])
+        for n in (3, 6, 10, 15):
+            np.testing.assert_allclose(default[f"mm{n}"] - lossy[f"mm{n}"], loss_db, rtol=0, atol=1e-9)
+        assert not json.load(open(os.path.join(out, "couple_summary.json")))["lossless"]
+
+    def test_lossless_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["couple", "--config", "x.json", "--out", str(tmp_path), "--lossless"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsolink.combiner import (
     CombinerState,
@@ -92,6 +94,111 @@ def dense_scan_max(inputs, topology, n_starts=8):
             ),
         )
     return best
+
+
+def stage_walk_combine(inputs, topology, state):
+    """Reference: the tree evaluated stage by stage from its stage tuples."""
+    signals = np.asarray(inputs, dtype=np.complex128)
+    monitors = np.empty(topology.n_elements)
+    k = 0
+    for stage in topology.stages:
+        nxt = np.empty(len(stage), dtype=np.complex128)
+        for slot, entry in enumerate(stage):
+            if entry[0] == "pair":
+                rho = state.split_ratios[k]
+                theta = state.phase_commands[k]
+                out = math.sqrt(rho) * signals[entry[1]] + (
+                    math.sqrt(1.0 - rho) * np.exp(1j * theta) * signals[entry[2]]
+                )
+                monitors[k] = abs(out) ** 2
+                nxt[slot] = out
+                k += 1
+            else:
+                nxt[slot] = signals[entry[1]]
+        signals = nxt
+    return signals[0] * 10.0 ** (-topology.total_loss_db / 20.0), monitors
+
+
+def stage_walk_align(inputs, topology):
+    """Reference: align_state evaluated stage by stage; (phases, ratios)."""
+    signals = np.asarray(inputs, dtype=np.complex128)
+    phases, ratios = [], []
+    for stage in topology.stages:
+        nxt = np.empty(len(stage), dtype=np.complex128)
+        for slot, entry in enumerate(stage):
+            if entry[0] == "pair":
+                x, y = signals[entry[1]], signals[entry[2]]
+                p = abs(x) ** 2 + abs(y) ** 2
+                if p == 0:
+                    rho, theta, out = 0.5, 0.0, 0.0 + 0.0j
+                else:
+                    rho = abs(x) ** 2 / p
+                    theta = (np.angle(x) - np.angle(y)) % (2 * math.pi) if abs(y) > 0 else 0.0
+                    out = math.sqrt(p) * np.exp(1j * (np.angle(x) if abs(x) > 0 else np.angle(y)))
+                phases.append(theta)
+                ratios.append(rho)
+                nxt[slot] = out
+            else:
+                nxt[slot] = signals[entry[1]]
+        signals = nxt
+    return np.array(phases), np.array(ratios)
+
+
+@st.composite
+def trees(draw):
+    """Balanced trees of 1-16 inputs, or random trees with "pass" entries:
+    each stage pairs up a random subset of a shuffled stage input and
+    passes the rest through, in a shuffled entry order."""
+    n = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        return CombinerTopology.balanced(n, 0.0, 0.0)
+    stages, width = [], n
+    while width > 1:
+        order = draw(st.permutations(range(width)))
+        n_pairs = draw(st.integers(1, width // 2))
+        entries = [("pair", order[2 * k], order[2 * k + 1]) for k in range(n_pairs)]
+        entries += [("pass", i) for i in order[2 * n_pairs:]]
+        stages.append(tuple(draw(st.permutations(entries))))
+        width = len(entries)
+    loss = draw(st.floats(0.0, 10.0))
+    return CombinerTopology(n, tuple(stages), pic_insertion_loss_db=loss)
+
+
+_parts = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+@st.composite
+def tree_cases(draw):
+    topo = draw(trees())
+    n, m = topo.n_inputs, topo.n_elements
+    inputs = np.array([complex(draw(_parts), draw(_parts)) for _ in range(n)])
+    phases = np.array(draw(st.lists(st.floats(-20.0, 20.0), min_size=m, max_size=m)))
+    ratios = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    return topo, inputs, CombinerState(phases, ratios)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64 if np.isrealobj(x) else np.complex128).tobytes()
+
+
+class TestCompiledTree:
+    @given(tree_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_combine_matches_stage_walk(self, case):
+        topo, inputs, state = case
+        amp, monitors = combine(inputs, topo, state)
+        ref_amp, ref_monitors = stage_walk_combine(inputs, topo, state)
+        assert _bits(amp) == _bits(ref_amp)
+        assert _bits(monitors) == _bits(ref_monitors)
+
+    @given(tree_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_align_state_matches_stage_walk(self, case):
+        topo, inputs, _ = case
+        state = align_state(inputs, topo)
+        ref_phases, ref_ratios = stage_walk_align(inputs, topo)
+        assert _bits(state.phase_commands) == _bits(ref_phases)
+        assert _bits(state.split_ratios) == _bits(ref_ratios)
 
 
 class TestCombine:
@@ -232,6 +339,8 @@ class TestTopologyValidation:
     def test_bad_tree_rejected(self):
         with pytest.raises(ParameterError):
             CombinerTopology(n_inputs=3, stages=((("pair", 0, 1),),))  # drops input 2
+        with pytest.raises(ParameterError):
+            CombinerTopology(n_inputs=2, stages=((("pair", 0), ("pass", 1)),))  # half an element
         with pytest.raises(ParameterError):
             CombinerTopology.balanced(2, pic_insertion_loss_db=-1.0)
 

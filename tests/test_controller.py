@@ -9,7 +9,6 @@ from fsolink.controller import (
     NelderMead,
     correction_bandwidth,
     correction_bandwidth_knee,
-    nelder_mead_step,
     run_closed_loop,
     uncorrected_efficiency,
     wrap_event_rate,
@@ -21,46 +20,45 @@ def neutral_wrap_config(**kw):
     return ControllerConfig(wrap_transient_s=0.0, wrap_residual_factor=1.0, **kw)
 
 
+def run_ask_tell(nm, objective, n_evals):
+    """Drive nm on a minimization objective; the simplex minimum after each
+    evaluation once the initial simplex is measured."""
+    history = []
+    for e in range(n_evals):
+        nm.tell(objective(nm.ask()))
+        if e >= nm.dim:
+            history.append(float(np.nanmin(nm.values)))
+    return history
+
+
 class TestNelderMeadStep:
     def test_one_dimensional_quadratic(self):
-        # oracle: dense scan of the objective locates the max at 1.0
-        objective = lambda x: -((x[0] - 1.0) ** 2)
+        # oracle: dense scan of the objective locates the min at 1.0
+        objective = lambda x: (x[0] - 1.0) ** 2
         scan = np.linspace(-2, 3, 100001)
-        oracle = scan[np.argmax(-((scan - 1.0) ** 2))]
+        oracle = scan[np.argmin((scan - 1.0) ** 2)]
         assert abs(oracle - 1.0) < 1e-4
 
-        simplex = np.array([[0.0], [0.5]])
-        values = np.array([objective(s) for s in simplex])
-        evals = 0
-        for _ in range(60):
-            simplex, values, used = nelder_mead_step(objective, simplex, values)
-            evals += used
-            if evals >= 60:
-                break
-        best = simplex[np.argmax(values)][0]
-        assert abs(best - 1.0) < 1e-3
+        nm = NelderMead(np.array([0.0]), np.array([0.5]))
+        run_ask_tell(nm, objective, 60)
+        assert abs(nm.current_best[0] - 1.0) < 1e-3
+        assert abs(nm.best_x[0] - 1.0) < 1e-3
 
     def test_flat_objective_shrinks_simplex(self):
-        objective = lambda x: 1.0
-        simplex = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        values = np.array([1.0, 1.0, 1.0])
-        size_before = np.max(np.abs(simplex - simplex[0]))
-        for _ in range(8):
-            simplex, values, _ = nelder_mead_step(objective, simplex, values)
-        size_after = np.max(np.abs(simplex - simplex[0]))
+        nm = NelderMead(np.zeros(2), np.ones(2))
+        size_before = np.max(np.abs(nm.simplex - nm.simplex[0]))
+        run_ask_tell(nm, lambda x: 1.0, 24)
+        size_after = np.max(np.abs(nm.simplex - nm.simplex[0]))
         assert size_after < size_before
-        assert np.allclose(values, 1.0)
+        assert np.all(nm.values == 1.0)
 
     def test_best_never_worsens_noiseless(self):
         rng = np.random.default_rng(0)
-        objective = lambda x: -np.sum((x - 2.0) ** 2)
-        simplex = rng.standard_normal((4, 3))
-        values = np.array([objective(s) for s in simplex])
-        best_history = [values.max()]
-        for _ in range(40):
-            simplex, values, _ = nelder_mead_step(objective, simplex, values)
-            best_history.append(values.max())
-        assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(best_history, best_history[1:]))
+        objective = lambda x: float(np.sum((x - 2.0) ** 2))
+        nm = NelderMead(rng.standard_normal(3), rng.uniform(0.5, 1.5, 3))
+        history = run_ask_tell(nm, objective, 120)
+        assert all(b2 <= b1 for b1, b2 in zip(history, history[1:]))
+        assert history[-1] < history[0]
 
     def test_non_finite_objective_faults(self):
         nm = NelderMead(np.zeros(2), np.ones(2))

@@ -17,7 +17,6 @@ from fsolink.field import (
     total_power,
     uniform_disc_field,
     write_field_bin,
-    write_field_csv,
 )
 from fsolink.turbulence import PhaseScreen
 
@@ -246,10 +245,3 @@ class TestSnapshots:
         np.testing.assert_array_equal(back.samples, random_smooth_field.samples)
         assert back.extent_m == random_smooth_field.extent_m
         assert back.wavelength_m == random_smooth_field.wavelength_m
-
-    def test_csv_header_and_shape(self, tmp_path, grid64):
-        path = tmp_path / "field.csv"
-        write_field_csv(gaussian_field(grid64, 0.05), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "row,col,re,im"
-        assert len(lines) == 1 + 64 * 64

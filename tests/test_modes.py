@@ -186,6 +186,11 @@ class TestSmfCoupling:
         scan_eff = [smf_coupling_efficiency(disc, w) for w in scan]
         assert eff >= max(scan_eff) - 1e-5
 
+    def test_optimum_efficiency_is_the_public_efficiency(self, grid, smooth_field):
+        for field in (uniform_disc_field(grid, 0.5), smooth_field):
+            waist, eff = optimize_smf_waist(field)
+            assert eff == smf_coupling_efficiency(field, waist)
+
     @pytest.mark.parametrize("waist_m", [0.05, 0.13, 0.2])
     def test_matches_full_gaussian_overlap(self, grid, smooth_field, waist_m):
         g = gaussian_field(grid, waist_m)

@@ -12,7 +12,6 @@ from fsolink.turbulence import (
     _SpectralScreen,
     build_time_series,
     default_profile,
-    evolve_frozen_flow,
     kolmogorov_structure_function,
     measure_structure_function,
     synth_phase_screen,
@@ -104,22 +103,6 @@ class TestScreenSynthesis:
 
 
 class TestFrozenFlow:
-    def test_integer_shift_is_cyclic_roll(self):
-        screen = synth_phase_screen(128, 1 / 128, 0.1, seed=3, subharmonic_levels=2)
-        moved = evolve_frozen_flow(screen, 1.0, 1 / 128)  # exactly one cell
-        np.testing.assert_array_equal(moved.phase, np.roll(screen.phase, 1, axis=1))
-
-    def test_zero_dt_identity(self):
-        screen = synth_phase_screen(128, 1 / 128, 0.1, seed=3)
-        np.testing.assert_array_equal(evolve_frozen_flow(screen, 5.0, 0.0).phase, screen.phase)
-
-    def test_translation_composition(self):
-        screen = synth_phase_screen(128, 1 / 128, 0.1, seed=3)
-        dt = 0.37 / 128  # a deliberately subpixel step
-        once = evolve_frozen_flow(screen, 1.0, 2 * dt)
-        twice = evolve_frozen_flow(evolve_frozen_flow(screen, 1.0, dt), 1.0, dt)
-        np.testing.assert_allclose(twice.phase, once.phase, atol=1e-9)
-
     @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.0137, -0.402), (3.3, 1.9)])
     def test_render_matches_full_grid_ramp(self, shift):
         # reference: the 2-D translation ramp and the subharmonic tables
@@ -137,11 +120,6 @@ class TestFrozenFlow:
         ref += ((cy * amp) @ cx.T).real
         out = gen.phase_at(shift)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_vector_wind(self):
-        screen = synth_phase_screen(128, 1 / 128, 0.1, seed=4)
-        moved = evolve_frozen_flow(screen, (0.0, 1.0), 3 / 128)
-        np.testing.assert_array_equal(moved.phase, np.roll(screen.phase, 3, axis=0))
 
 
 class TestAtmosphereProfile:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsolink.comms import ReceiverModel, power_penalty
-from fsolink.errors import ParameterError, ScanRangeError
+from fsolink.errors import CurveCrossingError, ParameterError, ScanRangeError
 from fsolink.wdm import (
     C_VACUUM,
     OpticalSpectrum,
@@ -134,6 +134,18 @@ class TestWdmLink:
         result = wdm_link_run(mono, 5e-12, self.MODEL, self.GRID)
         assert result.line_efficiency[0] == pytest.approx(1.0, abs=1e-12)
         assert result.penalty_vs_single_db[0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_line_that_never_crosses_has_no_penalty(self):
+        # a 10 ps mismatch puts both 100 GHz lines on a combining null
+        result = wdm_link_run(TWO_100G, 10e-12, self.MODEL, self.GRID)
+        assert np.all(result.line_efficiency < 1e-20)
+        assert result.penalty_vs_single_db == [None, None]
+
+    def test_other_penalty_errors_propagate(self):
+        # an invalid target is an error, not a missing crossing
+        with pytest.raises(ValueError) as info:
+            wdm_link_run(TWO_100G, 0.0, self.MODEL, self.GRID, target_ber=0.0)
+        assert not isinstance(info.value, CurveCrossingError)
 
     def test_fading_sequence_passthrough(self):
         rng = np.random.default_rng(6)
