@@ -280,7 +280,6 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
             "format": model.format,
             "sensitivity_dbm": model.sensitivity_dbm,
             "effective_sensitivity_dbm": model.effective_sensitivity_dbm,
-            "bit_rate_bps": model.bit_rate_bps,
             "floor_duty": scenario["receiver"]["floor_duty"],
         },
         "rop_grid_dbm": [float(x) for x in rop],

@@ -41,17 +41,15 @@ class ReceiverModel:
     """Receiver parameterization for one modulation format.
 
     sensitivity_dbm anchors the Gaussian-Q curve (BER 1e-9 at that power).
-    When derive_dpsk_jointly is set and the format is DPSK, the anchor is
-    the configured OOK sensitivity minus the balanced-detection advantage.
+    For DPSK the anchor is the configured OOK sensitivity minus the
+    balanced-detection advantage.
     floor_duty is the fraction of time the combiner spends in wrap
     transients; errored at coin-flip rate, it floors the BER at duty / 2.
     """
 
     format: str = "ook"
-    bit_rate_bps: float = 1e10
     sensitivity_dbm: float = -39.0
     floor_duty: float = 0.0
-    derive_dpsk_jointly: bool = True
 
     def __post_init__(self):
         if self.format not in ("ook", "dpsk"):
@@ -60,12 +58,10 @@ class ReceiverModel:
             raise ParameterError("sensitivity_dbm must be finite")
         if not 0.0 <= self.floor_duty <= 1.0:
             raise ParameterError("floor_duty must lie in [0, 1]")
-        if self.bit_rate_bps <= 0:
-            raise ParameterError("bit_rate_bps must be positive")
 
     @property
     def effective_sensitivity_dbm(self) -> float:
-        if self.format == "dpsk" and self.derive_dpsk_jointly:
+        if self.format == "dpsk":
             return self.sensitivity_dbm - DPSK_ADVANTAGE_DB
         return self.sensitivity_dbm
 

@@ -99,7 +99,6 @@ SCHEMA = {
     },
     "optics": {
         "receive_aperture_m": (0.50, _number(lo=1e-3)),
-        "transmit_aperture_m": (0.40, _number(lo=1e-3)),
         "max_mode_group": (4, _number(lo=0, hi=_MAX_MODE_GROUP, integer=True)),
         "absorb_edges": (False, _bool),
     },
@@ -121,7 +120,6 @@ SCHEMA = {
     "receiver": {
         "format": ("ook", partial(_str, choices={"ook", "dpsk"})),
         "sensitivity_dbm": (-39.0, _number(lo=-120.0, hi=30.0)),
-        "bit_rate_bps": (1e10, _number(lo=1.0)),
         "floor_duty": (0.0, _number(lo=0.0, hi=1.0)),
     },
     "ber": {

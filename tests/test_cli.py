@@ -201,6 +201,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "optics.max_mode_group" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("path", ["optics.transmit_aperture_m", "receiver.bit_rate_bps"])
+    def test_deleted_field_is_unknown(self, tmp_path, capsys, path):
+        section, field = path.split(".")
+        cfg = dict(TINY, **{section: {field: 1.0}})
+        assert self._run(tmp_path, cfg, "synth") == [2]
+        err = capsys.readouterr().err
+        assert f"{path}: unknown field" in err and "Traceback" not in err
+
     def test_ber_on_run_shorter_than_replay_exits_2(self, tmp_path, capsys):
         cfg = dict(TINY, run=dict(TINY["run"], n_frames=2))
         assert self._run(tmp_path, cfg, "synth", "ber") == [0, 2]
