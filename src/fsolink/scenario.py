@@ -145,6 +145,10 @@ SCHEMA = {
     },
 }
 
+# vodl_scan evaluates 2 floor(range / step) + 1 delays, one Python call each
+# (about 8 us): the cap keeps a scan to seconds and its arrays to megabytes
+_MAX_SCAN_POINTS = 10**6
+
 # Rules between fields, checked once every field has resolved:
 # (dotted path reported, message, predicate over the resolved sections).
 _RULES = (
@@ -158,6 +162,8 @@ _RULES = (
      lambda r: r["controller"]["loop_rate_hz"] >= r["run"]["frame_rate_hz"]),
     ("ber.rop_stop_dbm", "must exceed ber.rop_start_dbm",
      lambda r: r["ber"]["rop_stop_dbm"] > r["ber"]["rop_start_dbm"]),
+    ("wdm.scan_step_mm", f"must keep the scan over wdm.scan_range_mm under {_MAX_SCAN_POINTS} points",
+     lambda r: r["wdm"]["scan_range_mm"] / r["wdm"]["scan_step_mm"] < _MAX_SCAN_POINTS / 2),
 )
 
 

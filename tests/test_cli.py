@@ -209,6 +209,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path}: unknown field" in err and "Traceback" not in err
 
+    def test_delay_scan_over_the_point_cap_rejected(self, tmp_path, capsys):
+        # 2 * 6 mm / 1e-5 mm + 1 = 1.2e6 points, over the 1e6 cap
+        cfg = dict(TINY, wdm={"scan_range_mm": 6.0, "scan_step_mm": 1e-5})
+        assert self._run(tmp_path, cfg, "wdm") == [2]
+        err = capsys.readouterr().err
+        assert "wdm.scan_step_mm" in err and "Traceback" not in err
+        cfg = dict(TINY, wdm={"scan_range_mm": 6.0, "scan_step_mm": 1.3e-5})
+        assert scenario_from_dict(cfg)["wdm"]["scan_step_mm"] == 1.3e-5
+
     def test_ber_on_run_shorter_than_replay_exits_2(self, tmp_path, capsys):
         cfg = dict(TINY, run=dict(TINY["run"], n_frames=2))
         assert self._run(tmp_path, cfg, "synth", "ber") == [0, 2]
