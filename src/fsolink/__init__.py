@@ -13,11 +13,9 @@ from .combiner import (
     CombinerTopology,
     align_state,
     combine,
-    ideal_combined_power,
-    mm_coupling_efficiency_series,
+    mm_coupling_efficiency,
 )
 from .comms import (
-    BerReport,
     PowerTrace,
     ReceiverModel,
     ber_curve,
@@ -27,6 +25,7 @@ from .comms import (
     frame_rate_invariance_check,
     monte_carlo_cumulated_ber,
     power_penalty,
+    select_windows,
     sync_loss_stats,
 )
 from .controller import (

@@ -23,13 +23,14 @@ import sys
 import numpy as np
 
 from . import __version__
+from .combiner import mm_coupling_efficiency
 from .comms import (
-    BerReport,
     PowerTrace,
     ber_curve,
     ber_floor_from_phase_jumps,
     ber_instant,
     power_penalty,
+    select_windows,
     sync_loss_stats,
 )
 from .errors import (
@@ -189,14 +190,12 @@ def _load_dataset(scenario: Scenario, out_dir):
 def _receiver_traces(scenario, out_dir, mode_counts, lossless):
     """Efficiency trace per receiver name, from the synth dataset."""
     time_s, powers, residual, smf = _load_dataset(scenario, out_dir)
-    aperture = powers.sum(axis=1) + residual
     loss_db = 0.0 if lossless else scenario.topology().total_loss_db
-    scale = 10.0 ** (-loss_db / 10.0)
     traces = {"smf": smf}
     for n in mode_counts:
         if n > powers.shape[1]:
             raise ConfigError("modes", f"dataset holds {powers.shape[1]} modes, asked for {n}")
-        traces[f"mm{n}"] = scale * powers[:, :n].sum(axis=1) / aperture
+        traces[f"mm{n}"] = mm_coupling_efficiency(powers, residual, n, loss_db)
     return time_s, traces
 
 
@@ -233,22 +232,6 @@ def run_couple(scenario: Scenario, out_dir, mode_counts=(3, 6, 10, 15), lossless
     return payload
 
 
-def _select_windows(smf_eff_db, window_len, stride):
-    """Best/worst windows by SMF efficiency span (max - min, dB)."""
-    n = smf_eff_db.size
-    if n <= window_len:
-        return {"best": (0, n), "worst": (0, n)}
-    spans = []
-    starts = list(range(0, n - window_len + 1, stride))
-    for s in starts:
-        seg = smf_eff_db[s : s + window_len]
-        spans.append(seg.max() - seg.min())
-    spans = np.asarray(spans)
-    best = starts[int(np.argmin(spans))]
-    worst = starts[int(np.argmax(spans))]
-    return {"best": (best, best + window_len), "worst": (worst, worst + window_len)}
-
-
 def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
             lossless=True) -> dict:
     """Cumulated-BER curves, penalties and sync loss for both windows."""
@@ -258,7 +241,7 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
 
     smf_db = 10.0 * np.log10(np.maximum(traces["smf"], 1e-300))
     if window == "auto":
-        windows = _select_windows(smf_db, bercfg["window_len"], bercfg["window_stride"])
+        windows = select_windows(smf_db, bercfg["window_len"], bercfg["window_stride"])
     else:
         try:
             start, end = (int(x) for x in window.split(":"))
@@ -270,7 +253,7 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
 
     # the wrap-transient error floor belongs to the combined receiver only
     model = scenario.receiver_model(floor_duty=0.0)
-    mm_model = scenario.receiver_model(floor_duty=scenario["receiver"]["floor_duty"])
+    mm_model = scenario.receiver_model()
     btb = ber_instant(rop, model)
 
     report = {
@@ -310,26 +293,18 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
                 ber_threshold=bercfg["sync_threshold"],
                 reacquire_s=bercfg["reacquire_s"],
             )
-            result = BerReport(
-                label=f"{rx}_{wname}",
-                rop_dbm=rop,
-                ber=curve,
-                penalty_db=penalties,
-                sync_loss_s_per_min=sync,
-                floor_estimate=ber_floor_from_phase_jumps(rx_model.floor_duty),
-            )
             _write_csv(
                 os.path.join(out_dir, f"ber_{rx}_{wname}.csv"),
                 scenario.hash,
                 ["rop_dbm", "ber"],
-                [[float(r), float(b)] for r, b in zip(result.rop_dbm, result.ber)],
+                [[float(r), float(b)] for r, b in zip(rop, curve)],
             )
             wrep["receivers"][rx] = {
                 "curve_csv": f"ber_{rx}_{wname}.csv",
-                "penalty_db": result.penalty_db,
-                "sync_loss_s_per_min": result.sync_loss_s_per_min,
-                "floor_estimate": result.floor_estimate,
-                "ber_at_top_of_sweep": float(result.ber[-1]),
+                "penalty_db": penalties,
+                "sync_loss_s_per_min": sync,
+                "floor_estimate": ber_floor_from_phase_jumps(rx_model.floor_duty),
+                "ber_at_top_of_sweep": float(curve[-1]),
             }
         report["windows"][wname] = wrep
     _write_json(os.path.join(out_dir, "ber_report.json"), report)

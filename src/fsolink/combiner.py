@@ -20,8 +20,7 @@ __all__ = [
     "CombinerState",
     "combine",
     "align_state",
-    "ideal_combined_power",
-    "mm_coupling_efficiency_series",
+    "mm_coupling_efficiency",
 ]
 
 TWO_PI = 2 * math.pi
@@ -191,30 +190,16 @@ def align_state(inputs, topology: CombinerTopology) -> CombinerState:
     return CombinerState(np.array(phases), np.array(ratios))
 
 
-def ideal_combined_power(coeffs, n_modes: int) -> float:
-    """Lossless combining bound: summed power of the first n_modes inputs."""
-    power = coeffs.mode_power if hasattr(coeffs, "mode_power") else np.abs(
-        np.asarray(coeffs, dtype=np.complex128)
-    ) ** 2
-    if n_modes < 0 or n_modes > power.shape[0]:
-        raise ParameterError(f"n_modes must be in 0..{power.shape[0]}")
-    return float(np.sum(power[:n_modes]))
-
-
-def mm_coupling_efficiency_series(
-    series, n_modes: int, lossless: bool = True, topology: CombinerTopology = None
-) -> np.ndarray:
+def mm_coupling_efficiency(mode_power, residual_power, n_modes: int, loss_db: float = 0.0):
     """Per-frame multimode coupling efficiency relative to aperture power.
 
-    lossless gives the ideal combining bound; otherwise the topology's total
-    insertion loss (default 7 dB chip + 1 dB demultiplexer) is applied as a
-    constant offset.
+    mode_power is (frames, modes) modal power and residual_power the
+    per-frame aperture power outside the basis.  Lossless combining of the
+    first n_modes modes collects their summed power (the combining bound);
+    loss_db, e.g. a topology's total insertion loss, is a constant offset.
     """
-    loss_db = 0.0
-    if not lossless:
-        loss_db = (topology or CombinerTopology.balanced(n_modes)).total_loss_db
+    power = np.asarray(mode_power, dtype=np.float64)
+    if power.ndim != 2 or not 0 <= n_modes <= power.shape[1]:
+        raise ParameterError(f"need (frames, modes) powers and n_modes in 0..{power.shape[-1]}")
     scale = 10.0 ** (-loss_db / 10.0)
-    out = []
-    for mc in series:
-        out.append(scale * ideal_combined_power(mc, n_modes) / mc.total_power)
-    return np.asarray(out)
+    return scale * power[:, :n_modes].sum(axis=1) / (power.sum(axis=1) + residual_power)

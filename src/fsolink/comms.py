@@ -19,7 +19,6 @@ from .errors import CurveCrossingError, ParameterError
 __all__ = [
     "ReceiverModel",
     "PowerTrace",
-    "BerReport",
     "Q_AT_1E9",
     "ber_instant",
     "cumulated_ber",
@@ -27,6 +26,7 @@ __all__ = [
     "frame_rate_invariance_check",
     "sync_loss_stats",
     "power_penalty",
+    "select_windows",
     "ber_floor_from_phase_jumps",
     "monte_carlo_cumulated_ber",
 ]
@@ -247,30 +247,28 @@ def power_penalty(curve, reference, target_ber: float) -> float:
     return float(crossing(*curve, "curve") - crossing(*reference, "reference"))
 
 
+def select_windows(efficiency_db, window_len: int, stride: int) -> dict:
+    """Best and worst stretches of a per-frame efficiency trace (dB).
+
+    Candidate windows hold window_len frames and start every stride
+    frames; "best" has the smallest max-min span and "worst" the largest
+    (the first on ties).  Returns {"best": (start, end), "worst": (start,
+    end)} as frame ranges; a trace no longer than window_len is one window.
+    """
+    if window_len < 1 or stride < 1:
+        raise ParameterError("window_len and stride must be >= 1")
+    eff = np.asarray(efficiency_db, dtype=np.float64)
+    if eff.size <= window_len:
+        return {"best": (0, eff.size), "worst": (0, eff.size)}
+    starts = range(0, eff.size - window_len + 1, stride)
+    spans = [np.ptp(eff[s : s + window_len]) for s in starts]
+    best = starts[int(np.argmin(spans))]
+    worst = starts[int(np.argmax(spans))]
+    return {"best": (best, best + window_len), "worst": (worst, worst + window_len)}
+
+
 def ber_floor_from_phase_jumps(wrap_duty: float) -> float:
     """High-power BER floor from combiner wrap transients: duty / 2."""
     if not 0.0 <= wrap_duty <= 1.0:
         raise ParameterError("wrap duty must lie in [0, 1]")
     return 0.5 * wrap_duty
-
-
-@dataclass(frozen=True)
-class BerReport:
-    """Cumulated-BER curve with the derived link statistics."""
-
-    label: str
-    rop_dbm: np.ndarray
-    ber: np.ndarray
-    penalty_db: dict  # target BER -> dB vs reference (None when not crossing)
-    sync_loss_s_per_min: float = None
-    floor_estimate: float = None
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "rop_dbm": [float(x) for x in self.rop_dbm],
-            "ber": [float(x) for x in self.ber],
-            "penalty_db": {str(k): v for k, v in self.penalty_db.items()},
-            "sync_loss_s_per_min": self.sync_loss_s_per_min,
-            "floor_estimate": self.floor_estimate,
-        }

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fsolink.cli import main as cli_main
-from fsolink.combiner import CombinerTopology, align_state, combine
+from fsolink.combiner import CombinerTopology, align_state, combine, mm_coupling_efficiency
 from fsolink.comms import (
     PowerTrace,
     ReceiverModel,
@@ -24,6 +24,7 @@ from fsolink.comms import (
     cumulated_ber,
     monte_carlo_cumulated_ber,
     power_penalty,
+    select_windows,
     sync_loss_stats,
 )
 from fsolink.controller import ControllerConfig, run_closed_loop, wrap_event_rate
@@ -91,13 +92,12 @@ def reference_sequence():
     coeffs = np.array(coeffs)
     residuals = np.array(residuals)
     smf = np.array(smf)
-    aperture_power = (np.abs(coeffs) ** 2).sum(axis=1) + residuals
     return {
         "basis": basis,
         "coeffs": coeffs,
         "residuals": residuals,
         "smf": smf,
-        "aperture_power": aperture_power,
+        "mode_power": np.abs(coeffs) ** 2,
         "elapsed_s": elapsed,
         "mode_series": [
             ModeCoefficients(coeffs=c, residual_power=r)
@@ -107,20 +107,7 @@ def reference_sequence():
 
 
 def mm_fraction(seq, n_modes):
-    return (np.abs(seq["coeffs"][:, :n_modes]) ** 2).sum(axis=1) / seq["aperture_power"]
-
-
-def auto_windows(smf_eff, length=120, stride=30):
-    eff_db = 10 * np.log10(smf_eff)
-    spans = []
-    starts = list(range(0, smf_eff.size - length + 1, stride))
-    for s in starts:
-        seg = eff_db[s : s + length]
-        spans.append(seg.max() - seg.min())
-    spans = np.asarray(spans)
-    b = starts[int(np.argmin(spans))]
-    w = starts[int(np.argmax(spans))]
-    return {"best": slice(b, b + length), "worst": slice(w, w + length)}
+    return mm_coupling_efficiency(seq["mode_power"], seq["residuals"], n_modes)
 
 
 class TestCriterion01PhaseScreens:
@@ -182,13 +169,11 @@ class TestCriterion04Table3:
     TARGETS = {"smf": -7.7, 3: -5.3, 6: -3.1, 10: -1.9, 15: -1.2}
 
     def test_mean_losses_and_variations(self, reference_sequence):
-        from fsolink.combiner import mm_coupling_efficiency_series
-
         seq = reference_sequence
         mean_db = {"smf": 10 * math.log10(seq["smf"].mean())}
         var_db = {"smf": 10 * math.log10(seq["smf"].max() / seq["smf"].min())}
         for n in (3, 6, 10, 15):
-            eff = mm_coupling_efficiency_series(seq["mode_series"], n, lossless=True)
+            eff = mm_fraction(seq, n)
             mean_db[n] = 10 * math.log10(eff.mean())
             var_db[n] = 10 * math.log10(eff.max() / eff.min())
         for key, target in self.TARGETS.items():
@@ -295,10 +280,11 @@ def curves(reference_sequence):
     seq = reference_sequence
     model = ReceiverModel(format="ook", sensitivity_dbm=-39.0)
     rop = np.arange(-45.0, -14.9, 0.5)
-    windows = auto_windows(seq["smf"])
+    windows = select_windows(10 * np.log10(seq["smf"]), 120, 30)
     btb = ber_instant(rop, model)
     out = {"rop": rop, "btb": btb, "model": model, "windows": windows}
-    for wname, sl in windows.items():
+    for wname, (start, end) in windows.items():
+        sl = slice(start, end)
         rx = {"smf": 10 * np.log10(seq["smf"][sl])}
         for n in (6, 10, 15):
             rx[f"mm{n}"] = 10 * np.log10(mm_fraction(seq, n)[sl])
@@ -339,8 +325,7 @@ class TestCriterion10SyncLossOrdering:
     def test_worst_window_ratio(self, reference_sequence):
         seq = reference_sequence
         model = ReceiverModel(format="ook", sensitivity_dbm=-39.0)
-        windows = auto_windows(seq["smf"])
-        sl = windows["worst"]
+        sl = slice(*select_windows(10 * np.log10(seq["smf"]), 120, 30)["worst"])
         setpoint = model.sensitivity_dbm + 3.0
 
         def loss(eff):

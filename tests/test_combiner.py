@@ -10,8 +10,7 @@ from fsolink.combiner import (
     CombinerTopology,
     align_state,
     combine,
-    ideal_combined_power,
-    mm_coupling_efficiency_series,
+    mm_coupling_efficiency,
 )
 from fsolink.errors import InvalidFieldError, ParameterError
 from fsolink.modes import ModeCoefficients
@@ -284,15 +283,18 @@ class TestAlignState:
 
 class TestIdealCombinedPower:
     def test_simple_sum(self):
-        coeffs = np.array([0.6, 0.8])  # powers 0.36, 0.64
-        assert abs(ideal_combined_power(coeffs, 2) - 1.0) < 1e-12
+        power = np.abs(np.array([[0.6, 0.8]])) ** 2  # 0.36 + 0.64
+        assert abs(mm_coupling_efficiency(power, [0.0], 2)[0] - 1.0) < 1e-12
 
     def test_zero_modes(self):
-        assert ideal_combined_power(np.array([1.0, 2.0]), 0) == 0.0
+        assert mm_coupling_efficiency(np.array([[1.0, 2.0]]), [0.0], 0)[0] == 0.0
+        with pytest.raises(ParameterError):
+            mm_coupling_efficiency(np.array([[1.0, 2.0]]), [0.0], 3)
 
     def test_accepts_mode_coefficients(self):
         mc = ModeCoefficients(coeffs=np.array([1.0 + 0j, 2.0 + 0j]), residual_power=0.5)
-        assert abs(ideal_combined_power(mc, 1) - 1.0) < 1e-12
+        eff = mm_coupling_efficiency(mc.mode_power[None, :], [mc.residual_power], 1)
+        assert abs(eff[0] - mc.fractions()[0]) < 1e-12
 
     def test_matches_lossless_combine_optimum(self):
         rng = np.random.default_rng(17)
@@ -301,33 +303,37 @@ class TestIdealCombinedPower:
             inputs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             state = align_state(inputs, topo)
             amp, _ = combine(inputs, topo, state)
-            assert abs(abs(amp) ** 2 - ideal_combined_power(inputs, n)) < 1e-9
+            total = np.sum(np.abs(inputs) ** 2)
+            eff = mm_coupling_efficiency(np.abs(inputs[None, :]) ** 2, [0.0], n)[0]
+            assert abs(abs(amp) ** 2 - eff * total) < 1e-9
 
 
 class TestEfficiencySeries:
     def _series(self, rng, frames=20):
-        out = []
-        for _ in range(frames):
-            c = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-            out.append(ModeCoefficients(coeffs=c, residual_power=abs(rng.standard_normal())))
-        return out
+        c = rng.standard_normal((frames, 15)) + 1j * rng.standard_normal((frames, 15))
+        return np.abs(c) ** 2, np.abs(rng.standard_normal(frames))
 
     def test_lossy_is_exactly_8_db_below_lossless(self):
         rng = np.random.default_rng(2)
-        series = self._series(rng)
-        topo = CombinerTopology.balanced(15)  # default 7 + 1 dB
-        lossless = mm_coupling_efficiency_series(series, 15, lossless=True)
-        lossy = mm_coupling_efficiency_series(series, 15, lossless=False, topology=topo)
+        power, residual = self._series(rng)
+        loss_db = CombinerTopology.balanced(15).total_loss_db  # default 7 + 1 dB
+        lossless = mm_coupling_efficiency(power, residual, 15)
+        lossy = mm_coupling_efficiency(power, residual, 15, loss_db)
         np.testing.assert_allclose(lossy, lossless * 10 ** (-0.8), rtol=1e-12)
 
     def test_mode_count_ordering(self):
         rng = np.random.default_rng(4)
-        series = self._series(rng, frames=50)
-        means = [
-            mm_coupling_efficiency_series(series, n, lossless=True).mean()
-            for n in (3, 6, 10, 15)
-        ]
+        power, residual = self._series(rng, frames=50)
+        means = [mm_coupling_efficiency(power, residual, n).mean() for n in (3, 6, 10, 15)]
         assert all(means[i] < means[i + 1] for i in range(3))
+
+    def test_equals_per_frame_form(self):
+        # the per-frame sums the CLI and criterion 4 used before, bit for bit
+        rng = np.random.default_rng(6)
+        power, residual = self._series(rng, frames=1000)
+        for n in (3, 6, 10, 15):
+            ref = [float(np.sum(p[:n])) / float(p.sum() + r) for p, r in zip(power, residual)]
+            np.testing.assert_array_equal(mm_coupling_efficiency(power, residual, n), ref)
 
 
 class TestTopologyValidation:

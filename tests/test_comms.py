@@ -15,6 +15,7 @@ from fsolink.comms import (
     frame_rate_invariance_check,
     monte_carlo_cumulated_ber,
     power_penalty,
+    select_windows,
     sync_loss_stats,
 )
 from fsolink.errors import CurveCrossingError, ParameterError
@@ -191,3 +192,20 @@ class TestBerCurve:
         # Jensen: averaging a convex BER-vs-dB curve over fades costs power
         mid = slice(5, 30)
         assert np.all(curve[mid] >= static[mid])
+
+
+class TestSelectWindows:
+    def test_flat_and_fading_stretches(self):
+        # frames 0-39 flat, 40-79 fading by up to 9 dB, 80-119 mildly fading
+        eff_db = np.concatenate([np.full(40, -3.0), -3.0 - 9.0 * np.abs(np.sin(np.arange(40))),
+                                 -3.0 - 0.5 * np.abs(np.sin(np.arange(40)))])
+        windows = select_windows(eff_db, 20, 10)
+        assert windows["best"] == (0, 20)  # first of the tied flat windows
+        assert 20 < windows["worst"][0] < 80 and windows["worst"][1] - windows["worst"][0] == 20
+
+    def test_short_trace_is_one_window(self):
+        assert select_windows(np.zeros(5), 5, 1) == {"best": (0, 5), "worst": (0, 5)}
+
+    def test_rejects_empty_stride(self):
+        with pytest.raises(ParameterError):
+            select_windows(np.zeros(50), 10, 0)
