@@ -1,9 +1,12 @@
 """Scenario configuration: one nested JSON file drives every command.
 
-Validation is exhaustive: unknown keys and out-of-range values are rejected
-with the dotted path of the offending field, every defaulted field is
-echoed back fully resolved in the output metadata, and the SHA-256 hash of
-the resolved configuration stamps every artifact so runs cannot be mixed.
+SCHEMA is the schema: it declares every section and field once, with its
+default and its validator, and _RULES holds the constraints between
+fields.  Validation is exhaustive: unknown keys and out-of-range values are
+rejected with the dotted path of the offending field, every defaulted field
+is echoed back fully resolved in the output metadata, and the SHA-256 hash
+of the resolved configuration stamps every artifact so runs cannot be
+mixed.
 """
 
 import hashlib
@@ -22,7 +25,7 @@ from .field import GridSpec
 from .modes import MODE_ORDER
 from .turbulence import AtmosphereProfile, default_profile
 
-__all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
+__all__ = ["SCHEMA", "Scenario", "load_scenario", "scenario_from_dict"]
 
 
 def _num(value, path, lo=None, hi=None, integer=False):
