@@ -200,6 +200,6 @@ def mm_coupling_efficiency(mode_power, residual_power, n_modes: int, loss_db: fl
     """
     power = np.asarray(mode_power, dtype=np.float64)
     if power.ndim != 2 or not 0 <= n_modes <= power.shape[1]:
-        raise ParameterError(f"need (frames, modes) powers and n_modes in 0..{power.shape[-1]}")
+        raise ParameterError("need (frames, modes) powers and 0 <= n_modes <= modes")
     scale = 10.0 ** (-loss_db / 10.0)
     return scale * power[:, :n_modes].sum(axis=1) / (power.sum(axis=1) + residual_power)

@@ -60,7 +60,7 @@ def _str(value, path, choices=None):
 _MAX_MODE_GROUP = max(m + n for m, n in MODE_ORDER)
 
 # default of a field that every scenario must set itself
-REQUIRED = object()
+_REQUIRED = object()
 
 
 def _number(lo=None, hi=None, integer=False):
@@ -78,7 +78,7 @@ def _ber_list(value, path):
 SCHEMA = {
     "run": {
         "label": ("run", _str),
-        "seed": (REQUIRED, _number(lo=0, integer=True)),
+        "seed": (_REQUIRED, _number(lo=0, integer=True)),
         "n_frames": (1000, _number(lo=1, integer=True)),
         "frame_rate_hz": (1500.0, _number(lo=1e-9)),
         "save_fields": (False, _bool),
@@ -247,7 +247,7 @@ def scenario_from_dict(cfg: dict, overrides: dict = None) -> Scenario:
         for name, (default, check) in fields.items():
             path = f"{section}.{name}"
             value = given.get(name, default)
-            if value is REQUIRED:
+            if value is _REQUIRED:
                 raise ConfigError(path, f"mandatory: every scenario pins its {name}")
             resolved[section][name] = check(value, path)
     for path, message, holds in _RULES:
