@@ -74,7 +74,6 @@ from .turbulence import (
     kolmogorov_structure_function,
     measure_structure_function,
     synth_phase_screen,
-    von_karman_psd,
 )
 from .wdm import (
     OpticalSpectrum,

@@ -193,7 +193,7 @@ def _receiver_traces(scenario, out_dir, mode_counts, lossless):
     loss_db = 0.0 if lossless else scenario.topology().total_loss_db
     traces = {"smf": smf}
     for n in mode_counts:
-        if n > powers.shape[1]:
+        if not 1 <= n <= powers.shape[1]:
             raise ConfigError("modes", f"dataset holds {powers.shape[1]} modes, asked for {n}")
         traces[f"mm{n}"] = mm_coupling_efficiency(powers, residual, n, loss_db)
     return time_s, traces

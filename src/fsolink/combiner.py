@@ -126,11 +126,6 @@ class CombinerState:
         ph.setflags(write=False)
         ra.setflags(write=False)
 
-    @classmethod
-    def neutral(cls, topology: CombinerTopology) -> "CombinerState":
-        n = topology.n_elements
-        return cls(np.full(n, math.pi), np.full(n, 0.5))
-
 
 def combine(inputs, topology: CombinerTopology, state: CombinerState):
     """Run amplitudes through the tree.

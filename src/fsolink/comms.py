@@ -208,7 +208,6 @@ def sync_loss_stats(
         raise ParameterError("sync loss statistics need at least 1 s of trace")
     bad = np.atleast_1d(ber_instant(trace.rop_dbm, model)) > ber_threshold
     outage = 0.0
-    lock_at = -math.inf
     in_outage_until = -math.inf
     for i, flag in enumerate(bad):
         start = t[i]

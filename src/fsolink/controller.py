@@ -196,7 +196,6 @@ class ControllerConfig:
     loop_rate_hz: float = 1.0e6
     wrap_residual_factor: float = 0.25
     optimize_ratios: bool = True
-    record_states: bool = False
 
     def __post_init__(self):
         if self.evals_per_frame < 1:
@@ -226,23 +225,11 @@ class LoopTrace:
     frame_ideal_power_w: np.ndarray
     loop_rate_hz: float
     wrap_transient_s: float
-    states: np.ndarray = None  # (n_evals, dim) when recorded
 
     def frame_sampled_power(self) -> np.ndarray:
         """Output power at each frame's last evaluation (display-rate samples)."""
         n_frames = self.frame_ideal_power_w.shape[0]
         return self.power_w.reshape(n_frames, -1)[:, -1].copy()
-
-    def write_csv(self, path, scenario_hash: str = None) -> None:
-        """Export the trace: time_s, power, efficiency_db, wrap_flag."""
-        ideal = self.frame_ideal_power_w[self.frame_index]
-        eff_db = 10.0 * np.log10(np.maximum(self.power_w / np.maximum(ideal, 1e-300), 1e-300))
-        with open(path, "w", newline="") as fh:
-            if scenario_hash is not None:
-                fh.write(f"# scenario={scenario_hash}\n")
-            fh.write("time_s,power,efficiency_db,wrap_flag\n")
-            for t, p, e, w in zip(self.time_s, self.power_w, eff_db, self.wrap_flag):
-                fh.write(f"{float(t)!r},{float(p)!r},{float(e)!r},{int(w)}\n")
 
 
 def _evaluate(x, inputs, topology, config, rng, in_transient=False):
@@ -281,13 +268,12 @@ class _Plant:
     drifts across the actuator range between frames, which opens a
     dead-time degrading the physical output."""
 
-    def __init__(self, topology, config, rng, n_evals, dim):
+    def __init__(self, topology, config, rng, n_evals):
         self.topology = topology
         self.config = config
         self.rng = rng
         self.power = np.empty(n_evals)
         self.wrap_flag = np.zeros(n_evals, dtype=bool)
-        self.states = np.empty((n_evals, dim)) if config.record_states else None
         self.e = 0
         self.transient_until = -math.inf
         self.inputs = None
@@ -313,8 +299,6 @@ class _Plant:
             x, self.inputs, self.topology, self.config, self.rng, t < self.transient_until
         )
         self.power[self.e] = p_physical
-        if self.states is not None:
-            self.states[self.e] = x
         self.e += 1
         if measured > self.best_p:
             self.best_p = measured
@@ -365,7 +349,7 @@ def run_closed_loop(
     rng = substream(seed, "controller")
     n_frames = frames.shape[0]
     budget = config.evals_per_frame
-    plant = _Plant(topology, config, rng, n_frames * budget, dim)
+    plant = _Plant(topology, config, rng, n_frames * budget)
 
     ph = np.full(n_el, math.pi)
     ps = np.full(n_el, math.pi / 4)
@@ -430,7 +414,6 @@ def run_closed_loop(
         frame_ideal_power_w=np.sum(np.abs(frames) ** 2, axis=1),
         loop_rate_hz=config.loop_rate_hz,
         wrap_transient_s=config.wrap_transient_s,
-        states=plant.states,
     )
 
 
@@ -462,6 +445,12 @@ def uncorrected_efficiency(amplitude_rad: float) -> float:
     return float((1.0 + j0(amplitude_rad)) / 2.0)
 
 
+# the tracking simplex is re-seeded every _REFRESH_EVERY evaluations; its
+# first phase edge is _REFRESH_EDGE_RAD, later ones follow the residual error
+_REFRESH_EVERY = 40
+_REFRESH_EDGE_RAD = 0.35
+
+
 def correction_bandwidth(
     disturbance_freq_hz: float,
     amplitude_rad: float,
@@ -469,15 +458,13 @@ def correction_bandwidth(
     seed: int = 0,
     n_periods: int = 100,
     settle_periods: int = 25,
-    refresh_every: int = 40,
-    refresh_edge_rad: float = 0.35,
 ) -> float:
     """Mean two-channel combining efficiency against a sinusoidal phase
     disturbance on one input.
 
     The loop runs continuously at config.loop_rate_hz while the disturbance
     advances in real time; the tracking simplex is refreshed around the
-    current best every refresh_every evaluations.  Efficiency (combined
+    current best every _REFRESH_EVERY evaluations.  Efficiency (combined
     power over the 2.0 W ideal) is averaged over n_periods after a settling
     span, with floors on both spans so high frequencies still exercise a
     settled loop.  Evaluations go through the same evaluator as
@@ -499,7 +486,7 @@ def correction_bandwidth(
         settle_evals, measure_evals = 400, 2000
 
     x0 = np.concatenate([np.full(n_el, math.pi), np.full(n_el, math.pi / 4)])
-    edges = np.concatenate([np.full(n_el, refresh_edge_rad), np.full(n_el, 0.1)])
+    edges = np.concatenate([np.full(n_el, _REFRESH_EDGE_RAD), np.full(n_el, 0.1)])
     nm = NelderMead(x0, edges)
     dim = x0.size
 
@@ -519,7 +506,7 @@ def correction_bandwidth(
         _, measured = _evaluate(x, inputs, topology, config, rng)
         nm.tell(-measured)
         window_best = max(window_best, measured)
-        if (e + 1) % refresh_every == 0:
+        if (e + 1) % _REFRESH_EVERY == 0:
             # probe edge scaled to the residual phase error of this window,
             # so a settled loop dithers gently and a lagging one leaps
             eff = min(1.0, window_best / 2.0)

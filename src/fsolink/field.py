@@ -255,9 +255,9 @@ def _disc_mask(n: int, extent_m: float, diameter_m: float) -> np.ndarray:
     return mask
 
 
-def plane_wave(grid: GridSpec, amplitude: float = 1.0) -> ComplexFieldGrid:
-    """Uniform unit-phase field over the whole grid."""
-    s = np.full((grid.n, grid.n), amplitude, dtype=np.complex128)
+def plane_wave(grid: GridSpec) -> ComplexFieldGrid:
+    """Uniform unit-amplitude, unit-phase field over the whole grid."""
+    s = np.full((grid.n, grid.n), 1.0, dtype=np.complex128)
     return ComplexFieldGrid(s, grid.extent_m, grid.wavelength_m)
 
 
@@ -282,11 +282,11 @@ def _gaussian_profile(grid: GridSpec, waist_m: float) -> np.ndarray:
     return g / math.sqrt(np.sum(g * g) * grid.spacing_m)
 
 
-def uniform_disc_field(grid: GridSpec, diameter_m: float, power_w: float = 1.0) -> ComplexFieldGrid:
-    """Top-hat disc of the given diameter, normalized to power_w on the grid."""
+def uniform_disc_field(grid: GridSpec, diameter_m: float) -> ComplexFieldGrid:
+    """Top-hat disc of the given diameter, normalized to 1 W on the grid."""
     f = apply_aperture(plane_wave(grid), diameter_m)
     p = total_power(f)
-    return f.with_samples(f.samples * np.sqrt(power_w / p))
+    return f.with_samples(f.samples * np.sqrt(1.0 / p))
 
 
 # --- on-disk snapshot formats -------------------------------------------------

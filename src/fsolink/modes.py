@@ -126,12 +126,6 @@ class ModeBasis:
         flat = self.sampled.reshape(self.size, -1)
         return (flat.conj() @ flat.T) * self.grid.spacing_m**2
 
-    def subset(self, n_modes: int) -> "ModeBasis":
-        if not 0 < n_modes <= self.size:
-            raise ParameterError(f"n_modes must be in 1..{self.size}")
-        return ModeBasis(self.indices[:n_modes], self.waist_m, self.grid,
-                         self.sampled[:n_modes])
-
 
 @dataclass(frozen=True)
 class ModeCoefficients:
@@ -152,10 +146,6 @@ class ModeCoefficients:
     @property
     def total_power(self) -> float:
         return float(self.mode_power.sum() + self.residual_power)
-
-    def fractions(self) -> np.ndarray:
-        """Per-mode power fractions of the total field power."""
-        return self.mode_power / self.total_power
 
 
 def decompose(field: ComplexFieldGrid, basis: ModeBasis) -> ModeCoefficients:
@@ -197,7 +187,11 @@ def _smf_overlap(field: ComplexFieldGrid, smf_waist_m: float, power: float) -> f
     return float(np.abs(overlap) ** 2 / power)
 
 
-def optimize_smf_waist(aperture_field: ComplexFieldGrid, n_coarse: int = 48) -> tuple:
+# log-spaced waists of the coarse scan before the golden-section refinement
+_N_COARSE = 48
+
+
+def optimize_smf_waist(aperture_field: ComplexFieldGrid) -> tuple:
     """Waist maximizing the fiber coupling efficiency, with that efficiency.
 
     Coarse log-spaced scan over feasible waists followed by golden-section
@@ -212,11 +206,11 @@ def optimize_smf_waist(aperture_field: ComplexFieldGrid, n_coarse: int = 48) -> 
 
     lo = 4 * aperture_field.spacing_m
     hi = aperture_field.extent_m / 2
-    waists = np.geomspace(lo, hi, n_coarse)
+    waists = np.geomspace(lo, hi, _N_COARSE)
     effs = [eff(w) for w in waists]
     k = int(np.argmax(effs))
     a = waists[max(k - 1, 0)]
-    b = waists[min(k + 1, n_coarse - 1)]
+    b = waists[min(k + 1, _N_COARSE - 1)]
 
     invphi = (math.sqrt(5.0) - 1) / 2
     c, d = b - invphi * (b - a), a + invphi * (b - a)
@@ -244,7 +238,6 @@ class ModeStatistics:
     indices: tuple
     mean_fraction: np.ndarray  # per mode, fractions of total field power
     residual_fraction: float
-    n_frames: int
 
     def group_fractions(self) -> dict:
         """Summed mean fraction per mode group m+n."""
@@ -259,7 +252,7 @@ class ModeStatistics:
         return float(np.sum(self.mean_fraction[:n]))
 
 
-def mode_statistics(series, indices=MODE_ORDER) -> ModeStatistics:
+def mode_statistics(series) -> ModeStatistics:
     """Average per-frame relative mode powers; sums to 1 with the residual."""
     fractions = []
     residuals = []
@@ -270,8 +263,7 @@ def mode_statistics(series, indices=MODE_ORDER) -> ModeStatistics:
     if not fractions:
         raise ParameterError("mode_statistics needs a non-empty series")
     return ModeStatistics(
-        indices=tuple(indices),
+        indices=MODE_ORDER,
         mean_fraction=np.mean(fractions, axis=0),
         residual_fraction=float(np.mean(residuals)),
-        n_frames=len(fractions),
     )

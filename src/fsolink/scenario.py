@@ -31,10 +31,10 @@ __all__ = ["SCHEMA", "Scenario", "load_scenario", "scenario_from_dict"]
 def _num(value, path, lo=None, hi=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    if integer and int(value) != value:
-        raise ConfigError(path, "expected an integer")
     if not math.isfinite(value):
         raise ConfigError(path, "must be finite")
+    if integer and int(value) != value:
+        raise ConfigError(path, "expected an integer")
     if lo is not None and value < lo:
         raise ConfigError(path, f"must be >= {lo}")
     if hi is not None and value > hi:

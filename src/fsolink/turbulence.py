@@ -21,7 +21,6 @@ import scipy.fft as _fft
 from ._streams import substream
 from .errors import ParameterError
 from .field import (
-    ComplexFieldGrid,
     GridSpec,
     angular_spectrum_propagate,
     apply_aperture,
@@ -34,33 +33,11 @@ __all__ = [
     "TurbulenceLayer",
     "AtmosphereProfile",
     "default_profile",
-    "von_karman_psd",
     "synth_phase_screen",
     "build_time_series",
     "measure_structure_function",
     "kolmogorov_structure_function",
 ]
-
-
-def von_karman_psd(kappa, r0_m: float, L0_m: float, l0_m: float):
-    """Von Karman-Tatarsky phase power spectral density.
-
-    Evaluates Phi(kappa) = 0.023 r0^(-5/3) (kappa^2 + k0^2)^(-11/6)
-    exp(-kappa^2/km^2) with k0 = 2 pi / L0 and km = 5.92 / l0, kappa in
-    rad/m.  Finite at kappa = 0 thanks to the outer-scale saturation.
-    """
-    if r0_m <= 0 or L0_m <= 0 or l0_m <= 0:
-        raise ParameterError("r0_m, L0_m and l0_m must all be positive")
-    if L0_m <= l0_m:
-        raise ParameterError("outer scale must exceed inner scale")
-    kappa = np.asarray(kappa, dtype=np.float64)
-    if np.any(kappa < 0):
-        raise ParameterError("kappa must be >= 0")
-    k0 = 2 * np.pi / L0_m
-    km = 5.92 / l0_m
-    return 0.023 * r0_m ** (-5.0 / 3.0) * (kappa**2 + k0**2) ** (-11.0 / 6.0) * np.exp(
-        -(kappa**2) / km**2
-    )
 
 
 def _psd_cyclic(fx, fy, r0_m, L0_m, l0_m):
@@ -94,8 +71,6 @@ class PhaseScreen:
 
     phase: np.ndarray
     spacing_m: float
-    r0_m: float
-    seed: object = None
 
     def __post_init__(self):
         p = np.asarray(self.phase, dtype=np.float64)
@@ -105,10 +80,6 @@ class PhaseScreen:
             raise ParameterError("phase screen contains non-finite values")
         object.__setattr__(self, "phase", p)
         self.phase.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.phase.shape[0]
 
 
 class _SpectralScreen:
@@ -128,9 +99,7 @@ class _SpectralScreen:
             raise ParameterError("r0_m must be positive")
         self.n = int(n)
         self.spacing_m = float(spacing_m)
-        self.r0_m = float(r0_m)
         df = 1.0 / (n * spacing_m)
-        self._df = df
 
         f1 = np.fft.fftfreq(n, d=spacing_m)
         if math.isinf(r0_m):
@@ -216,7 +185,7 @@ def synth_phase_screen(
     phase = gen.phase_at()
     # remove the piston the augmentation rings carry; a constant offset is
     # invisible to every observable and the screen contract wants zero mean
-    return PhaseScreen(phase - phase.mean(), spacing_m, r0_m, seed=seed)
+    return PhaseScreen(phase - phase.mean(), spacing_m)
 
 
 @dataclass(frozen=True)
@@ -228,7 +197,6 @@ class TurbulenceLayer:
     or to the receiver plane for the last layer.
     """
 
-    altitude_m: float
     cn2_weight: float
     distance_to_next_m: float
     wind_azimuth_deg: float = 0.0
@@ -249,7 +217,6 @@ class AtmosphereProfile:
     outer_scale_m: float = 25.0
     inner_scale_m: float = 5e-3
     wind_speed_mps: float = 47.0
-    elevation_deg: float = 30.0
     subharmonic_levels: int = 3
 
     def __post_init__(self):
@@ -276,13 +243,6 @@ class AtmosphereProfile:
         if w == 0 or math.isinf(self.total_r0_m):
             return math.inf
         return self.total_r0_m * w ** (-3.0 / 5.0)
-
-    def cn2_integral(self, wavelength_m: float = 1.55e-6) -> float:
-        """Integrated Cn^2 dz (m^(1/3)) implied by total_r0_m, for metadata."""
-        if math.isinf(self.total_r0_m):
-            return 0.0
-        k = 2 * np.pi / wavelength_m
-        return self.total_r0_m ** (-5.0 / 3.0) / (0.423 * k * k)
 
 
 _GOLDEN_ANGLE_DEG = 137.50776405003785
@@ -318,7 +278,6 @@ def default_profile(
         dist = slant[i] - (slant[i - 1] if i > 0 else 0.0)
         layers.append(
             TurbulenceLayer(
-                altitude_m=float(altitudes[i]),
                 cn2_weight=1.0 / n_layers,
                 distance_to_next_m=float(dist),
                 wind_azimuth_deg=(_GOLDEN_ANGLE_DEG * i) % 360.0,
@@ -330,28 +289,25 @@ def default_profile(
         outer_scale_m=outer_scale_m,
         inner_scale_m=inner_scale_m,
         wind_speed_mps=wind_speed_mps,
-        elevation_deg=elevation_deg,
         subharmonic_levels=subharmonic_levels,
     )
 
 
 def build_time_series(
     profile: AtmosphereProfile,
-    tx: ComplexFieldGrid = None,
+    grid: GridSpec,
     n_frames: int = 100,
     frame_rate_hz: float = 1500.0,
     seed: int = 0,
-    grid: GridSpec = None,
     rx_aperture_m: float = 0.50,
     absorb_edges: bool = False,
 ):
     """Yield receiver-plane, post-aperture fields for successive frames.
 
-    The field entering the top screen defaults to a uniform plane wave over
-    the grid: the vacuum segment from the satellite is collapsed into a
+    The field entering the top screen is a uniform plane wave over the
+    grid: the vacuum segment from the satellite is collapsed into a
     far-field collimation assumption, so at receiver scale the incident
-    illumination is locally flat.  Pass an explicit tx field to model short
-    ranges where the transmit-aperture diffraction pattern matters.
+    illumination is locally flat.
 
     Every frame advances each layer rigidly by wind * t along its azimuth,
     applies the screen, propagates to the next layer (band-limited angular
@@ -359,10 +315,7 @@ def build_time_series(
     deterministic per (seed, profile, grid): frame k never depends on
     n_frames.
     """
-    if tx is None:
-        if grid is None:
-            raise ParameterError("build_time_series needs either a tx field or a grid")
-        tx = plane_wave(grid)
+    tx = plane_wave(grid)
     if n_frames < 0:
         raise ParameterError("n_frames must be >= 0")
     if frame_rate_hz <= 0:
@@ -391,9 +344,7 @@ def build_time_series(
                 profile.wind_speed_mps * t * math.cos(azimuths[i]),
                 profile.wind_speed_mps * t * math.sin(azimuths[i]),
             )
-            screen = PhaseScreen(
-                gens[i].phase_at(shift), tx.spacing_m, gens[i].r0_m, seed=(seed, "layer", i)
-            )
+            screen = PhaseScreen(gens[i].phase_at(shift), tx.spacing_m)
             u = apply_phase_screen(u, screen)
             u = angular_spectrum_propagate(u, layer.distance_to_next_m, absorb_edges=absorb_edges)
         yield apply_aperture(u, rx_aperture_m)

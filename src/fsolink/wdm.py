@@ -66,17 +66,10 @@ class OpticalSpectrum:
                 raise ParameterError("band width exceeds physical range")
 
     @classmethod
-    def monochromatic(cls, frequency_hz: float) -> "OpticalSpectrum":
-        return cls(lines_hz=np.array([frequency_hz]))
-
-    @classmethod
-    def two_lines(cls, center_hz: float, spacing_hz: float, weights=None) -> "OpticalSpectrum":
+    def two_lines(cls, center_hz: float, spacing_hz: float) -> "OpticalSpectrum":
+        """Two equal-weight lines spaced spacing_hz about center_hz."""
         lines = np.array([center_hz - spacing_hz / 2, center_hz + spacing_hz / 2])
-        return cls(lines_hz=lines, weights=weights)
-
-    @classmethod
-    def rectangular(cls, center_hz: float, width_hz: float) -> "OpticalSpectrum":
-        return cls(band_center_hz=center_hz, band_width_hz=width_hz)
+        return cls(lines_hz=lines)
 
     @classmethod
     def rectangular_wavelength(cls, center_m: float, width_m: float) -> "OpticalSpectrum":
@@ -177,12 +170,10 @@ def vodl_scan(
 
 @dataclass(frozen=True)
 class WdmLinkResult:
-    """Per-line BER curves of a two-wavelength link and their penalties."""
+    """Per-line combining efficiencies of a multi-line link and their BER penalties."""
 
     line_hz: np.ndarray
     line_efficiency: np.ndarray
-    rop_dbm: np.ndarray
-    ber_per_line: list
     penalty_vs_single_db: list  # at target_ber, None when not crossing
 
 
@@ -208,12 +199,10 @@ def wdm_link_run(
     grid = np.asarray(rop_grid_dbm, dtype=np.float64)
     single = ber_curve(grid, model, efficiency_db)
     line_eff = per_line_efficiency(spectrum, delay_s)
-    curves = []
     penalties = []
     for eff in line_eff:
         loss_db = -10.0 * math.log10(max(eff, 1e-300))
         ber = ber_curve(grid - loss_db, model, efficiency_db)
-        curves.append(ber)
         try:
             pen = power_penalty((grid, ber), (grid, single), target_ber)
         except CurveCrossingError:
@@ -222,7 +211,5 @@ def wdm_link_run(
     return WdmLinkResult(
         line_hz=spectrum.lines_hz.copy(),
         line_efficiency=line_eff,
-        rop_dbm=grid,
-        ber_per_line=curves,
         penalty_vs_single_db=penalties,
     )

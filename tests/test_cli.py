@@ -1,13 +1,17 @@
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fsolink.cli import main, run_couple, run_report, run_synth
 from fsolink.comms import ReceiverModel, ber_instant
 from fsolink.errors import ConfigError
-from fsolink.scenario import load_scenario, scenario_from_dict
+from fsolink.scenario import SCHEMA, load_scenario, scenario_from_dict
 
 SMALL = {
     "run": {"label": "test", "seed": 13, "n_frames": 24, "frame_rate_hz": 1500.0},
@@ -218,6 +222,16 @@ class TestExitCodes:
         cfg = dict(TINY, wdm={"scan_range_mm": 6.0, "scan_step_mm": 1.3e-5})
         assert scenario_from_dict(cfg)["wdm"]["scan_step_mm"] == 1.3e-5
 
+    @pytest.mark.parametrize("modes", ["0", "3,0", "-1"])
+    def test_mode_count_below_one_rejected(self, tmp_path, capsys, modes):
+        cfg = dict(TINY, ber={"window_len": 3})
+        assert self._run(tmp_path, cfg, "synth") == [0]
+        path, out = str(tmp_path / "scenario.json"), str(tmp_path / "run")
+        for command in ("couple", "ber"):
+            assert main([command, "--config", path, "--out", out, f"--modes={modes}"]) == 2
+            err = capsys.readouterr().err
+            assert "modes:" in err and "Traceback" not in err
+
     def test_ber_on_run_shorter_than_replay_exits_2(self, tmp_path, capsys):
         cfg = dict(TINY, run=dict(TINY["run"], n_frames=2))
         assert self._run(tmp_path, cfg, "synth", "ber") == [0, 2]
@@ -252,3 +266,48 @@ class TestLossyFlag:
     def test_lossless_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["couple", "--config", "x.json", "--out", str(tmp_path), "--lossless"])
+
+
+def _field_values(section, field):
+    """Wrong types, non-finite numbers, each bound and the value just past it."""
+    kw = getattr(SCHEMA[section][field][1], "keywords", {})
+    values = [None, "x", True, [], {}, math.nan, math.inf, -math.inf]
+    for bound, sign in ((kw.get("lo"), -1), (kw.get("hi"), 1)):
+        if bound is not None:
+            past = bound + sign if kw.get("integer") else math.nextafter(bound, sign * math.inf)
+            values += [bound, past]
+    return values
+
+
+@st.composite
+def _faulty_scenarios(draw):
+    cfg = dict(TINY, run=dict(TINY["run"], n_frames=draw(st.integers(1, 4))),
+               ber={"window_len": 3})
+    section, field = draw(st.sampled_from([(s, f) for s, fs in SCHEMA.items() for f in fs]))
+    value = draw(st.sampled_from(_field_values(section, field)))
+    cfg[section] = dict(cfg.get(section, {}), **{field: value})
+    return cfg
+
+
+class TestChainProperty:
+    """No scenario the CLI is given ends in a traceback or an undocumented code."""
+
+    @given(cfg=_faulty_scenarios(), modes=st.lists(st.integers(-1, 16), min_size=1, max_size=4))
+    @settings(max_examples=500, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_chain_exits_with_documented_codes(self, cfg, modes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "scenario.json"), os.path.join(tmp, "run")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            modes_arg = "--modes=" + ",".join(map(str, modes))
+            common = ["--config", path, "--out", out]
+            codes = [
+                main(["synth", *common]),
+                main(["couple", *common, modes_arg]),
+                main(["ber", *common, modes_arg]),
+                main(["wdm", *common, "--scan"]),
+                main(["wdm", *common, "--link"]),
+                main(["report", "--out", out]),
+            ]
+        assert set(codes) <= {0, 2, 3, 4}, codes

@@ -294,7 +294,7 @@ class TestIdealCombinedPower:
     def test_accepts_mode_coefficients(self):
         mc = ModeCoefficients(coeffs=np.array([1.0 + 0j, 2.0 + 0j]), residual_power=0.5)
         eff = mm_coupling_efficiency(mc.mode_power[None, :], [mc.residual_power], 1)
-        assert abs(eff[0] - mc.fractions()[0]) < 1e-12
+        assert abs(eff[0] - mc.mode_power[0] / mc.total_power) < 1e-12
 
     def test_matches_lossless_combine_optimum(self):
         rng = np.random.default_rng(17)

@@ -199,20 +199,3 @@ class TestCorrectionBandwidth:
         from scipy.special import j0
 
         assert abs(uncorrected_efficiency(math.pi) - (1 + j0(math.pi)) / 2) < 1e-12
-
-
-class TestTraceExport:
-    def test_csv_columns_and_stamp(self, tmp_path):
-        topo = CombinerTopology.balanced(2, 0.0, 0.0)
-        frames = np.tile(np.array([[1.0, np.exp(1j * math.pi)]]), (3, 1))
-        cfg = neutral_wrap_config(evals_per_frame=60)
-        trace = run_closed_loop(frames, topo, cfg, seed=0)
-        path = tmp_path / "trace.csv"
-        trace.write_csv(path, scenario_hash="cafe")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# scenario=cafe"
-        assert lines[1] == "time_s,power,efficiency_db,wrap_flag"
-        assert len(lines) == 2 + trace.time_s.size
-        t0, p0, e0, w0 = lines[2].split(",")
-        assert float(t0) == 0.0 and w0 in ("0", "1")
-        assert float(e0) <= 1e-9  # efficiency never above 0 dB

@@ -139,28 +139,26 @@ class TestPropagation:
 
 class TestPhaseScreenApplication:
     def test_zero_screen_identity(self, random_smooth_field):
-        screen = PhaseScreen(np.zeros((128, 128)), random_smooth_field.spacing_m, 0.1)
+        screen = PhaseScreen(np.zeros((128, 128)), random_smooth_field.spacing_m)
         out = apply_phase_screen(random_smooth_field, screen)
         np.testing.assert_array_equal(out.samples, random_smooth_field.samples)
 
     def test_pi_screen_negates(self, random_smooth_field):
-        screen = PhaseScreen(np.full((128, 128), math.pi), random_smooth_field.spacing_m, 0.1)
+        screen = PhaseScreen(np.full((128, 128), math.pi), random_smooth_field.spacing_m)
         out = apply_phase_screen(random_smooth_field, screen)
         np.testing.assert_allclose(out.samples, -random_smooth_field.samples, atol=1e-15)
         assert abs(total_power(out) - total_power(random_smooth_field)) < 1e-12
 
     def test_random_screen_preserves_magnitudes(self, random_smooth_field):
         rng = np.random.default_rng(3)
-        screen = PhaseScreen(
-            rng.uniform(-20, 20, (128, 128)), random_smooth_field.spacing_m, 0.1
-        )
+        screen = PhaseScreen(rng.uniform(-20, 20, (128, 128)), random_smooth_field.spacing_m)
         out = apply_phase_screen(random_smooth_field, screen)
         np.testing.assert_allclose(
             np.abs(out.samples), np.abs(random_smooth_field.samples), rtol=1e-14
         )
 
     def test_geometry_mismatch_rejected(self, random_smooth_field):
-        screen = PhaseScreen(np.zeros((64, 64)), random_smooth_field.spacing_m, 0.1)
+        screen = PhaseScreen(np.zeros((64, 64)), random_smooth_field.spacing_m)
         with pytest.raises(DimensionError):
             apply_phase_screen(random_smooth_field, screen)
 

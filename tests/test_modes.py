@@ -104,10 +104,6 @@ class TestBasis:
         assert np.max(np.abs(off)) < 1e-3
         assert np.max(np.abs(np.diag(gram) - 1)) < 1e-4
 
-    def test_subset_keeps_order(self, basis):
-        sub = basis.subset(6)
-        assert sub.indices == MODE_ORDER[:6]
-
     def test_build_matches_stacked_modes(self, grid, basis):
         ref = np.stack([hg_mode_field(m, n, basis.waist_m, grid).samples for m, n in MODE_ORDER])
         np.testing.assert_array_equal(basis.sampled, ref)

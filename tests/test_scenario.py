@@ -55,7 +55,7 @@ def _with(section, field, value):
 
 
 @pytest.mark.parametrize("section,field", FIELDS)
-@pytest.mark.parametrize("wrong", [None, {}])
+@pytest.mark.parametrize("wrong", [None, {}, math.nan, math.inf, -math.inf])
 def test_wrong_type_names_the_field(section, field, wrong):
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict(_with(section, field, wrong))
@@ -101,9 +101,10 @@ def test_non_default_values_reach_their_consumers():
     atm = NON_DEFAULT["atmosphere"]
     profile = sc.profile()
     assert len(profile.layers) == atm["n_layers"]
-    assert max(layer.altitude_m for layer in profile.layers) == pytest.approx(atm["top_altitude_m"])
+    slant_m = atm["top_altitude_m"] / math.sin(math.radians(atm["elevation_deg"]))
+    assert sum(layer.distance_to_next_m for layer in profile.layers) == pytest.approx(slant_m)
     for name in ("total_r0_m", "outer_scale_m", "inner_scale_m", "wind_speed_mps",
-                 "elevation_deg", "subharmonic_levels"):
+                 "subharmonic_levels"):
         assert getattr(profile, name) == atm[name], name
 
     topo = sc.topology()

@@ -4,55 +4,50 @@ import numpy as np
 import pytest
 
 from fsolink.errors import ParameterError
-from fsolink.field import GridSpec, plane_wave, total_power
+from fsolink.field import total_power
 from fsolink.turbulence import (
     AtmosphereProfile,
     PhaseScreen,
     TurbulenceLayer,
+    _psd_cyclic,
     _SpectralScreen,
     build_time_series,
     default_profile,
     kolmogorov_structure_function,
     measure_structure_function,
     synth_phase_screen,
-    von_karman_psd,
 )
 
 
 class TestVonKarmanPsd:
+    # the synthesis spectrum, in cyclic frequency f = kappa / (2 pi)
     def test_kolmogorov_power_law_in_limit(self):
         # slope check with the outer/inner cutoffs pushed out of the way
-        ratio = von_karman_psd(20.0, 0.1, 1e9, 1e-9) / von_karman_psd(10.0, 0.1, 1e9, 1e-9)
+        ratio = _psd_cyclic(20.0, 0.0, 0.1, 1e9, 1e-9) / _psd_cyclic(10.0, 0.0, 0.1, 1e9, 1e-9)
         assert abs(ratio / 2 ** (-11.0 / 3.0) - 1) < 1e-6
 
     def test_outer_scale_saturation_at_zero(self):
         r0, L0 = 0.077, 25.0
-        value = von_karman_psd(0.0, r0, L0, 5e-3)
-        expected = 0.023 * r0 ** (-5 / 3) * (2 * math.pi / L0) ** (-11.0 / 3.0)
+        value = _psd_cyclic(0.0, 0.0, r0, L0, 5e-3)
+        expected = 0.023 * r0 ** (-5 / 3) * (1.0 / L0) ** (-11.0 / 3.0)
         assert abs(value / expected - 1) < 1e-12
 
     def test_midband_value_against_direct_evaluation(self):
-        # independent scalar evaluation of the closed form
-        r0, L0, l0, kappa = 0.077, 25.0, 5e-3, 10.0
-        k0 = 2 * math.pi / L0
-        km = 5.92 / l0
+        # independent scalar evaluation of the closed form, |f| = 10 cycles/m
+        r0, L0, l0, fx, fy = 0.077, 25.0, 5e-3, 6.0, 8.0
+        f0 = 1.0 / L0
+        fm = 5.92 / (2 * math.pi * l0)
         expected = (
             0.023 * r0 ** (-5.0 / 3.0)
-            * (kappa**2 + k0**2) ** (-11.0 / 6.0)
-            * math.exp(-(kappa**2) / km**2)
+            * (fx**2 + fy**2 + f0**2) ** (-11.0 / 6.0)
+            * math.exp(-(fx**2 + fy**2) / fm**2)
         )
-        assert abs(von_karman_psd(kappa, r0, L0, l0) / expected - 1) < 1e-12
+        assert abs(_psd_cyclic(fx, fy, r0, L0, l0) / expected - 1) < 1e-12
 
     def test_positive_and_finite(self):
-        kappas = np.geomspace(1e-3, 1e4, 50)
-        vals = von_karman_psd(kappas, 0.077, 25.0, 5e-3)
+        f = np.geomspace(1e-3, 1e4, 50) / (2 * math.pi)
+        vals = _psd_cyclic(f, 0.0, 0.077, 25.0, 5e-3)
         assert np.all(vals > 0) and np.all(np.isfinite(vals))
-
-    def test_parameter_errors(self):
-        with pytest.raises(ParameterError):
-            von_karman_psd(1.0, -0.1, 25.0, 5e-3)
-        with pytest.raises(ParameterError):
-            von_karman_psd(1.0, 0.1, 1e-3, 5e-3)  # L0 <= l0
 
 
 class TestScreenSynthesis:
@@ -150,17 +145,11 @@ class TestAtmosphereProfile:
 
     def test_weights_must_sum_to_one(self):
         layers = (
-            TurbulenceLayer(1000.0, 0.7, 500.0),
-            TurbulenceLayer(500.0, 0.7, 500.0),
+            TurbulenceLayer(0.7, 500.0),
+            TurbulenceLayer(0.7, 500.0),
         )
         with pytest.raises(ParameterError):
             AtmosphereProfile(layers=layers, total_r0_m=0.1)
-
-    def test_cn2_metadata_roundtrip(self):
-        profile = default_profile(total_r0_m=0.077)
-        k = 2 * math.pi / 1.55e-6
-        r0_back = (0.423 * k * k * profile.cn2_integral(1.55e-6)) ** (-3.0 / 5.0)
-        assert abs(r0_back - 0.077) < 1e-9
 
 
 class TestTimeSeries:
@@ -203,7 +192,3 @@ class TestTimeSeries:
         # itself once the wind has carried a full grid extent
         values = [corr(lag) for lag in (1, 2, 4, 8, 16)]
         assert all(values[i] > values[i + 1] for i in range(len(values) - 1))
-
-    def test_tx_or_grid_required(self):
-        with pytest.raises(ParameterError):
-            next(iter(build_time_series(default_profile(), n_frames=1, seed=0)))

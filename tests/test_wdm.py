@@ -76,14 +76,14 @@ class TestTwoPathEfficiency:
         assert 0.0 <= two_path_efficiency(TWO_100G, tau) <= 1.0
 
     def test_unity_only_at_full_coherence(self):
-        band = OpticalSpectrum.rectangular(CENTER, 2e12)
+        band = OpticalSpectrum(band_center_hz=CENTER, band_width_hz=2e12)
         assert two_path_efficiency(band, 0.0) == pytest.approx(1.0, abs=1e-12)
         assert two_path_efficiency(band, 2e-12) < 1.0
 
 
 class TestVodlScan:
     def test_monochromatic_flat(self):
-        mono = OpticalSpectrum.monochromatic(CENTER)
+        mono = OpticalSpectrum(lines_hz=np.array([CENTER]))
         scan = vodl_scan(mono, 0.4e-3 / C_VACUUM, 3e-3, 0.05e-3)
         np.testing.assert_allclose(scan.efficiency, 1.0, atol=1e-9)
         assert math.isinf(scan.half_width_m)
@@ -91,15 +91,18 @@ class TestVodlScan:
     def test_peak_location_within_one_step(self):
         step = 0.02e-3
         true_mm = 0.73e-3
-        band = OpticalSpectrum.rectangular(CENTER, 500e9)
+        band = OpticalSpectrum(band_center_hz=CENTER, band_width_hz=500e9)
         scan = vodl_scan(band, true_mm / C_VACUUM, 4e-3, step)
         assert abs(scan.peak_delay_m - true_mm) <= step
 
     def test_width_halves_when_band_doubles(self):
         # oracle: |gamma| of a rectangular band is sinc(B tau); its half-peak
         # width in path length is 2 c / B, so doubling B halves the width
-        narrow = vodl_scan(OpticalSpectrum.rectangular(CENTER, 250e9), 0.0, 6e-3, 0.002e-3)
-        wide = vodl_scan(OpticalSpectrum.rectangular(CENTER, 500e9), 0.0, 6e-3, 0.002e-3)
+        def scan(width_hz):
+            band = OpticalSpectrum(band_center_hz=CENTER, band_width_hz=width_hz)
+            return vodl_scan(band, 0.0, 6e-3, 0.002e-3)
+
+        narrow, wide = scan(250e9), scan(500e9)
         assert narrow.half_width_m == pytest.approx(2 * wide.half_width_m, rel=0.05)
         assert wide.half_width_m == pytest.approx(2 * C_VACUUM / 500e9, rel=0.05)
 
@@ -130,7 +133,7 @@ class TestWdmLink:
             assert pen == pytest.approx(3.0, abs=0.15)
 
     def test_single_line_degenerate_case(self):
-        mono = OpticalSpectrum.monochromatic(CENTER)
+        mono = OpticalSpectrum(lines_hz=np.array([CENTER]))
         result = wdm_link_run(mono, 5e-12, self.MODEL, self.GRID)
         assert result.line_efficiency[0] == pytest.approx(1.0, abs=1e-12)
         assert result.penalty_vs_single_db[0] == pytest.approx(0.0, abs=1e-9)
@@ -167,6 +170,6 @@ class TestSpectrumValidation:
         np.testing.assert_allclose(sp.weights, [0.25, 0.75])
 
     def test_per_line_needs_lines(self):
-        band = OpticalSpectrum.rectangular(CENTER, 1e12)
+        band = OpticalSpectrum(band_center_hz=CENTER, band_width_hz=1e12)
         with pytest.raises(ParameterError):
             per_line_efficiency(band, 1e-12)
