@@ -312,7 +312,8 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
 
 
 def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
-    """Delay-mismatch scan or the two-wavelength link comparison."""
+    """Delay-mismatch scan, or the two-wavelength link comparison faded by
+    the combined receiver's trace from the synth dataset."""
     w = scenario["wdm"]
     center_hz = C_VACUUM / (w["center_wavelength_nm"] * 1e-9)
     mismatch_s = w["mismatch_mm"] * 1e-3 / C_VACUUM
@@ -344,13 +345,10 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
         )
     elif mode == "link":
         spectrum = OpticalSpectrum.two_lines(center_hz, w["line_spacing_ghz"] * 1e9)
-        try:
-            _, traces = _receiver_traces(scenario, out_dir, (scenario["topology"]["n_inputs"],), True)
-            eff_db = 10.0 * np.log10(
-                np.maximum(traces[f"mm{scenario['topology']['n_inputs']}"], 1e-300)
-            )
-        except (MissingArtifactError, FileNotFoundError):
-            eff_db = None  # flat-power link
+        _, traces = _receiver_traces(scenario, out_dir, (scenario["topology"]["n_inputs"],), True)
+        eff_db = 10.0 * np.log10(
+            np.maximum(traces[f"mm{scenario['topology']['n_inputs']}"], 1e-300)
+        )
         result = wdm_link_run(
             spectrum,
             mismatch_s,
@@ -366,7 +364,6 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
                 "aggregate_efficiency": two_path_efficiency(spectrum, mismatch_s),
                 "penalty_vs_single_db": result.penalty_vs_single_db,
                 "target_ber": w["target_ber"],
-                "fading_applied": eff_db is not None,
             }
         )
     else:
@@ -508,7 +505,6 @@ def _build_parser():
     pb = sub.add_parser("ber", parents=[common], help="BER curves, penalties, sync loss")
     pb.add_argument("--modes", default="6,10,15")
     pb.add_argument("--window", default="auto", help="auto or START:END frame range")
-    pb.add_argument("--rop-sweep", help="LO:HI:STEP in dBm, overrides the scenario sweep")
     pb.add_argument("--lossy", dest="lossless", action="store_false",
                     help="apply chip + demultiplexer insertion losses to the multimode receivers")
 
@@ -534,14 +530,6 @@ def main(argv=None) -> int:
             overrides["run.seed"] = args.seed
         if args.frames is not None:
             overrides["run.n_frames"] = args.frames
-        if args.command == "ber" and args.rop_sweep:
-            try:
-                lo, hi, step = (float(x) for x in args.rop_sweep.split(":"))
-            except ValueError:
-                raise ConfigError("rop-sweep", f"expected LO:HI:STEP, got {args.rop_sweep!r}")
-            overrides["ber.rop_start_dbm"] = lo
-            overrides["ber.rop_stop_dbm"] = hi
-            overrides["ber.rop_step_db"] = step
         scenario = load_scenario(args.config, overrides)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "synth":

@@ -127,12 +127,10 @@ class CombinerState:
         ra.setflags(write=False)
 
 
-def combine(inputs, topology: CombinerTopology, state: CombinerState):
-    """Run amplitudes through the tree.
+def combine(inputs, topology: CombinerTopology, state: CombinerState) -> complex:
+    """Run amplitudes through the tree; returns the post-loss complex output.
 
-    Returns (output_amplitude, monitor_powers): the post-loss complex output
-    and the pre-loss |out|^2 of every element in evaluation order.  Total
-    output power never exceeds the summed input power (each element is the
+    Output power never exceeds the summed input power (each element is the
     kept port of a unitary 2x2 map).
     """
     a = np.asarray(inputs, dtype=np.complex128)
@@ -145,16 +143,17 @@ def combine(inputs, topology: CombinerTopology, state: CombinerState):
         raise InvalidFieldError("combiner inputs must be finite")
     if state.phase_commands.shape[0] != topology.n_elements:
         raise ParameterError("state size does not match topology")
+    return _tree_output(topology, buf, state.split_ratios.tolist(), state.phase_commands.tolist())
 
-    monitors = []
-    for (i, j), rho, theta in zip(
-        topology._elements, state.split_ratios.tolist(), state.phase_commands.tolist()
-    ):
-        out = math.sqrt(rho) * buf[i] + (math.sqrt(1.0 - rho) * np.exp(1j * theta) * buf[j])
-        monitors.append(abs(out) ** 2)
-        buf.append(out)
-    attenuation = 10.0 ** (-topology.total_loss_db / 20.0)
-    return buf[topology._output] * attenuation, np.array(monitors)
+
+def _tree_output(topology: CombinerTopology, inputs, ratios, phases) -> complex:
+    """Unchecked kernel of combine.  inputs is a list of finite complex
+    amplitudes, one per leaf; ratios (each in [0, 1]) and phases (finite)
+    are lists of one value per element."""
+    buf = list(inputs)
+    for (i, j), rho, theta in zip(topology._elements, ratios, phases):
+        buf.append(math.sqrt(rho) * buf[i] + (math.sqrt(1.0 - rho) * np.exp(1j * theta) * buf[j]))
+    return buf[topology._output] * 10.0 ** (-topology.total_loss_db / 20.0)
 
 
 def align_state(inputs, topology: CombinerTopology) -> CombinerState:

@@ -15,21 +15,24 @@ electronics slip it back by one turn, costing a dead-time during which the
 combined output is degraded.  Those wrap transients are what puts an
 error-rate floor on an otherwise clean link.
 
-One evaluator serves both loops, the framed acquisition of
-run_closed_loop and the continuous tracking of correction_bandwidth: it
-wraps the phase commands, maps the ratio parameters (fixed 50/50 ratios
-unless optimize_ratios), runs the combiner, applies the wrap-residual gain
-inside a dead-time and draws the detector noise.
+Each simplex search is one sequential Nelder-Mead procedure, suspended at
+every point it needs measured.  One evaluator serves both loops, the
+framed acquisition of run_closed_loop and the continuous tracking of
+correction_bandwidth: it wraps the phase commands, maps the ratio
+parameters (fixed 50/50 ratios unless optimize_ratios), runs the
+combiner's unchecked kernel (inputs are checked once, on entry), applies
+the wrap-residual gain inside a dead-time and draws the detector noise.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._streams import substream
-from .combiner import CombinerState, CombinerTopology, combine
-from .errors import ControllerFault, ParameterError
+# combine and CombinerState are unused here: perfbench/tracing.py patches both by these names
+from .combiner import CombinerState, CombinerTopology, _tree_output, combine  # noqa: F401
+from .errors import ControllerFault, InvalidFieldError, ParameterError
 
 __all__ = [
     "ControllerConfig",
@@ -53,25 +56,20 @@ _SCHEDULE = ((0.20, 0.20, 0.20), (0.15, 0.10, 0.15))
 
 
 class NelderMead:
-    """Ask/tell Nelder-Mead minimizer.
-
-    ``ask()`` returns the next point to evaluate, ``tell(value)`` feeds the
-    measurement back.  Driving the optimizer one evaluation at a time lets
-    the closed loop inject timing, detector noise and actuator-wrap side
-    effects between evaluations.  ``best_x``/``best_f`` track the best
-    measurement ever seen, which is monotone for noiseless objectives.
+    """Nelder-Mead minimizer: one sequential search, a generator suspended
+    at every point it needs measured.  ``ask()`` returns the pending point
+    and ``tell(value)`` sends its measurement in, so the closed loop can
+    inject timing, detector noise and actuator-wrap side effects between
+    evaluations.  The points in flight live on the instance, so
+    ``translate`` moves them with the simplex.
     """
 
     def __init__(self, x0, edges):
-        x0 = np.asarray(x0, dtype=np.float64)
-        self.dim = x0.size
-        self._edges = np.broadcast_to(np.asarray(edges, dtype=np.float64), x0.shape).copy()
-        self.best_x = x0.copy()
-        self.best_f = math.inf
-        self.reinit(x0)
+        self.dim = np.size(x0)
+        self.reinit(x0, edges)
 
     def reinit(self, x0, edges=None):
-        """Seed a fresh simplex around x0 (initial or restart)."""
+        """Start a new search on a fresh simplex around x0 (initial or restart)."""
         x0 = np.asarray(x0, dtype=np.float64)
         if edges is not None:
             self._edges = np.broadcast_to(np.asarray(edges, dtype=np.float64), x0.shape).copy()
@@ -79,103 +77,67 @@ class NelderMead:
         for i in range(self.dim):
             self.simplex[i + 1, i] += self._edges[i]
         self.values = np.full(self.dim + 1, np.nan)
-        self._phase = "init"
-        self._pending = 0
-        self._xr = None
-        self._xr2 = None
-        self._xc = None
-        self._centroid = None
-        self._fr = None
-        self._last_asked = None
+        self._centroid = self._xr = self._xe = self._xc = None
+        self._search = self._run()
+        self._x = next(self._search)
 
     def translate(self, offset):
         """Shift the whole search space (simplex and in-flight points) rigidly."""
         self.simplex += offset
-        for attr in ("_xr", "_xr2", "_xc", "_centroid", "_last_asked"):
+        for attr in ("_x", "_centroid", "_xr", "_xe", "_xc"):
             v = getattr(self, attr)
             if v is not None:
                 setattr(self, attr, v + offset)
-        self.best_x = self.best_x + offset
 
     def ask(self) -> np.ndarray:
-        if self._phase in ("init", "shrink"):
-            x = self.simplex[self._pending]
-        elif self._phase == "start":
-            self._order()
-            self._centroid = self.simplex[:-1].mean(axis=0)
-            self._xr = self._centroid + ALPHA * (self._centroid - self.simplex[-1])
-            self._phase = "reflect"
-            x = self._xr
-        elif self._phase == "expand":
-            self._xr2 = self._centroid + GAMMA * (self._centroid - self.simplex[-1])
-            x = self._xr2
-        elif self._phase == "contract":
-            if self._fr < self.values[-1]:
-                self._xc = self._centroid + BETA * (self._xr - self._centroid)
-            else:
-                self._xc = self._centroid + BETA * (self.simplex[-1] - self._centroid)
-            x = self._xc
-        else:
-            raise RuntimeError(f"unexpected optimizer phase {self._phase}")
-        self._last_asked = np.array(x, dtype=np.float64, copy=True)
-        return self._last_asked.copy()
+        return self._x.copy()
 
     def tell(self, value: float):
         value = float(value)
         if not math.isfinite(value):
             raise ControllerFault("objective returned a non-finite value")
-        if value < self.best_f:
-            self.best_f = value
-            self.best_x = self._last_asked.copy()
+        self._x = self._search.send(value)
 
-        if self._phase in ("init", "shrink"):
-            self.values[self._pending] = value
-            self._pending += 1
-            if self._pending > self.dim:
-                self._phase = "start"
-                self._pending = 0
-        elif self._phase == "reflect":
-            self._fr = value
-            if value < self.values[0]:
-                self._phase = "expand"
-            elif value < self.values[-2]:
-                self.simplex[-1] = self._xr
-                self.values[-1] = value
-                self._phase = "start"
+    def _run(self):
+        """The search; each yield hands out a point and receives its value."""
+        for k in range(self.dim + 1):
+            self.values[k] = yield self.simplex[k].copy()
+        while True:
+            order = np.argsort(self.values, kind="stable")
+            self.simplex = self.simplex[order]
+            self.values = self.values[order]
+            self._centroid = self.simplex[:-1].mean(axis=0)
+            self._xr = self._centroid + ALPHA * (self._centroid - self.simplex[-1])
+            fr = yield self._xr
+            if fr < self.values[0]:
+                self._xe = self._centroid + GAMMA * (self._centroid - self.simplex[-1])
+                fe = yield self._xe
+                if fe < fr:
+                    self.simplex[-1], self.values[-1] = self._xe, fe
+                else:
+                    self.simplex[-1], self.values[-1] = self._xr, fr
+            elif fr < self.values[-2]:
+                self.simplex[-1], self.values[-1] = self._xr, fr
             else:
-                self._phase = "contract"
-        elif self._phase == "expand":
-            if value < self._fr:
-                self.simplex[-1] = self._xr2
-                self.values[-1] = value
-            else:
-                self.simplex[-1] = self._xr
-                self.values[-1] = self._fr
-            self._phase = "start"
-        elif self._phase == "contract":
-            if value < min(self._fr, self.values[-1]):
-                self.simplex[-1] = self._xc
-                self.values[-1] = value
-                self._phase = "start"
-            else:
-                best = self.simplex[0].copy()
-                self.simplex = best + DELTA * (self.simplex - best)
-                self.simplex[0] = best
-                self._phase = "shrink"
-                self._pending = 1
-        else:
-            raise RuntimeError(f"unexpected optimizer phase {self._phase}")
-
-    def _order(self):
-        order = np.argsort(self.values, kind="stable")
-        self.simplex = self.simplex[order]
-        self.values = self.values[order]
+                if fr < self.values[-1]:
+                    self._xc = self._centroid + BETA * (self._xr - self._centroid)
+                else:
+                    self._xc = self._centroid + BETA * (self.simplex[-1] - self._centroid)
+                fc = yield self._xc
+                if fc < min(fr, self.values[-1]):
+                    self.simplex[-1], self.values[-1] = self._xc, fc
+                else:  # shrink towards the best vertex and measure the others
+                    best = self.simplex[0].copy()
+                    self.simplex = best + DELTA * (self.simplex - best)
+                    self.simplex[0] = best
+                    for k in range(1, self.dim + 1):
+                        self.values[k] = yield self.simplex[k].copy()
 
     @property
     def current_best(self) -> np.ndarray:
-        """Best simplex vertex, falling back to the best point ever seen."""
+        """Best measured simplex vertex; the first vertex before any is measured."""
         if np.all(np.isnan(self.values)):
-            return self.best_x.copy()
+            return self.simplex[0].copy()
         k = int(np.nanargmin(self.values))
         return self.simplex[k].copy()
 
@@ -198,6 +160,9 @@ class ControllerConfig:
     optimize_ratios: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is not bool and not math.isfinite(getattr(self, f.name)):
+                raise ParameterError(f"{f.name} must be finite")
         if self.evals_per_frame < 1:
             raise ParameterError("evals_per_frame must be >= 1")
         if self.simplex_init_rad <= 0:
@@ -233,7 +198,7 @@ class LoopTrace:
 
 
 def _evaluate(x, inputs, topology, config, rng, in_transient=False):
-    """One closed-loop evaluation of command vector x.
+    """One closed-loop evaluation of command vector x on the input list.
 
     Returns (physical output power, optimizer reading): phases wrapped into
     [0, 2 pi), ratios sin^2 of their parameters (50/50 unless
@@ -246,7 +211,7 @@ def _evaluate(x, inputs, topology, config, rng, in_transient=False):
         ratios = np.sin(x[n_el:]) ** 2
     else:
         ratios = np.full(n_el, 0.5)
-    amp, _ = combine(inputs, topology, CombinerState(phases, ratios))
+    amp = _tree_output(topology, inputs, ratios.tolist(), phases.tolist())
     p_physical = abs(amp) ** 2
     if in_transient:
         p_physical *= config.wrap_residual_factor
@@ -281,7 +246,7 @@ class _Plant:
         self.best_x = None
 
     def start_frame(self, inputs):
-        self.inputs = inputs
+        self.inputs = inputs.tolist()
         self.best_p = 0.0
         self.best_x = None
 
@@ -343,6 +308,8 @@ def run_closed_loop(
         raise ParameterError("need at least one frame")
     if frame_rate_hz is not None and config.loop_rate_hz < frame_rate_hz:
         raise ParameterError("loop rate must be at least the frame rate")
+    if not np.isfinite(frames).all():
+        raise InvalidFieldError("combiner inputs must be finite")
 
     n_el = topology.n_elements
     dim = 2 * n_el  # command vector is phases + ratio parameters throughout
@@ -352,7 +319,7 @@ def run_closed_loop(
     plant = _Plant(topology, config, rng, n_frames * budget)
 
     ph = np.full(n_el, math.pi)
-    ps = np.full(n_el, math.pi / 4)
+    ps = neutral = np.full(n_el, math.pi / 4)  # 50/50 ratios; never written in place
     pol = config.simplex_init_rad
     drop_factor = 10.0 ** (-config.restart_threshold_db / 10.0)
     prev_final_power = None
@@ -367,13 +334,12 @@ def run_closed_loop(
             remaining -= 1
             if prev_final_power is not None and prev_final_power > 0:
                 if carried < prev_final_power * drop_factor:
-                    ps = np.full(n_el, math.pi / 4)
+                    ps = neutral
         for ci, (f1, f2, f3) in enumerate(_SCHEDULE):
             b1 = min(int(budget * f1), remaining)
             # phases at re-coupled 50/50 ratios
             if b1 > 0:
                 nm = NelderMead(ph, np.full(n_el, math.pi / 2 if ci == 0 else 0.8))
-                neutral = np.full(n_el, math.pi / 4)
                 ph = _run_stage(plant, nm, b1, lambda xs: np.concatenate([xs, neutral]))
             remaining -= b1
             # split ratios at the found phases
@@ -381,7 +347,7 @@ def run_closed_loop(
                 b2 = min(int(budget * f2), remaining)
                 if b2 > 0:
                     nm = NelderMead(
-                        np.full(n_el, math.pi / 4) if ci == 0 else ps,
+                        neutral if ci == 0 else ps,
                         np.full(n_el, 0.35 if ci == 0 else 0.2),
                     )
                     ps = _run_stage(plant, nm, b2, lambda xs: np.concatenate([ph, xs]))
@@ -470,6 +436,8 @@ def correction_bandwidth(
     settled loop.  Evaluations go through the same evaluator as
     run_closed_loop, so optimize_ratios=False holds the split at 50/50.
     """
+    if not (math.isfinite(disturbance_freq_hz) and math.isfinite(amplitude_rad)):
+        raise ParameterError("disturbance frequency and amplitude must be finite")
     if disturbance_freq_hz < 0:
         raise ParameterError("disturbance frequency must be >= 0")
     topology = CombinerTopology.balanced(
@@ -495,7 +463,7 @@ def correction_bandwidth(
     for e in range(settle_evals + measure_evals):
         t = e * dt
         arg = amplitude_rad * math.sin(TWO_PI * disturbance_freq_hz * t)
-        inputs = np.array([1.0, math.cos(arg) + 1j * math.sin(arg)])
+        inputs = [1 + 0j, math.cos(arg) + 1j * math.sin(arg)]
         x = nm.ask()
         turns = np.floor(x[:n_el] / TWO_PI)
         if np.any(turns != 0):

@@ -11,7 +11,7 @@ half power at |dnu tau| = 1/2 and a null at |dnu tau| = 1.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,12 +34,12 @@ C_VACUUM = 299792458.0
 
 @dataclass(frozen=True)
 class OpticalSpectrum:
-    """Discrete lines or a rectangular band, with normalized weights."""
+    """Discrete lines of equal weight, or a rectangular band."""
 
     lines_hz: np.ndarray = None
-    weights: np.ndarray = None
     band_center_hz: float = None
     band_width_hz: float = None
+    weights: np.ndarray = field(init=False, default=None)  # per line, summing to 1
 
     def __post_init__(self):
         if (self.lines_hz is None) == (self.band_center_hz is None):
@@ -48,17 +48,8 @@ class OpticalSpectrum:
             lines = np.atleast_1d(np.asarray(self.lines_hz, dtype=np.float64))
             if np.any(lines <= 0):
                 raise ParameterError("line frequencies must be positive")
-            if self.weights is None:
-                w = np.full(lines.size, 1.0 / lines.size)
-            else:
-                w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
-                if w.shape != lines.shape:
-                    raise ParameterError("weights must match lines")
-                if np.any(w < 0) or w.sum() <= 0:
-                    raise ParameterError("weights must be non-negative with positive sum")
-                w = w / w.sum()
             object.__setattr__(self, "lines_hz", lines)
-            object.__setattr__(self, "weights", w)
+            object.__setattr__(self, "weights", np.full(lines.size, 1.0 / lines.size))
         else:
             if self.band_center_hz <= 0 or self.band_width_hz < 0:
                 raise ParameterError("band needs positive center and non-negative width")

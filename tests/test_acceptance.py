@@ -203,7 +203,7 @@ class TestCriterion05CombinerOptimality:
                 total = float(np.sum(np.abs(inputs) ** 2))
                 assert abs(dense_scan_max(inputs, topo) - total) <= 1e-6 * total
                 state = align_state(inputs, topo)
-                amp, _ = combine(inputs, topo, state)
+                amp = combine(inputs, topo, state)
                 assert abs(abs(amp) ** 2 - total) <= 1e-9 * total
             # the closed loop reaches 99.9% on every seed
             for s in range(100):

@@ -138,6 +138,13 @@ class TestPipelineArtifacts:
         assert main(["couple", "--config", small_config, "--out", empty]) == 3
         assert main(["report", "--out", empty]) == 3
 
+    def test_wdm_link_needs_synth_dataset(self, small_config, tmp_path, capsys):
+        empty = str(tmp_path / "empty")
+        os.makedirs(empty)
+        assert main(["wdm", "--config", small_config, "--out", empty, "--scan"]) == 0
+        assert main(["wdm", "--config", small_config, "--out", empty, "--link"]) == 3
+        assert "modes.csv" in capsys.readouterr().err
+
     def test_mixed_hash_exit_code(self, small_config, synth_run, tmp_path):
         # corrupt a stamped artifact with a different scenario hash
         import shutil

@@ -1,8 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fsolink import controller
 from fsolink.combiner import CombinerTopology
 from fsolink.controller import (
     ControllerConfig,
@@ -13,7 +17,135 @@ from fsolink.controller import (
     uncorrected_efficiency,
     wrap_event_rate,
 )
-from fsolink.errors import ControllerFault, ParameterError
+from fsolink.errors import ControllerFault, InvalidFieldError, ParameterError
+
+# standard simplex coefficients: reflect, expand, contract, shrink
+ALPHA, GAMMA, BETA, DELTA = 1.0, 2.0, 0.5, 0.5
+
+
+class StateMachineNelderMead:
+    """Reference: the former ask/tell state machine (``_phase`` in
+    init/start/reflect/expand/contract/shrink) that NelderMead must match
+    bit for bit.  ``best_x``/``best_f`` track the best measurement ever
+    seen."""
+
+    def __init__(self, x0, edges):
+        x0 = np.asarray(x0, dtype=np.float64)
+        self.dim = x0.size
+        self._edges = np.broadcast_to(np.asarray(edges, dtype=np.float64), x0.shape).copy()
+        self.best_x = x0.copy()
+        self.best_f = math.inf
+        self.reinit(x0)
+
+    def reinit(self, x0, edges=None):
+        """Seed a fresh simplex around x0 (initial or restart)."""
+        x0 = np.asarray(x0, dtype=np.float64)
+        if edges is not None:
+            self._edges = np.broadcast_to(np.asarray(edges, dtype=np.float64), x0.shape).copy()
+        self.simplex = np.tile(x0, (self.dim + 1, 1))
+        for i in range(self.dim):
+            self.simplex[i + 1, i] += self._edges[i]
+        self.values = np.full(self.dim + 1, np.nan)
+        self._phase = "init"
+        self._pending = 0
+        self._xr = None
+        self._xr2 = None
+        self._xc = None
+        self._centroid = None
+        self._fr = None
+        self._last_asked = None
+
+    def translate(self, offset):
+        """Shift the whole search space (simplex and in-flight points) rigidly."""
+        self.simplex += offset
+        for attr in ("_xr", "_xr2", "_xc", "_centroid", "_last_asked"):
+            v = getattr(self, attr)
+            if v is not None:
+                setattr(self, attr, v + offset)
+        self.best_x = self.best_x + offset
+
+    def ask(self) -> np.ndarray:
+        if self._phase in ("init", "shrink"):
+            x = self.simplex[self._pending]
+        elif self._phase == "start":
+            self._order()
+            self._centroid = self.simplex[:-1].mean(axis=0)
+            self._xr = self._centroid + ALPHA * (self._centroid - self.simplex[-1])
+            self._phase = "reflect"
+            x = self._xr
+        elif self._phase == "expand":
+            self._xr2 = self._centroid + GAMMA * (self._centroid - self.simplex[-1])
+            x = self._xr2
+        elif self._phase == "contract":
+            if self._fr < self.values[-1]:
+                self._xc = self._centroid + BETA * (self._xr - self._centroid)
+            else:
+                self._xc = self._centroid + BETA * (self.simplex[-1] - self._centroid)
+            x = self._xc
+        else:
+            raise RuntimeError(f"unexpected optimizer phase {self._phase}")
+        self._last_asked = np.array(x, dtype=np.float64, copy=True)
+        return self._last_asked.copy()
+
+    def tell(self, value: float):
+        value = float(value)
+        if not math.isfinite(value):
+            raise ControllerFault("objective returned a non-finite value")
+        if value < self.best_f:
+            self.best_f = value
+            self.best_x = self._last_asked.copy()
+
+        if self._phase in ("init", "shrink"):
+            self.values[self._pending] = value
+            self._pending += 1
+            if self._pending > self.dim:
+                self._phase = "start"
+                self._pending = 0
+        elif self._phase == "reflect":
+            self._fr = value
+            if value < self.values[0]:
+                self._phase = "expand"
+            elif value < self.values[-2]:
+                self.simplex[-1] = self._xr
+                self.values[-1] = value
+                self._phase = "start"
+            else:
+                self._phase = "contract"
+        elif self._phase == "expand":
+            if value < self._fr:
+                self.simplex[-1] = self._xr2
+                self.values[-1] = value
+            else:
+                self.simplex[-1] = self._xr
+                self.values[-1] = self._fr
+            self._phase = "start"
+        elif self._phase == "contract":
+            if value < min(self._fr, self.values[-1]):
+                self.simplex[-1] = self._xc
+                self.values[-1] = value
+                self._phase = "start"
+            else:
+                best = self.simplex[0].copy()
+                self.simplex = best + DELTA * (self.simplex - best)
+                self.simplex[0] = best
+                self._phase = "shrink"
+                self._pending = 1
+        else:
+            raise RuntimeError(f"unexpected optimizer phase {self._phase}")
+
+    def _order(self):
+        order = np.argsort(self.values, kind="stable")
+        self.simplex = self.simplex[order]
+        self.values = self.values[order]
+
+    @property
+    def current_best(self) -> np.ndarray:
+        """Best simplex vertex, falling back to the best point ever seen."""
+        if np.all(np.isnan(self.values)):
+            return self.best_x.copy()
+        k = int(np.nanargmin(self.values))
+        return self.simplex[k].copy()
+
 
 
 def neutral_wrap_config(**kw):
@@ -40,9 +172,9 @@ class TestNelderMeadStep:
         assert abs(oracle - 1.0) < 1e-4
 
         nm = NelderMead(np.array([0.0]), np.array([0.5]))
+        assert nm.current_best.tolist() == [0.0]  # nothing measured yet: the start point
         run_ask_tell(nm, objective, 60)
         assert abs(nm.current_best[0] - 1.0) < 1e-3
-        assert abs(nm.best_x[0] - 1.0) < 1e-3
 
     def test_flat_objective_shrinks_simplex(self):
         nm = NelderMead(np.zeros(2), np.ones(2))
@@ -65,6 +197,57 @@ class TestNelderMeadStep:
         nm.ask()
         with pytest.raises(ControllerFault):
             nm.tell(float("nan"))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@st.composite
+def search_runs(draw):
+    """A search in 1-8 dims on a noiseless or noisy quadratic, with the
+    steps after which the space is translated (between ask and tell, as
+    correction_bandwidth does) and the steps after which it is re-seeded
+    around the current best."""
+    dim = draw(st.integers(1, 8))
+    n_steps = draw(st.integers(1, 40 * dim))
+    steps = st.integers(0, n_steps - 1)
+    return {
+        "dim": dim,
+        "n_steps": n_steps,
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "noise": draw(st.sampled_from([0.0, 0.05])),
+        "translate_at": draw(st.sets(steps, max_size=8)),
+        "reinit_at": draw(st.sets(steps, max_size=4)),
+    }
+
+
+class TestSequentialSearch:
+    @given(search_runs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_state_machine_bit_for_bit(self, run):
+        rng = np.random.default_rng(run["seed"])
+        dim = run["dim"]
+        x0, edges = rng.standard_normal(dim), rng.uniform(0.05, 1.5, dim)
+        target, weights = 2.0 * rng.standard_normal(dim), rng.uniform(0.2, 5.0, dim)
+        nm, ref = NelderMead(x0, edges), StateMachineNelderMead(x0, edges)
+        for step in range(run["n_steps"]):
+            x = nm.ask()
+            assert _bits(x) == _bits(ref.ask()), step
+            if step in run["translate_at"]:
+                shift = rng.choice([-1.0, 0.0, 1.0], dim) * 2 * math.pi + rng.standard_normal(dim)
+                nm.translate(shift)
+                ref.translate(shift)
+                x = x + shift
+            value = float(np.sum(weights * (x - target) ** 2))
+            value += run["noise"] * rng.standard_normal()
+            nm.tell(value)
+            ref.tell(value)
+            assert _bits(nm.current_best) == _bits(ref.current_best), step
+            if step in run["reinit_at"]:
+                new_edges = rng.uniform(0.05, 1.5, dim)
+                nm.reinit(nm.current_best, new_edges)
+                ref.reinit(ref.current_best, new_edges)
 
 
 class TestClosedLoopStatics:
@@ -111,6 +294,26 @@ class TestClosedLoopStatics:
         cfg = ControllerConfig(loop_rate_hz=100.0)
         with pytest.raises(ParameterError):
             run_closed_loop(np.ones((1, 2)), topo, cfg, seed=0, frame_rate_hz=1500.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_non_finite_frames_fail_before_any_evaluation(self, bad, monkeypatch):
+        monkeypatch.setattr(controller, "_evaluate", lambda *a, **k: pytest.fail("evaluated"))
+        topo = CombinerTopology.balanced(3, 0.0, 0.0)
+        frames = np.ones((4, 3), dtype=complex)
+        frames[-1, 1] = bad
+        with pytest.raises(InvalidFieldError):
+            run_closed_loop(frames, topo, ControllerConfig(evals_per_frame=50), seed=0)
+
+
+NUMERIC_FIELDS = [f.name for f in fields(ControllerConfig) if f.type is not bool]
+
+
+class TestControllerConfig:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", NUMERIC_FIELDS)
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=name):
+            ControllerConfig(**{name: value})
 
 
 class TestWrapModel:
@@ -194,6 +397,12 @@ class TestCorrectionBandwidth:
         _, effs, knee = correction_bandwidth_knee(freqs, math.pi, self.CAL, n_periods=60)
         assert knee is not None
         assert 1500.0 <= knee <= 6000.0
+
+    @pytest.mark.parametrize("freq, amplitude", [(math.nan, 1.0), (1000.0, math.nan),
+                                                 (math.inf, 1.0), (1000.0, -math.inf)])
+    def test_non_finite_disturbance_rejected(self, freq, amplitude):
+        with pytest.raises(ParameterError):
+            correction_bandwidth(freq, amplitude, self.CAL, n_periods=1, settle_periods=1)
 
     def test_uncorrected_floor_value(self):
         from scipy.special import j0

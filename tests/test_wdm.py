@@ -165,10 +165,6 @@ class TestSpectrumValidation:
         with pytest.raises(ParameterError):
             OpticalSpectrum(lines_hz=np.array([1e14]), band_center_hz=1e14, band_width_hz=1e9)
 
-    def test_weights_normalized(self):
-        sp = OpticalSpectrum(lines_hz=np.array([1e14, 2e14]), weights=np.array([2.0, 6.0]))
-        np.testing.assert_allclose(sp.weights, [0.25, 0.75])
-
     def test_per_line_needs_lines(self):
         band = OpticalSpectrum(band_center_hz=CENTER, band_width_hz=1e12)
         with pytest.raises(ParameterError):
