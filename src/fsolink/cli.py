@@ -187,14 +187,15 @@ def _load_dataset(scenario: Scenario, out_dir):
     return time_s, powers, residual, smf
 
 
-def _receiver_traces(scenario, out_dir, mode_counts, lossless):
-    """Efficiency trace per receiver name, from the synth dataset."""
+def _receiver_traces(scenario, out_dir, mode_counts, lossless, source="modes"):
+    """Efficiency trace per receiver name, from the synth dataset; source
+    names the setting that asked for the mode counts."""
     time_s, powers, residual, smf = _load_dataset(scenario, out_dir)
     loss_db = 0.0 if lossless else scenario.topology().total_loss_db
     traces = {"smf": smf}
     for n in mode_counts:
         if not 1 <= n <= powers.shape[1]:
-            raise ConfigError("modes", f"dataset holds {powers.shape[1]} modes, asked for {n}")
+            raise ConfigError(source, f"dataset holds {powers.shape[1]} modes, asked for {n}")
         traces[f"mm{n}"] = mm_coupling_efficiency(powers, residual, n, loss_db)
     return time_s, traces
 
@@ -345,10 +346,9 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
         )
     elif mode == "link":
         spectrum = OpticalSpectrum.two_lines(center_hz, w["line_spacing_ghz"] * 1e9)
-        _, traces = _receiver_traces(scenario, out_dir, (scenario["topology"]["n_inputs"],), True)
-        eff_db = 10.0 * np.log10(
-            np.maximum(traces[f"mm{scenario['topology']['n_inputs']}"], 1e-300)
-        )
+        n = scenario["topology"]["n_inputs"]
+        _, traces = _receiver_traces(scenario, out_dir, (n,), True, source="topology.n_inputs")
+        eff_db = 10.0 * np.log10(np.maximum(traces[f"mm{n}"], 1e-300))
         result = wdm_link_run(
             spectrum,
             mismatch_s,

@@ -301,6 +301,8 @@ def run_closed_loop(
     power is multiplied by wrap_residual_factor.  Fully deterministic for
     fixed (frames, config, seed).
     """
+    if topology.n_elements == 0:
+        raise ParameterError("a 1-input tree has no actuator to search")
     frames = np.asarray(frames, dtype=np.complex128)
     if frames.ndim != 2 or frames.shape[1] != topology.n_inputs:
         raise ParameterError(f"frames must be (F, {topology.n_inputs}) amplitudes")

@@ -19,7 +19,6 @@ import numpy as np
 
 from .combiner import CombinerTopology
 from .comms import ReceiverModel
-from .controller import ControllerConfig
 from .errors import ConfigError
 from .field import GridSpec
 from .modes import MODE_ORDER
@@ -110,16 +109,6 @@ SCHEMA = {
         "pic_insertion_loss_db": (7.0, _number(lo=0.0)),
         "demux_insertion_loss_db": (1.0, _number(lo=0.0)),
     },
-    "controller": {
-        "evals_per_frame": (600, _number(lo=1, integer=True)),
-        "simplex_init_rad": (0.07, _number(lo=1e-6)),
-        "restart_threshold_db": (3.0, _number(lo=1e-3)),
-        "wrap_transient_s": (1e-3, _number(lo=0.0)),
-        "wrap_residual_factor": (0.25, _number(lo=0.0, hi=1.0)),
-        "detector_noise_rel": (0.0, _number(lo=0.0)),
-        "loop_rate_hz": (1.0e6, _number(lo=1.0)),
-        "optimize_ratios": (True, _bool),
-    },
     "receiver": {
         "format": ("ook", partial(_str, choices={"ook", "dpsk"})),
         "sensitivity_dbm": (-39.0, _number(lo=-120.0, hi=30.0)),
@@ -161,8 +150,6 @@ _RULES = (
      lambda r: r["atmosphere"]["inner_scale_m"] < r["atmosphere"]["outer_scale_m"]),
     ("optics.receive_aperture_m", "must fit inside grid.extent_m",
      lambda r: r["optics"]["receive_aperture_m"] <= r["grid"]["extent_m"]),
-    ("controller.loop_rate_hz", "must be at least run.frame_rate_hz",
-     lambda r: r["controller"]["loop_rate_hz"] >= r["run"]["frame_rate_hz"]),
     ("ber.rop_stop_dbm", "must exceed ber.rop_start_dbm",
      lambda r: r["ber"]["rop_stop_dbm"] > r["ber"]["rop_start_dbm"]),
     ("wdm.scan_step_mm", f"must keep the scan over wdm.scan_range_mm under {_MAX_SCAN_POINTS} points",
@@ -198,9 +185,6 @@ class Scenario:
 
     def topology(self) -> CombinerTopology:
         return CombinerTopology.balanced(**self["topology"])
-
-    def controller_config(self) -> ControllerConfig:
-        return ControllerConfig(**self["controller"])
 
     def receiver_model(self, floor_duty=None) -> ReceiverModel:
         r = dict(self["receiver"])

@@ -58,7 +58,7 @@ class TestScenarioValidation:
     def test_defaults_are_echoed(self):
         sc = scenario_from_dict({"run": {"seed": 1}})
         assert sc.resolved["atmosphere"]["outer_scale_m"] == 25.0
-        assert sc.resolved["controller"]["evals_per_frame"] == 600
+        assert sc.resolved["topology"]["n_inputs"] == 15
         assert sc.resolved["run"]["n_frames"] == 1000
 
     def test_hash_stable_and_sensitive(self):
@@ -219,6 +219,42 @@ class TestExitCodes:
         assert self._run(tmp_path, cfg, "synth") == [2]
         err = capsys.readouterr().err
         assert f"{path}: unknown field" in err and "Traceback" not in err
+
+    def test_deleted_controller_section_is_unknown(self, tmp_path, capsys):
+        cfg = dict(TINY, controller={"evals_per_frame": 100})
+        assert self._run(tmp_path, cfg, "synth") == [2]
+        err = capsys.readouterr().err
+        assert "controller: unknown section" in err and "Traceback" not in err
+        # no loop rate bounds the frame rate any more
+        cfg = dict(TINY, run=dict(TINY["run"], frame_rate_hz=2e6))
+        assert self._run(tmp_path, cfg, "synth") == [0]
+
+    def test_wdm_link_names_n_inputs_beyond_the_basis(self, tmp_path, capsys):
+        # a 10-mode basis under the default 15-input tree
+        cfg = dict(TINY, optics={"max_mode_group": 3}, ber={"window_len": 3})
+        assert self._run(tmp_path, cfg, "synth") == [0]
+        path, out = str(tmp_path / "scenario.json"), str(tmp_path / "run")
+        for command in ("couple", "ber"):
+            assert main([command, "--config", path, "--out", out, "--modes=3,6,10"]) == 0
+        assert main(["wdm", "--config", path, "--out", out, "--link"]) == 2
+        err = capsys.readouterr().err
+        assert "topology.n_inputs" in err and "Traceback" not in err
+
+    def test_manual_ber_window(self, tmp_path, capsys):
+        assert self._run(tmp_path, dict(TINY, run=dict(TINY["run"], n_frames=12)), "synth") == [0]
+        ber = ["ber", "--config", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "run")]
+        assert main([*ber, "--window", "0:6"]) == 0
+        report = json.load(open(tmp_path / "run" / "ber_report.json"))
+        assert list(report["windows"]) == ["manual"]
+        manual = report["windows"]["manual"]
+        assert (manual["start"], manual["end"]) == (0, 6)
+        assert sorted(manual["receivers"]) == ["mm10", "mm15", "mm6", "smf"]
+        for rx in manual["receivers"]:
+            assert (tmp_path / "run" / f"ber_{rx}_manual.csv").exists()
+        for window in ("6:2", "0:13", "x"):
+            assert main([*ber, "--window", window]) == 2
+            err = capsys.readouterr().err
+            assert "window:" in err and "Traceback" not in err
 
     def test_delay_scan_over_the_point_cap_rejected(self, tmp_path, capsys):
         # 2 * 6 mm / 1e-5 mm + 1 = 1.2e6 points, over the 1e6 cap

@@ -304,6 +304,13 @@ class TestClosedLoopStatics:
         with pytest.raises(InvalidFieldError):
             run_closed_loop(frames, topo, ControllerConfig(evals_per_frame=50), seed=0)
 
+    def test_one_input_tree_fails_before_any_evaluation(self, monkeypatch):
+        # a 1-input tree has no elements, so the search would be 0-dimensional
+        monkeypatch.setattr(controller, "_evaluate", lambda *a, **k: pytest.fail("evaluated"))
+        with pytest.raises(ParameterError, match="1-input"):
+            run_closed_loop(np.ones((2, 1)), CombinerTopology.balanced(1),
+                            ControllerConfig(evals_per_frame=20), seed=0)
+
 
 NUMERIC_FIELDS = [f.name for f in fields(ControllerConfig) if f.type is not bool]
 

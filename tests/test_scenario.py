@@ -1,13 +1,17 @@
 """Scenario schema tests generated from the table itself.
 
 Every field of SCHEMA is checked for its path on a wrong type, for each of
-its bounds, as an override path, and for reaching the object it configures.
+its bounds, as an override path, for reaching the object it configures, and
+for changing at least one artifact of the command chain.
 """
 
+import json
 import math
+import os
 
 import pytest
 
+from fsolink.cli import main
 from fsolink.errors import ConfigError
 from fsolink.scenario import SCHEMA, scenario_from_dict
 
@@ -34,10 +38,6 @@ NON_DEFAULT = {
                    "quoted_cn2_m23": 1e-13},
     "optics": {"receive_aperture_m": 0.4, "max_mode_group": 3, "absorb_edges": True},
     "topology": {"n_inputs": 10, "pic_insertion_loss_db": 5.0, "demux_insertion_loss_db": 0.5},
-    "controller": {"evals_per_frame": 100, "simplex_init_rad": 0.1,
-                   "restart_threshold_db": 2.0, "wrap_transient_s": 1e-4,
-                   "wrap_residual_factor": 0.5, "detector_noise_rel": 0.01,
-                   "loop_rate_hz": 5e5, "optimize_ratios": False},
     "receiver": {"format": "dpsk", "sensitivity_dbm": -40.0, "floor_duty": 0.01},
     "ber": {"rop_start_dbm": -50.0, "rop_stop_dbm": -10.0, "rop_step_db": 1.0,
             "target_bers": [1e-3], "window_len": 50, "window_stride": 10,
@@ -111,11 +111,77 @@ def test_non_default_values_reach_their_consumers():
     for name, value in NON_DEFAULT["topology"].items():
         assert getattr(topo, name) == value, name
 
-    ctl = sc.controller_config()
-    for name, value in NON_DEFAULT["controller"].items():
-        assert getattr(ctl, name) == value, name
-
     model = sc.receiver_model()
     for name, value in NON_DEFAULT["receiver"].items():
         assert getattr(model, name) == value, name
     assert sc.receiver_model(floor_duty=0.0).floor_duty == 0.0
+
+
+# Recorded in the config echo and the hash but read by no command: the run's
+# name and the published turbulence figures (see the README's
+# reproducibility notes).
+METADATA = {"run.label", "atmosphere.quoted_r0_m", "atmosphere.quoted_cn2_m23"}
+
+# A chain small enough to run once per field that still lets every field act:
+# 10 inputs so a 10-mode basis (optics.max_mode_group 3) runs wdm --link, a
+# margin low enough for the sync replay to see outages, and a WDM mismatch
+# that keeps the line efficiencies below 1.
+CHAIN_BASE = {
+    "run": {"seed": 1, "n_frames": 12},
+    "grid": {"n": 64},
+    "topology": {"n_inputs": 10},
+    "ber": {"window_len": 6, "window_stride": 2, "operating_margin_db": -6.0},
+    "wdm": {"mismatch_mm": 1.0},
+}
+
+# the changed value where NON_DEFAULT equals the chain base
+CHAIN_VALUE = {"topology.n_inputs": 6, "wdm.mismatch_mm": 0.5}
+
+
+def _chain_artifacts(cfg, tmp):
+    """Run the command chain on cfg; every artifact but the config echo and
+    the report, without the scenario stamps."""
+    path, out = os.path.join(tmp, "scenario.json"), os.path.join(tmp, "run")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    common = ["--config", path, "--out", out]
+    codes = [
+        main(["synth", *common]),
+        main(["couple", *common, "--lossy", "--modes=3,6,10"]),
+        main(["ber", *common, "--lossy", "--modes=3,6,10"]),
+        main(["wdm", *common, "--scan"]),
+        main(["wdm", *common, "--link"]),
+        main(["report", "--out", out]),
+    ]
+    assert codes == [0] * 6
+    artifacts = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, out)
+            if rel in ("resolved_config.json", "report.md"):
+                continue
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if name.endswith(".csv"):
+                assert data.startswith(b"# scenario=")
+                data = data.split(b"\n", 1)[1]
+            elif name.endswith(".json"):
+                data = json.loads(data)
+                del data["scenario_hash"]
+            artifacts[rel] = data
+    return artifacts
+
+
+@pytest.fixture(scope="module")
+def base_artifacts(tmp_path_factory):
+    return _chain_artifacts(CHAIN_BASE, str(tmp_path_factory.mktemp("base")))
+
+
+@pytest.mark.parametrize("section,field",
+                         [(s, f) for s, f in FIELDS if f"{s}.{f}" not in METADATA])
+def test_every_field_changes_an_artifact(section, field, base_artifacts, tmp_path):
+    value = CHAIN_VALUE.get(f"{section}.{field}", NON_DEFAULT[section][field])
+    cfg = json.loads(json.dumps(CHAIN_BASE))
+    cfg.setdefault(section, {})[field] = value
+    assert _chain_artifacts(cfg, str(tmp_path)) != base_artifacts, f"{section}.{field} changes nothing"
