@@ -152,7 +152,7 @@ def _tree_output(topology: CombinerTopology, inputs, ratios, phases) -> complex:
     are lists of one value per element."""
     buf = list(inputs)
     for (i, j), rho, theta in zip(topology._elements, ratios, phases):
-        buf.append(math.sqrt(rho) * buf[i] + (math.sqrt(1.0 - rho) * np.exp(1j * theta) * buf[j]))
+        buf.append(math.sqrt(rho) * buf[i] + (cmath.rect(math.sqrt(1.0 - rho), theta) * buf[j]))
     return buf[topology._output] * 10.0 ** (-topology.total_loss_db / 20.0)
 
 

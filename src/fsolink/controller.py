@@ -106,7 +106,8 @@ class NelderMead:
             order = np.argsort(self.values, kind="stable")
             self.simplex = self.simplex[order]
             self.values = self.values[order]
-            self._centroid = self.simplex[:-1].mean(axis=0)
+            # the arithmetic of .mean(axis=0), without its dispatch
+            self._centroid = np.add.reduce(self.simplex[:-1], axis=0) / self.dim
             self._xr = self._centroid + ALPHA * (self._centroid - self.simplex[-1])
             fr = yield self._xr
             if fr < self.values[0]:

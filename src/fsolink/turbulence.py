@@ -13,6 +13,8 @@ phase ramp (cyclic), the augmentation components translate analytically
 """
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +22,10 @@ import scipy.fft as _fft
 
 from ._streams import substream
 from .errors import ParameterError
-from .field import (
+# apply_phase_screen is unused here: perfbench/tracing.py patches it by this name
+from .field import (  # noqa: F401
     GridSpec,
+    _multiply_phase_factor,
     angular_spectrum_propagate,
     apply_aperture,
     apply_phase_screen,
@@ -146,6 +150,7 @@ class _SpectralScreen:
         spectrum = self._coeff * ramp_y[:, None]
         spectrum *= ramp_x[None, :]
         out = np.fft.fftshift(_fft.ifft2(spectrum, overwrite_x=True).real) * self.n**2
+        del spectrum  # the time series renders beside the field chain: hold one grid less
         if self._sub_c.size:
             amp = self._sub_c * np.exp(-2j * np.pi * (self._sub_f[:, 0] * sx + self._sub_f[:, 1] * sy))
             out += ((self._sub_cy * amp) @ self._sub_cx.T).real
@@ -293,6 +298,10 @@ def default_profile(
     )
 
 
+# phase factors the worker may hold rendered beyond the one the field needs
+_FACTORS_AHEAD = 2
+
+
 def build_time_series(
     profile: AtmosphereProfile,
     grid: GridSpec,
@@ -314,6 +323,13 @@ def build_time_series(
     spectrum) and finally clips by the receive aperture.  Fully
     deterministic per (seed, profile, grid): frame k never depends on
     n_frames.
+
+    A layer's phase factor exp(i phi) depends on the layer and the frame
+    time only, never on the field, so one worker thread renders the
+    factors in (frame, layer) order, up to two ahead of the field chain on
+    the calling thread; the frames do not depend on it.  A worker error is
+    raised from next() of the frame that needs that factor; closing the
+    generator cancels the rendering not yet started and joins the thread.
     """
     tx = plane_wave(grid)
     if n_frames < 0:
@@ -336,18 +352,28 @@ def build_time_series(
         )
     azimuths = [math.radians(lay.wind_azimuth_deg) for lay in profile.layers]
 
-    for k in range(n_frames):
-        t = k / frame_rate_hz
-        u = tx
-        for i, layer in enumerate(profile.layers):
-            shift = (
-                profile.wind_speed_mps * t * math.cos(azimuths[i]),
-                profile.wind_speed_mps * t * math.sin(azimuths[i]),
-            )
-            screen = PhaseScreen(gens[i].phase_at(shift), tx.spacing_m)
-            u = apply_phase_screen(u, screen)
-            u = angular_spectrum_propagate(u, layer.distance_to_next_m, absorb_edges=absorb_edges)
-        yield apply_aperture(u, rx_aperture_m)
+    def render(i, t):
+        shift = (
+            profile.wind_speed_mps * t * math.cos(azimuths[i]),
+            profile.wind_speed_mps * t * math.sin(azimuths[i]),
+        )
+        return np.exp(1j * PhaseScreen(gens[i].phase_at(shift), tx.spacing_m).phase)
+
+    jobs = ((i, k / frame_rate_hz) for k in range(n_frames) for i in range(len(gens)))
+    worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fsolink-phase-factors")
+    pending = deque()
+    try:
+        for _ in range(n_frames):
+            u = tx
+            for layer in profile.layers:
+                while len(pending) <= _FACTORS_AHEAD and (job := next(jobs, None)) is not None:
+                    pending.append(worker.submit(render, *job))
+                factor = pending.popleft().result()
+                u = u.with_samples(_multiply_phase_factor(u.samples, factor))
+                u = angular_spectrum_propagate(u, layer.distance_to_next_m, absorb_edges=absorb_edges)
+            yield apply_aperture(u, rx_aperture_m)
+    finally:
+        worker.shutdown(cancel_futures=True)
 
 
 def kolmogorov_structure_function(r, r0_m: float):

@@ -1,3 +1,6 @@
+import gc
+import threading
+
 import numpy as np
 import pytest
 
@@ -28,3 +31,16 @@ def random_smooth_field(grid128):
     spec[-keep:, -keep:] = block[keep:, keep:]
     samples = np.fft.ifft2(spec) * n
     return ComplexFieldGrid(samples, grid128.extent_m, grid128.wavelength_m)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that ends with more live threads than it started with,
+    after a collection has closed any generator it dropped."""
+    before = threading.active_count()
+    yield
+    if threading.active_count() > before:
+        gc.collect()
+    if threading.active_count() > before:
+        names = sorted(t.name for t in threading.enumerate())
+        pytest.fail(f"{threading.active_count() - before} thread(s) left running: {names}")

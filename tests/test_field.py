@@ -157,6 +157,18 @@ class TestPhaseScreenApplication:
             np.abs(out.samples), np.abs(random_smooth_field.samples), rtol=1e-14
         )
 
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_product_rounds_as_the_expression(self, n):
+        # one size below numpy's temporary-elision threshold, one above it
+        rng = np.random.default_rng(n)
+        field = ComplexFieldGrid(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1.0, LAM
+        )
+        phase = rng.uniform(-20, 20, (n, n))
+        out = apply_phase_screen(field, PhaseScreen(phase, field.spacing_m))
+        expected = field.samples * np.exp(1j * phase)
+        assert out.samples.tobytes() == expected.tobytes()
+
     def test_geometry_mismatch_rejected(self, random_smooth_field):
         screen = PhaseScreen(np.zeros((64, 64)), random_smooth_field.spacing_m)
         with pytest.raises(DimensionError):

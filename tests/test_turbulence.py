@@ -1,10 +1,13 @@
+import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from fsolink._streams import substream
 from fsolink.errors import ParameterError
-from fsolink.field import total_power
+from fsolink.field import angular_spectrum_propagate, apply_aperture, plane_wave, total_power
 from fsolink.turbulence import (
     AtmosphereProfile,
     PhaseScreen,
@@ -192,3 +195,73 @@ class TestTimeSeries:
         # itself once the wind has carried a full grid extent
         values = [corr(lag) for lag in (1, 2, 4, 8, 16)]
         assert all(values[i] > values[i + 1] for i in range(len(values) - 1))
+
+
+def sequential_time_series(profile, grid, n_frames, frame_rate_hz, seed,
+                           rx_aperture_m=0.5, absorb_edges=False):
+    """Reference: the series rendered and applied on the calling thread,
+    layer by layer, with the product written as samples * exp(i phase)."""
+    tx = plane_wave(grid)
+    gens = [
+        _SpectralScreen(tx.n, tx.spacing_m, profile.layer_r0_m(i), profile.outer_scale_m,
+                        profile.inner_scale_m, rng=substream(seed, "layer", i),
+                        subharmonic_levels=profile.subharmonic_levels)
+        for i in range(len(profile.layers))
+    ]
+    azimuths = [math.radians(lay.wind_azimuth_deg) for lay in profile.layers]
+    for k in range(n_frames):
+        t = k / frame_rate_hz
+        u = tx
+        for i, layer in enumerate(profile.layers):
+            shift = (
+                profile.wind_speed_mps * t * math.cos(azimuths[i]),
+                profile.wind_speed_mps * t * math.sin(azimuths[i]),
+            )
+            screen = PhaseScreen(gens[i].phase_at(shift), tx.spacing_m)
+            u = u.with_samples(u.samples * np.exp(1j * screen.phase))
+            u = angular_spectrum_propagate(u, layer.distance_to_next_m, absorb_edges=absorb_edges)
+        yield apply_aperture(u, rx_aperture_m)
+
+
+class TestRenderingWorker:
+    @pytest.mark.parametrize("absorb_edges", [False, True])
+    @pytest.mark.parametrize("grid_name", ["grid64", "grid128"])
+    def test_frames_match_sequential_loop(self, request, grid_name, absorb_edges):
+        grid = request.getfixturevalue(grid_name)
+        args = (default_profile(), grid, 6, 1500.0, 4)
+        threaded = build_time_series(*args, absorb_edges=absorb_edges)
+        reference = sequential_time_series(*args, absorb_edges=absorb_edges)
+        for a, b in itertools.zip_longest(threaded, reference):
+            assert a.samples.tobytes() == b.samples.tobytes()
+
+    @pytest.mark.parametrize("end", ["close", "drop"])
+    def test_ending_after_one_frame_joins_the_worker(self, grid128, end):
+        before = threading.active_count()
+        frames = build_time_series(default_profile(), grid=grid128, n_frames=6, seed=4)
+        next(frames)
+        assert threading.active_count() == before + 1
+        if end == "close":
+            frames.close()
+        else:
+            del frames
+        assert threading.active_count() == before
+
+    def test_worker_error_raised_from_the_frame_that_needs_it(self, grid128, monkeypatch):
+        profile = default_profile()
+        render = _SpectralScreen.phase_at
+        calls = itertools.count()
+        faulty_call = 1 * len(profile.layers) + 2  # layer 2 of frame 1
+
+        def phase_at(self, shift_xy=(0.0, 0.0)):
+            phase = render(self, shift_xy)
+            if next(calls) == faulty_call:
+                phase[0, 0] = np.nan
+            return phase
+
+        monkeypatch.setattr(_SpectralScreen, "phase_at", phase_at)
+        before = threading.active_count()
+        frames = build_time_series(profile, grid=grid128, n_frames=6, seed=4)
+        assert np.all(np.isfinite(next(frames).samples))
+        with pytest.raises(ParameterError, match="non-finite"):
+            next(frames)
+        assert threading.active_count() == before
