@@ -187,15 +187,16 @@ def _load_dataset(scenario: Scenario, out_dir):
     return time_s, powers, residual, smf
 
 
-def _receiver_traces(scenario, out_dir, mode_counts, lossless, source="modes"):
-    """Efficiency trace per receiver name, from the synth dataset; source
-    names the setting that asked for the mode counts."""
+def _receiver_traces(scenario, out_dir, mode_counts, lossless):
+    """Efficiency trace per receiver name, from the synth dataset."""
     time_s, powers, residual, smf = _load_dataset(scenario, out_dir)
-    loss_db = 0.0 if lossless else scenario.topology().total_loss_db
+    topo = scenario["topology"]
+    # the sum CombinerTopology.total_loss_db makes
+    loss_db = 0.0 if lossless else topo["pic_insertion_loss_db"] + topo["demux_insertion_loss_db"]
     traces = {"smf": smf}
     for n in mode_counts:
         if not 1 <= n <= powers.shape[1]:
-            raise ConfigError(source, f"dataset holds {powers.shape[1]} modes, asked for {n}")
+            raise ConfigError("modes", f"dataset holds {powers.shape[1]} modes, asked for {n}")
         traces[f"mm{n}"] = mm_coupling_efficiency(powers, residual, n, loss_db)
     return time_s, traces
 
@@ -313,8 +314,8 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
 
 
 def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
-    """Delay-mismatch scan, or the two-wavelength link comparison faded by
-    the combined receiver's trace from the synth dataset."""
+    """Delay-mismatch scan, or the per-line efficiencies and penalties of the
+    two-wavelength link."""
     w = scenario["wdm"]
     center_hz = C_VACUUM / (w["center_wavelength_nm"] * 1e-9)
     mismatch_s = w["mismatch_mm"] * 1e-3 / C_VACUUM
@@ -346,24 +347,13 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
         )
     elif mode == "link":
         spectrum = OpticalSpectrum.two_lines(center_hz, w["line_spacing_ghz"] * 1e9)
-        n = scenario["topology"]["n_inputs"]
-        _, traces = _receiver_traces(scenario, out_dir, (n,), True, source="topology.n_inputs")
-        eff_db = 10.0 * np.log10(np.maximum(traces[f"mm{n}"], 1e-300))
-        result = wdm_link_run(
-            spectrum,
-            mismatch_s,
-            scenario.receiver_model(),
-            scenario.rop_grid(),
-            efficiency_db=eff_db,
-            target_ber=w["target_ber"],
-        )
+        result = wdm_link_run(spectrum, mismatch_s)
         payload.update(
             {
                 "line_hz": [float(x) for x in result.line_hz],
                 "line_efficiency": [float(x) for x in result.line_efficiency],
                 "aggregate_efficiency": two_path_efficiency(spectrum, mismatch_s),
                 "penalty_vs_single_db": result.penalty_vs_single_db,
-                "target_ber": w["target_ber"],
             }
         )
     else:
@@ -458,14 +448,10 @@ def run_report(out_dir) -> str:
                          f"half width {'unbounded' if hw is None else f'{hw:.4f} mm'}, "
                          f"peak efficiency {wr['peak_efficiency']:.4f}")
         else:
-            pens = ", ".join(
-                "n/a" if p is None or isinstance(p, dict) else f"{p:.3f} dB"
-                for p in wr["penalty_vs_single_db"]
-            )
             lines.append(f"- per-line efficiencies: "
                          + ", ".join(f"{e:.4f}" for e in wr["line_efficiency"]))
-            lines.append(f"- per-line penalty vs single wavelength at BER "
-                         f"{wr['target_ber']:g}: {pens}")
+            lines.append("- per-line penalty vs single wavelength: "
+                         + ", ".join(f"{p:.3f} dB" for p in wr["penalty_vs_single_db"]))
         lines.append("")
     text = "\n".join(lines)
     with open(os.path.join(out_dir, "report.md"), "w") as fh:
@@ -531,7 +517,10 @@ def main(argv=None) -> int:
         if args.frames is not None:
             overrides["run.n_frames"] = args.frames
         scenario = load_scenario(args.config, overrides)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(args.out, f"cannot create the run directory: {exc.strerror}")
         if args.command == "synth":
             run_synth(scenario, args.out)
         elif args.command == "couple":
@@ -543,7 +532,10 @@ def main(argv=None) -> int:
         elif args.command == "wdm":
             run_wdm(scenario, args.out, mode=args.wdm_mode)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, ParameterError, ScanRangeError) as exc:
+        # ParameterError and ScanRangeError: a value the validator accepts but
+        # the run cannot use, e.g. a BER window shorter than the 1 s sync-loss
+        # replay on a short run
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except MissingArtifactError as exc:
@@ -552,11 +544,6 @@ def main(argv=None) -> int:
     except NumericalContractError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 4
-    except (ParameterError, ScanRangeError) as exc:
-        # a value the validator accepts but the run cannot use, e.g. a BER
-        # window shorter than the 1 s sync-loss replay on a short run
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except FsolinkError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4

@@ -68,14 +68,13 @@ class NelderMead:
         self.dim = np.size(x0)
         self.reinit(x0, edges)
 
-    def reinit(self, x0, edges=None):
+    def reinit(self, x0, edges):
         """Start a new search on a fresh simplex around x0 (initial or restart)."""
         x0 = np.asarray(x0, dtype=np.float64)
-        if edges is not None:
-            self._edges = np.broadcast_to(np.asarray(edges, dtype=np.float64), x0.shape).copy()
+        edges = np.broadcast_to(np.asarray(edges, dtype=np.float64), x0.shape)
         self.simplex = np.tile(x0, (self.dim + 1, 1))
         for i in range(self.dim):
-            self.simplex[i + 1, i] += self._edges[i]
+            self.simplex[i + 1, i] += edges[i]
         self.values = np.full(self.dim + 1, np.nan)
         self._centroid = self._xr = self._xe = self._xc = None
         self._search = self._run()

@@ -100,15 +100,11 @@ class ModeBasis:
         self.sampled.setflags(write=False)
 
     @classmethod
-    def build(cls, grid: GridSpec, waist_m: float = None, indices=MODE_ORDER,
-              aperture_diameter_m: float = None) -> "ModeBasis":
-        """Sample a basis; waist defaults to the aperture-fit rule."""
+    def build(cls, grid: GridSpec, aperture_diameter_m: float,
+              indices=MODE_ORDER) -> "ModeBasis":
+        """Sample a basis with the aperture-fit waist for its highest group."""
         indices = tuple(indices)
-        if waist_m is None:
-            if aperture_diameter_m is None:
-                raise ParameterError("give either waist_m or aperture_diameter_m")
-            max_group = max(m + n for m, n in indices)
-            waist_m = fit_basis_waist(aperture_diameter_m, max_group)
+        waist_m = fit_basis_waist(aperture_diameter_m, max(m + n for m, n in indices))
         modes = np.empty((len(indices), grid.n, grid.n), dtype=np.complex128)
         for k, (m, n) in enumerate(indices):
             modes[k] = hg_mode_field(m, n, waist_m, grid).samples

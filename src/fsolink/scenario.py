@@ -17,7 +17,6 @@ from functools import partial
 
 import numpy as np
 
-from .combiner import CombinerTopology
 from .comms import ReceiverModel
 from .errors import ConfigError
 from .field import GridSpec
@@ -105,7 +104,6 @@ SCHEMA = {
         "absorb_edges": (False, _bool),
     },
     "topology": {
-        "n_inputs": (15, _number(lo=1, hi=1024, integer=True)),
         "pic_insertion_loss_db": (7.0, _number(lo=0.0)),
         "demux_insertion_loss_db": (1.0, _number(lo=0.0)),
     },
@@ -133,7 +131,6 @@ SCHEMA = {
         "mismatch_mm": (0.0, _number(lo=-1e4, hi=1e4)),
         "scan_range_mm": (6.0, _number(lo=1e-6)),
         "scan_step_mm": (0.01, _number(lo=1e-9)),
-        "target_ber": (1e-4, _number(lo=1e-15, hi=0.499)),
     },
 }
 
@@ -182,9 +179,6 @@ class Scenario:
         # quoted_* record the published turbulence figures as metadata only
         a = self["atmosphere"]
         return default_profile(**{k: v for k, v in a.items() if not k.startswith("quoted_")})
-
-    def topology(self) -> CombinerTopology:
-        return CombinerTopology.balanced(**self["topology"])
 
     def receiver_model(self, floor_duty=None) -> ReceiverModel:
         r = dict(self["receiver"])
@@ -249,4 +243,8 @@ def load_scenario(path, overrides: dict = None) -> Scenario:
         raise ConfigError(str(path), "scenario file not found")
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"scenario file is not UTF-8: {exc}")
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot read scenario file: {exc.strerror}")
     return scenario_from_dict(cfg, overrides)

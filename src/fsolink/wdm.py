@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comms import ReceiverModel, ber_curve, power_penalty
-from .errors import CurveCrossingError, ParameterError, ScanRangeError
+from .errors import ParameterError, ScanRangeError
 
 __all__ = [
     "C_VACUUM",
@@ -161,44 +160,26 @@ def vodl_scan(
 
 @dataclass(frozen=True)
 class WdmLinkResult:
-    """Per-line combining efficiencies of a multi-line link and their BER penalties."""
+    """Per-line combining efficiencies of a multi-line link and their penalties."""
 
     line_hz: np.ndarray
     line_efficiency: np.ndarray
-    penalty_vs_single_db: list  # at target_ber, None when not crossing
+    penalty_vs_single_db: list  # one float per line
 
 
-def wdm_link_run(
-    spectrum: OpticalSpectrum,
-    delay_s: float,
-    model: ReceiverModel,
-    rop_grid_dbm,
-    efficiency_db=None,
-    target_ber: float = 1e-4,
-) -> WdmLinkResult:
-    """BER curves per demultiplexed line of a multi-line link.
+def wdm_link_run(spectrum: OpticalSpectrum, delay_s: float) -> WdmLinkResult:
+    """Per-line combining efficiency of a multi-line link and its penalty
+    against a single wavelength.
 
-    Each line carries an equal share of the transmitter power (half of the
-    single-line case for two lines) and sees its own combining efficiency
-    from the delay mismatch, which shifts its BER curve; the reference for
-    the penalty is the single-wavelength run on the same fading sequence
-    (the ROP axis is the power at the demodulator input, so the power split
-    itself cancels and only the combining loss remains).
+    Each demultiplexed line sees one constant efficiency eta from the delay
+    mismatch.  On the demodulator-input power axis the power split cancels,
+    so under any fading sequence a line's BER curve is the single-wavelength
+    curve shifted by the combining loss: the penalty is -10 log10(eta) at
+    every BER.
     """
-    if spectrum.lines_hz is None:
-        raise ParameterError("wdm_link_run needs a discrete-line spectrum")
-    grid = np.asarray(rop_grid_dbm, dtype=np.float64)
-    single = ber_curve(grid, model, efficiency_db)
     line_eff = per_line_efficiency(spectrum, delay_s)
-    penalties = []
-    for eff in line_eff:
-        loss_db = -10.0 * math.log10(max(eff, 1e-300))
-        ber = ber_curve(grid - loss_db, model, efficiency_db)
-        try:
-            pen = power_penalty((grid, ber), (grid, single), target_ber)
-        except CurveCrossingError:
-            pen = None
-        penalties.append(pen)
+    # 0.0 - x, not -x: a lossless line reports 0.0, never -0.0
+    penalties = [0.0 - 10.0 * math.log10(max(float(eff), 1e-300)) for eff in line_eff]
     return WdmLinkResult(
         line_hz=spectrum.lines_hz.copy(),
         line_efficiency=line_eff,

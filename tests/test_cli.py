@@ -58,7 +58,8 @@ class TestScenarioValidation:
     def test_defaults_are_echoed(self):
         sc = scenario_from_dict({"run": {"seed": 1}})
         assert sc.resolved["atmosphere"]["outer_scale_m"] == 25.0
-        assert sc.resolved["topology"]["n_inputs"] == 15
+        assert sc.resolved["topology"] == {"pic_insertion_loss_db": 7.0,
+                                           "demux_insertion_loss_db": 1.0}
         assert sc.resolved["run"]["n_frames"] == 1000
 
     def test_hash_stable_and_sensitive(self):
@@ -138,12 +139,15 @@ class TestPipelineArtifacts:
         assert main(["couple", "--config", small_config, "--out", empty]) == 3
         assert main(["report", "--out", empty]) == 3
 
-    def test_wdm_link_needs_synth_dataset(self, small_config, tmp_path, capsys):
+    def test_wdm_link_needs_no_dataset(self, small_config, synth_run, tmp_path):
         empty = str(tmp_path / "empty")
         os.makedirs(empty)
-        assert main(["wdm", "--config", small_config, "--out", empty, "--scan"]) == 0
-        assert main(["wdm", "--config", small_config, "--out", empty, "--link"]) == 3
-        assert "modes.csv" in capsys.readouterr().err
+        for out in (empty, synth_run):
+            assert main(["wdm", "--config", small_config, "--out", out, "--link"]) == 0
+        assert os.listdir(empty) == ["wdm_report.json"]
+        reports = [open(os.path.join(out, "wdm_report.json"), "rb").read()
+                   for out in (empty, synth_run)]
+        assert reports[0] == reports[1]
 
     def test_mixed_hash_exit_code(self, small_config, synth_run, tmp_path):
         # corrupt a stamped artifact with a different scenario hash
@@ -212,7 +216,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "optics.max_mode_group" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("path", ["optics.transmit_aperture_m", "receiver.bit_rate_bps"])
+    @pytest.mark.parametrize("path", ["optics.transmit_aperture_m", "receiver.bit_rate_bps",
+                                      "topology.n_inputs", "wdm.target_ber"])
     def test_deleted_field_is_unknown(self, tmp_path, capsys, path):
         section, field = path.split(".")
         cfg = dict(TINY, **{section: {field: 1.0}})
@@ -229,16 +234,37 @@ class TestExitCodes:
         cfg = dict(TINY, run=dict(TINY["run"], frame_rate_hz=2e6))
         assert self._run(tmp_path, cfg, "synth") == [0]
 
-    def test_wdm_link_names_n_inputs_beyond_the_basis(self, tmp_path, capsys):
-        # a 10-mode basis under the default 15-input tree
-        cfg = dict(TINY, optics={"max_mode_group": 3}, ber={"window_len": 3})
+    def test_unusable_paths_exit_2(self, tmp_path, capsys):
+        good = tmp_path / "scenario.json"
+        good.write_text(json.dumps(TINY))
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"run": {"label": "caf\xe9", "seed": 5}}')
+        a_file = tmp_path / "taken"
+        a_file.write_text("")
+        for config, out, named in ((not_utf8, tmp_path / "o1", not_utf8),
+                                   (tmp_path, tmp_path / "o2", tmp_path),
+                                   (good, a_file, a_file)):
+            assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ") and str(named) in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
+
+    def test_dpsk_link_penalties_are_numeric(self, tmp_path):
+        cfg = dict(TINY, run=dict(TINY["run"], n_frames=12), receiver={"format": "dpsk"},
+                   wdm={"mismatch_mm": 1.0})
         assert self._run(tmp_path, cfg, "synth") == [0]
-        path, out = str(tmp_path / "scenario.json"), str(tmp_path / "run")
-        for command in ("couple", "ber"):
-            assert main([command, "--config", path, "--out", out, "--modes=3,6,10"]) == 0
-        assert main(["wdm", "--config", path, "--out", out, "--link"]) == 2
-        err = capsys.readouterr().err
-        assert "topology.n_inputs" in err and "Traceback" not in err
+        out = str(tmp_path / "run")
+        assert main(["wdm", "--config", str(tmp_path / "scenario.json"), "--out", out,
+                     "--link"]) == 0
+        report = json.load(open(os.path.join(out, "wdm_report.json")))
+        for eff, pen in zip(report["line_efficiency"], report["penalty_vs_single_db"]):
+            assert eff == pytest.approx(0.75, abs=1e-3)
+            assert pen == pytest.approx(-10.0 * math.log10(eff), rel=1e-12)
+        assert main(["report", "--out", out]) == 0
+        text = open(os.path.join(out, "report.md")).read()
+        assert "n/a" not in text
+        assert "- per-line penalty vs single wavelength: 1.251 dB, 1.251 dB" in text
 
     def test_manual_ber_window(self, tmp_path, capsys):
         assert self._run(tmp_path, dict(TINY, run=dict(TINY["run"], n_frames=12)), "synth") == [0]
@@ -299,7 +325,8 @@ class TestLossyFlag:
         assert main(["synth", "--config", str(path), "--out", out]) == 0
         default = self._couple(path, out)
         lossy = self._couple(path, out, "--lossy")
-        loss_db = load_scenario(str(path)).topology().total_loss_db
+        topology = load_scenario(str(path))["topology"]
+        loss_db = topology["pic_insertion_loss_db"] + topology["demux_insertion_loss_db"]
         assert loss_db > 0
         np.testing.assert_array_equal(lossy["smf"], default["smf"])
         for n in (3, 6, 10, 15):

@@ -12,6 +12,7 @@ import os
 import pytest
 
 from fsolink.cli import main
+from fsolink.combiner import CombinerTopology
 from fsolink.errors import ConfigError
 from fsolink.scenario import SCHEMA, scenario_from_dict
 
@@ -37,14 +38,13 @@ NON_DEFAULT = {
                    "elevation_deg": 45.0, "subharmonic_levels": 2, "quoted_r0_m": 0.05,
                    "quoted_cn2_m23": 1e-13},
     "optics": {"receive_aperture_m": 0.4, "max_mode_group": 3, "absorb_edges": True},
-    "topology": {"n_inputs": 10, "pic_insertion_loss_db": 5.0, "demux_insertion_loss_db": 0.5},
+    "topology": {"pic_insertion_loss_db": 5.0, "demux_insertion_loss_db": 0.5},
     "receiver": {"format": "dpsk", "sensitivity_dbm": -40.0, "floor_duty": 0.01},
     "ber": {"rop_start_dbm": -50.0, "rop_stop_dbm": -10.0, "rop_step_db": 1.0,
             "target_bers": [1e-3], "window_len": 50, "window_stride": 10,
             "sync_threshold": 1e-2, "reacquire_s": 0.2, "operating_margin_db": 2.0},
     "wdm": {"line_spacing_ghz": 50.0, "center_wavelength_nm": 1550.0, "band_width_nm": 8.0,
-            "mismatch_mm": 1.0, "scan_range_mm": 3.0, "scan_step_mm": 0.02,
-            "target_ber": 1e-3},
+            "mismatch_mm": 1.0, "scan_range_mm": 3.0, "scan_step_mm": 0.02},
 }
 
 
@@ -107,9 +107,9 @@ def test_non_default_values_reach_their_consumers():
                  "subharmonic_levels"):
         assert getattr(profile, name) == atm[name], name
 
-    topo = sc.topology()
-    for name, value in NON_DEFAULT["topology"].items():
-        assert getattr(topo, name) == value, name
+    topo = NON_DEFAULT["topology"]
+    loss_db = topo["pic_insertion_loss_db"] + topo["demux_insertion_loss_db"]
+    assert CombinerTopology.balanced(15, **sc["topology"]).total_loss_db == loss_db
 
     model = sc.receiver_model()
     for name, value in NON_DEFAULT["receiver"].items():
@@ -123,19 +123,17 @@ def test_non_default_values_reach_their_consumers():
 METADATA = {"run.label", "atmosphere.quoted_r0_m", "atmosphere.quoted_cn2_m23"}
 
 # A chain small enough to run once per field that still lets every field act:
-# 10 inputs so a 10-mode basis (optics.max_mode_group 3) runs wdm --link, a
-# margin low enough for the sync replay to see outages, and a WDM mismatch
+# a margin low enough for the sync replay to see outages, and a WDM mismatch
 # that keeps the line efficiencies below 1.
 CHAIN_BASE = {
     "run": {"seed": 1, "n_frames": 12},
     "grid": {"n": 64},
-    "topology": {"n_inputs": 10},
     "ber": {"window_len": 6, "window_stride": 2, "operating_margin_db": -6.0},
     "wdm": {"mismatch_mm": 1.0},
 }
 
 # the changed value where NON_DEFAULT equals the chain base
-CHAIN_VALUE = {"topology.n_inputs": 6, "wdm.mismatch_mm": 0.5}
+CHAIN_VALUE = {"wdm.mismatch_mm": 0.5}
 
 
 def _chain_artifacts(cfg, tmp):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsolink.comms import ReceiverModel, power_penalty
+from fsolink.comms import ReceiverModel, ber_curve, power_penalty
 from fsolink.errors import CurveCrossingError, ParameterError, ScanRangeError
 from fsolink.wdm import (
     C_VACUUM,
@@ -116,46 +116,81 @@ class TestVodlScan:
             vodl_scan(TWO_100G, 10e-3 / C_VACUUM, 2e-3, 0.01e-3)
 
 
-class TestWdmLink:
-    MODEL = ReceiverModel(sensitivity_dbm=-39.0)
-    GRID = np.linspace(-44, -26, 80)
+def replayed_link_penalties(spectrum, delay_s, model, rop_grid_dbm, efficiency_db,
+                            target_ber):
+    """Reference: the former fading replay.  Each line's BER curve is the
+    fading sequence replayed at the line's loss below the grid, the
+    reference the same sequence without it; the penalty is the distance
+    between their log-interpolated crossings of target_ber, None where
+    either curve misses it."""
+    grid = np.asarray(rop_grid_dbm, dtype=np.float64)
+    single = ber_curve(grid, model, efficiency_db)
+    penalties = []
+    for eff in per_line_efficiency(spectrum, delay_s):
+        loss_db = -10.0 * math.log10(max(eff, 1e-300))
+        ber = ber_curve(grid - loss_db, model, efficiency_db)
+        try:
+            penalties.append(power_penalty((grid, ber), (grid, single), target_ber))
+        except CurveCrossingError:
+            penalties.append(None)
+    return penalties
 
+
+class TestWdmLink:
     def test_matched_delay_no_penalty(self):
-        result = wdm_link_run(TWO_100G, 0.0, self.MODEL, self.GRID)
+        result = wdm_link_run(TWO_100G, 0.0)
+        np.testing.assert_array_equal(result.line_efficiency, 1.0)
         for pen in result.penalty_vs_single_db:
-            assert pen is not None and abs(pen) <= 0.2
+            assert pen == 0.0 and math.copysign(1.0, pen) == 1.0  # never -0.0
+
+    @given(st.floats(min_value=-9e-12, max_value=9e-12))
+    @settings(max_examples=60, deadline=None)
+    def test_penalty_is_the_combining_loss(self, tau):
+        result = wdm_link_run(TWO_100G, tau)
+        assert len(result.penalty_vs_single_db) == 2
+        for eff, pen in zip(result.line_efficiency, result.penalty_vs_single_db):
+            assert isinstance(pen, float)
+            assert pen == pytest.approx(-10.0 * math.log10(eff), rel=1e-12, abs=0.0)
 
     def test_mismatch_propagates_as_power_shift(self):
         tau = 5e-12  # 1.5 mm at the nominal c
-        result = wdm_link_run(TWO_100G, tau, self.MODEL, self.GRID)
+        result = wdm_link_run(TWO_100G, tau)
         np.testing.assert_allclose(result.line_efficiency, 0.5, atol=1e-6)
         for pen in result.penalty_vs_single_db:
-            assert pen == pytest.approx(3.0, abs=0.15)
+            assert pen == pytest.approx(10.0 * math.log10(2.0), abs=1e-5)
 
     def test_single_line_degenerate_case(self):
         mono = OpticalSpectrum(lines_hz=np.array([CENTER]))
-        result = wdm_link_run(mono, 5e-12, self.MODEL, self.GRID)
+        result = wdm_link_run(mono, 5e-12)
         assert result.line_efficiency[0] == pytest.approx(1.0, abs=1e-12)
-        assert result.penalty_vs_single_db[0] == pytest.approx(0.0, abs=1e-9)
+        assert result.penalty_vs_single_db == [0.0]
 
-    def test_line_that_never_crosses_has_no_penalty(self):
+    def test_line_on_a_combining_null_reports_its_loss(self):
         # a 10 ps mismatch puts both 100 GHz lines on a combining null
-        result = wdm_link_run(TWO_100G, 10e-12, self.MODEL, self.GRID)
+        result = wdm_link_run(TWO_100G, 10e-12)
         assert np.all(result.line_efficiency < 1e-20)
-        assert result.penalty_vs_single_db == [None, None]
+        assert all(pen > 300.0 for pen in result.penalty_vs_single_db)
 
-    def test_other_penalty_errors_propagate(self):
-        # an invalid target is an error, not a missing crossing
-        with pytest.raises(ValueError) as info:
-            wdm_link_run(TWO_100G, 0.0, self.MODEL, self.GRID, target_ber=0.0)
-        assert not isinstance(info.value, CurveCrossingError)
-
-    def test_fading_sequence_passthrough(self):
-        rng = np.random.default_rng(6)
-        eta_db = rng.normal(0, 1.5, 100)
-        matched = wdm_link_run(TWO_100G, 0.0, self.MODEL, self.GRID, efficiency_db=eta_db)
-        for pen in matched.penalty_vs_single_db:
-            assert abs(pen) <= 0.2
+    def test_closed_form_matches_the_fading_replay(self):
+        # 480 random fading sequences over both formats, with and without a
+        # 1e-6 error floor, at two targets; the replay's error is its
+        # interpolation between 0.5 dB grid points
+        rng = np.random.default_rng(9)
+        grid = np.arange(-45.0, -15.0 + 0.25, 0.5)
+        crossed = 0
+        for k in range(480):
+            fmt, floor_duty, target = (("ook", "dpsk")[k % 2], (0.0, 2e-6)[k // 2 % 2],
+                                       (1e-4, 1e-5)[k // 4 % 2])
+            model = ReceiverModel(format=fmt, floor_duty=floor_duty)
+            eta_db = rng.normal(0.0, rng.uniform(0.0, 3.0), int(rng.integers(8, 201)))
+            tau = rng.uniform(0.0, 8e-12)
+            closed = wdm_link_run(TWO_100G, tau).penalty_vs_single_db
+            replay = replayed_link_penalties(TWO_100G, tau, model, grid, eta_db, target)
+            for c, r in zip(closed, replay):
+                if r is not None:
+                    crossed += 1
+                    assert abs(c - r) <= 0.01, (k, c, r)
+        assert crossed >= 800  # of the 960 lines
 
 
 class TestSpectrumValidation:
@@ -169,3 +204,5 @@ class TestSpectrumValidation:
         band = OpticalSpectrum(band_center_hz=CENTER, band_width_hz=1e12)
         with pytest.raises(ParameterError):
             per_line_efficiency(band, 1e-12)
+        with pytest.raises(ParameterError):
+            wdm_link_run(band, 1e-12)
