@@ -33,9 +33,7 @@ from .controller import (
     LoopTrace,
     NelderMead,
     correction_bandwidth,
-    correction_bandwidth_knee,
     run_closed_loop,
-    uncorrected_efficiency,
     wrap_event_rate,
 )
 from .field import (

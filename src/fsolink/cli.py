@@ -11,7 +11,7 @@ All artifacts are stamped with the scenario hash and are byte-identical on
 reruns.  Exit codes: 0 ok, 2 configuration error (including a value the
 run cannot use, such as a run too short for the BER window), 3 missing
 prerequisite artifact, 4 numerical-contract violation (including mixed
-scenario hashes) or any other numerical failure.
+scenario hashes and a corrupted artifact) or any other numerical failure.
 """
 
 import argparse
@@ -63,19 +63,6 @@ def _write_csv(path, scenario_hash, header, rows):
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _read_csv(path):
-    if not os.path.exists(path):
-        raise MissingArtifactError(f"missing artifact: {path}")
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# scenario="):
-            raise NumericalContractError(f"{path}: missing scenario stamp")
-        stamp = first.split("=", 1)[1]
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return stamp, header, rows
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -85,8 +72,14 @@ def _write_json(path, payload):
 def _read_json(path):
     if not os.path.exists(path):
         raise MissingArtifactError(f"missing artifact: {path}")
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise NumericalContractError(f"{path}: not a JSON artifact ({exc})")
+    if not isinstance(payload, dict):
+        raise NumericalContractError(f"{path}: not a JSON object")
+    return payload
 
 
 def _check_stamp(stamp, scenario, what):
@@ -171,17 +164,46 @@ def run_synth(scenario: Scenario, out_dir) -> dict:
             "smf_waist_m": smf_waist}
 
 
+def _read_table(scenario: Scenario, out_dir, name):
+    """The data rows of a stamped CSV artifact as lists of finite floats."""
+    path = os.path.join(out_dir, name)
+    if not os.path.exists(path):
+        raise MissingArtifactError(f"missing artifact: {path}")
+    try:
+        with open(path) as fh:
+            first = fh.readline().strip()
+            header = fh.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise NumericalContractError(f"{path}: not a text artifact ({exc.reason})")
+    if not first.startswith("# scenario="):
+        raise NumericalContractError(f"{path}: missing scenario stamp")
+    _check_stamp(first.split("=", 1)[1], scenario, name)
+    if not rows:
+        raise NumericalContractError(f"{path}: no data rows")
+    table = []
+    for k, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise NumericalContractError(
+                f"{path}: data row {k} has {len(row)} fields, the header {len(header)}"
+            )
+        try:
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            raise NumericalContractError(f"{path}: data row {k}: {exc}")
+        if not all(math.isfinite(v) for v in values):
+            raise NumericalContractError(f"{path}: data row {k} holds a non-finite value")
+        table.append(values)
+    return table
+
+
 def _load_dataset(scenario: Scenario, out_dir):
     """Modal powers, residuals and SMF efficiencies from a synth dataset."""
-    stamp, header, rows = _read_csv(os.path.join(out_dir, "modes.csv"))
-    _check_stamp(stamp, scenario, "modes.csv")
-    n_modes = len(header) - 3  # frame, time_s, ..., residual
-    time_s = np.array([float(r[1]) for r in rows])
-    powers = np.array([[float(v) for v in r[2 : 2 + n_modes]] for r in rows])
-    residual = np.array([float(r[-1]) for r in rows])
-    stamp, _, srows = _read_csv(os.path.join(out_dir, "smf.csv"))
-    _check_stamp(stamp, scenario, "smf.csv")
-    smf = np.array([float(r[2]) for r in srows])
+    rows = _read_table(scenario, out_dir, "modes.csv")  # frame, time_s, modes..., residual
+    time_s = np.array([r[1] for r in rows])
+    powers = np.array([r[2:-1] for r in rows])
+    residual = np.array([r[-1] for r in rows])
+    smf = np.array([r[2] for r in _read_table(scenario, out_dir, "smf.csv")])
     if smf.shape[0] != powers.shape[0]:
         raise NumericalContractError("modes.csv and smf.csv disagree on frame count")
     return time_s, powers, residual, smf
@@ -315,11 +337,18 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
 
 def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
     """Delay-mismatch scan, or the per-line efficiencies and penalties of the
-    two-wavelength link."""
+    two-wavelength link, written under the mode's key of wdm_report.json.
+    The other mode's section is kept when the report carries this scenario's
+    hash; a report from another scenario is replaced."""
     w = scenario["wdm"]
     center_hz = C_VACUUM / (w["center_wavelength_nm"] * 1e-9)
     mismatch_s = w["mismatch_mm"] * 1e-3 / C_VACUUM
-    payload = {"scenario_hash": scenario.hash, "version": __version__, "mode": mode}
+    path = os.path.join(out_dir, "wdm_report.json")
+    payload = {"scenario_hash": scenario.hash, "version": __version__}
+    if os.path.exists(path):
+        previous = _read_json(path)
+        if previous.get("scenario_hash") == scenario.hash:
+            payload.update((k, previous[k]) for k in ("scan", "link") if k in previous)
 
     if mode == "scan":
         if w["band_width_nm"] > 0:
@@ -337,122 +366,135 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
             ["delay_mm", "efficiency"],
             [[float(d * 1e3), float(e)] for d, e in zip(scan.delay_m, scan.efficiency)],
         )
-        payload.update(
-            {
-                "peak_delay_mm": scan.peak_delay_m * 1e3,
-                "half_width_mm": (None if math.isinf(scan.half_width_m)
-                                  else scan.half_width_m * 1e3),
-                "peak_efficiency": float(scan.efficiency.max()),
-            }
-        )
+        payload["scan"] = {
+            "peak_delay_mm": scan.peak_delay_m * 1e3,
+            "half_width_mm": (None if math.isinf(scan.half_width_m)
+                              else scan.half_width_m * 1e3),
+            "peak_efficiency": float(scan.efficiency.max()),
+        }
     elif mode == "link":
         spectrum = OpticalSpectrum.two_lines(center_hz, w["line_spacing_ghz"] * 1e9)
         result = wdm_link_run(spectrum, mismatch_s)
-        payload.update(
-            {
-                "line_hz": [float(x) for x in result.line_hz],
-                "line_efficiency": [float(x) for x in result.line_efficiency],
-                "aggregate_efficiency": two_path_efficiency(spectrum, mismatch_s),
-                "penalty_vs_single_db": result.penalty_vs_single_db,
-            }
-        )
+        payload["link"] = {
+            "line_hz": [float(x) for x in result.line_hz],
+            "line_efficiency": [float(x) for x in result.line_efficiency],
+            "aggregate_efficiency": two_path_efficiency(spectrum, mismatch_s),
+            "penalty_vs_single_db": result.penalty_vs_single_db,
+        }
     else:
         raise ConfigError("wdm.mode", f"expected scan or link, got {mode!r}")
-    _write_json(os.path.join(out_dir, "wdm_report.json"), payload)
+    _write_json(path, payload)
     return payload
+
+
+def _scenario_section(rc):
+    return ["## Scenario", "", "```json", json.dumps(rc["config"], indent=2, sort_keys=True),
+            "```"]
+
+
+def _time_series_section(idx):
+    return [
+        "## Time series",
+        "",
+        f"- frames: {idx['n_frames']} at {idx['frame_rate_hz']} Hz (seed {idx['seed']})",
+        f"- basis waist: {idx['basis_waist_m']:.6g} m; "
+        f"fiber waist: {idx['smf_waist_m']:.6g} m "
+        f"(uniform-disc efficiency {idx['smf_uniform_disc_efficiency']:.4f})",
+    ]
+
+
+def _coupling_section(cs):
+    lines = [
+        f"## Coupling efficiency ({'lossless' if cs['lossless'] else 'with insertion losses'})",
+        "",
+        "| receiver | collected | mean loss (dB) | max-min variation (dB) |",
+        "|---|---|---|---|",
+    ]
+    for name in sorted(cs["receivers"]):
+        r = cs["receivers"][name]
+        lines.append(
+            f"| {name} | {100 * r['mean_efficiency']:.1f} % | "
+            f"{r['mean_loss_db']:.2f} | {r['variation_db']:.2f} |"
+        )
+    return lines
+
+
+def _ber_section(br):
+    lines = ["## BER", "",
+             f"- format: {br['model']['format']}, sensitivity "
+             f"{br['model']['sensitivity_dbm']} dBm, floor duty "
+             f"{br['model']['floor_duty']:g}"]
+    for wname, w in sorted(br["windows"].items()):
+        lines.append(f"- window `{wname}` frames {w['start']}..{w['end']}:")
+        for rx in sorted(w["receivers"]):
+            rr = w["receivers"][rx]
+            pens = ", ".join(
+                f"{k}: {v:.2f} dB" if isinstance(v, float) else f"{k}: n/a"
+                for k, v in sorted(rr["penalty_db"].items())
+            )
+            lines.append(
+                f"  - {rx}: penalties {{{pens}}}, sync loss "
+                f"{rr['sync_loss_s_per_min']:.2f} s/min, "
+                f"BER at sweep top {rr['ber_at_top_of_sweep']:.3g}"
+            )
+    return lines
+
+
+def _wdm_section(wr):
+    lines = ["## WDM", ""]
+    if "scan" in wr:
+        scan = wr["scan"]
+        hw = scan["half_width_mm"]
+        lines.append(f"- scan peak at {scan['peak_delay_mm']:.4f} mm, "
+                     f"half width {'unbounded' if hw is None else f'{hw:.4f} mm'}, "
+                     f"peak efficiency {scan['peak_efficiency']:.4f}")
+    if "link" in wr:
+        link = wr["link"]
+        lines.append("- per-line efficiencies: "
+                     + ", ".join(f"{e:.4f}" for e in link["line_efficiency"]))
+        lines.append("- per-line penalty vs single wavelength: "
+                     + ", ".join(f"{p:.3f} dB" for p in link["penalty_vs_single_db"]))
+    return lines
+
+
+# report.md sections in order, each rendered from one JSON artifact
+_REPORT_SECTIONS = (
+    ("resolved_config.json", _scenario_section),
+    ("index.json", _time_series_section),
+    ("couple_summary.json", _coupling_section),
+    ("ber_report.json", _ber_section),
+    ("wdm_report.json", _wdm_section),
+)
 
 
 def run_report(out_dir) -> str:
     """Render report.md from the artifacts in a run directory."""
     artifacts = {}
-    for name in ("resolved_config.json", "index.json", "couple_summary.json",
-                 "ber_report.json", "wdm_report.json"):
+    for name, _ in _REPORT_SECTIONS:
         path = os.path.join(out_dir, name)
         if os.path.exists(path):
             artifacts[name] = _read_json(path)
+            if not isinstance(artifacts[name].get("scenario_hash"), str):
+                raise NumericalContractError(f"{path}: missing scenario stamp")
     if not artifacts:
         raise MissingArtifactError(f"no artifacts found in {out_dir}")
-    hashes = {a.get("scenario_hash") for a in artifacts.values()}
+    hashes = {a["scenario_hash"] for a in artifacts.values()}
     if len(hashes) != 1:
         raise NumericalContractError(
             f"run directory mixes scenario hashes {sorted(hashes)}; refusing to report"
         )
-    scenario_hash = hashes.pop()
 
-    lines = []
-    lines.append("# Link simulation report")
-    lines.append("")
-    lines.append(f"- scenario hash: `{scenario_hash}`")
-    lines.append(f"- tool version: {__version__}")
-    lines.append("")
-    if "resolved_config.json" in artifacts:
-        cfg = artifacts["resolved_config.json"]["config"]
-        lines.append("## Scenario")
-        lines.append("")
-        lines.append("```json")
-        lines.append(json.dumps(cfg, indent=2, sort_keys=True))
-        lines.append("```")
-        lines.append("")
-    if "index.json" in artifacts:
-        idx = artifacts["index.json"]
-        lines.append("## Time series")
-        lines.append("")
-        lines.append(f"- frames: {idx['n_frames']} at {idx['frame_rate_hz']} Hz "
-                     f"(seed {idx['seed']})")
-        lines.append(f"- basis waist: {idx['basis_waist_m']:.6g} m; "
-                     f"fiber waist: {idx['smf_waist_m']:.6g} m "
-                     f"(uniform-disc efficiency {idx['smf_uniform_disc_efficiency']:.4f})")
-        lines.append("")
-    if "couple_summary.json" in artifacts:
-        cs = artifacts["couple_summary.json"]
-        lines.append("## Coupling efficiency"
-                     f" ({'lossless' if cs['lossless'] else 'with insertion losses'})")
-        lines.append("")
-        lines.append("| receiver | collected | mean loss (dB) | max-min variation (dB) |")
-        lines.append("|---|---|---|---|")
-        for name in sorted(cs["receivers"]):
-            r = cs["receivers"][name]
-            lines.append(
-                f"| {name} | {100 * r['mean_efficiency']:.1f} % | "
-                f"{r['mean_loss_db']:.2f} | {r['variation_db']:.2f} |"
-            )
-        lines.append("")
-    if "ber_report.json" in artifacts:
-        br = artifacts["ber_report.json"]
-        lines.append("## BER")
-        lines.append("")
-        lines.append(f"- format: {br['model']['format']}, sensitivity "
-                     f"{br['model']['sensitivity_dbm']} dBm, floor duty "
-                     f"{br['model']['floor_duty']:g}")
-        for wname, w in sorted(br["windows"].items()):
-            lines.append(f"- window `{wname}` frames {w['start']}..{w['end']}:")
-            for rx in sorted(w["receivers"]):
-                rr = w["receivers"][rx]
-                pens = ", ".join(
-                    f"{k}: {v:.2f} dB" if isinstance(v, float) else f"{k}: n/a"
-                    for k, v in sorted(rr["penalty_db"].items())
+    lines = ["# Link simulation report", "", f"- scenario hash: `{hashes.pop()}`",
+             f"- tool version: {__version__}", ""]
+    for name, section in _REPORT_SECTIONS:
+        if name in artifacts:
+            try:
+                lines += section(artifacts[name])
+            except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+                raise NumericalContractError(
+                    f"{os.path.join(out_dir, name)}: malformed artifact ({exc!r})"
                 )
-                lines.append(
-                    f"  - {rx}: penalties {{{pens}}}, sync loss "
-                    f"{rr['sync_loss_s_per_min']:.2f} s/min, "
-                    f"BER at sweep top {rr['ber_at_top_of_sweep']:.3g}"
-                )
-        lines.append("")
-    if "wdm_report.json" in artifacts:
-        wr = artifacts["wdm_report.json"]
-        lines.append("## WDM")
-        lines.append("")
-        if wr["mode"] == "scan":
-            hw = wr["half_width_mm"]
-            lines.append(f"- scan peak at {wr['peak_delay_mm']:.4f} mm, "
-                         f"half width {'unbounded' if hw is None else f'{hw:.4f} mm'}, "
-                         f"peak efficiency {wr['peak_efficiency']:.4f}")
-        else:
-            lines.append(f"- per-line efficiencies: "
-                         + ", ".join(f"{e:.4f}" for e in wr["line_efficiency"]))
-            lines.append("- per-line penalty vs single wavelength: "
-                         + ", ".join(f"{p:.3f} dB" for p in wr["penalty_vs_single_db"]))
-        lines.append("")
+            lines.append("")
     text = "\n".join(lines)
     with open(os.path.join(out_dir, "report.md"), "w") as fh:
         fh.write(text)

@@ -19,9 +19,9 @@ Each simplex search is one sequential Nelder-Mead procedure, suspended at
 every point it needs measured.  One evaluator serves both loops, the
 framed acquisition of run_closed_loop and the continuous tracking of
 correction_bandwidth: it wraps the phase commands, maps the ratio
-parameters (fixed 50/50 ratios unless optimize_ratios), runs the
-combiner's unchecked kernel (inputs are checked once, on entry), applies
-the wrap-residual gain inside a dead-time and draws the detector noise.
+parameters to split ratios, runs the combiner's unchecked kernel (inputs
+are checked once, on entry), applies the wrap-residual gain inside a
+dead-time and draws the detector noise.
 """
 
 import math
@@ -41,8 +41,6 @@ __all__ = [
     "run_closed_loop",
     "wrap_event_rate",
     "correction_bandwidth",
-    "correction_bandwidth_knee",
-    "uncorrected_efficiency",
 ]
 
 TWO_PI = 2 * math.pi
@@ -53,6 +51,11 @@ ALPHA, GAMMA, BETA, DELTA = 1.0, 2.0, 0.5, 0.5
 # per-frame acquisition schedule: two (phases, ratios, joint) cycles as
 # fractions of the frame budget; the remainder is fine polish
 _SCHEDULE = ((0.20, 0.20, 0.20), (0.15, 0.10, 0.15))
+# joint-polish simplex edge (halved for the fine polish); the coarse stages
+# use the fixed edges in run_closed_loop
+_POLISH_EDGE_RAD = 0.07
+# restart monitor: a 3 dB collapse at the carried command re-seeds the ratios
+_RESTART_DROP = 10.0 ** (-3.0 / 10.0)
 
 
 class NelderMead:
@@ -144,31 +147,20 @@ class NelderMead:
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Free parameters of the power-maximization loop.
-
-    simplex_init_rad is the joint-polish simplex edge; the coarse
-    acquisition stages scale from it through the fixed schedule.
-    """
+    """Free parameters of the power-maximization loop."""
 
     evals_per_frame: int = 600
-    simplex_init_rad: float = 0.07
-    restart_threshold_db: float = 3.0
     wrap_transient_s: float = 1e-3
     detector_noise_rel: float = 0.0
     loop_rate_hz: float = 1.0e6
     wrap_residual_factor: float = 0.25
-    optimize_ratios: bool = True
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type is not bool and not math.isfinite(getattr(self, f.name)):
+            if not math.isfinite(getattr(self, f.name)):
                 raise ParameterError(f"{f.name} must be finite")
         if self.evals_per_frame < 1:
             raise ParameterError("evals_per_frame must be >= 1")
-        if self.simplex_init_rad <= 0:
-            raise ParameterError("simplex_init_rad must be positive")
-        if self.restart_threshold_db <= 0:
-            raise ParameterError("restart_threshold_db must be positive")
         if self.wrap_transient_s < 0:
             raise ParameterError("wrap_transient_s must be >= 0")
         if self.detector_noise_rel < 0:
@@ -201,16 +193,13 @@ def _evaluate(x, inputs, topology, config, rng, in_transient=False):
     """One closed-loop evaluation of command vector x on the input list.
 
     Returns (physical output power, optimizer reading): phases wrapped into
-    [0, 2 pi), ratios sin^2 of their parameters (50/50 unless
-    optimize_ratios), the power scaled by wrap_residual_factor inside a wrap
-    dead-time, and the reading perturbed by relative detector noise.
+    [0, 2 pi), ratios sin^2 of their parameters, the power scaled by
+    wrap_residual_factor inside a wrap dead-time, and the reading perturbed
+    by relative detector noise.
     """
     n_el = topology.n_elements
     phases = x[:n_el] % TWO_PI
-    if config.optimize_ratios:
-        ratios = np.sin(x[n_el:]) ** 2
-    else:
-        ratios = np.full(n_el, 0.5)
+    ratios = np.sin(x[n_el:]) ** 2
     amp = _tree_output(topology, inputs, ratios.tolist(), phases.tolist())
     p_physical = abs(amp) ** 2
     if in_transient:
@@ -322,8 +311,6 @@ def run_closed_loop(
 
     ph = np.full(n_el, math.pi)
     ps = neutral = np.full(n_el, math.pi / 4)  # 50/50 ratios; never written in place
-    pol = config.simplex_init_rad
-    drop_factor = 10.0 ** (-config.restart_threshold_db / 10.0)
     prev_final_power = None
 
     for k in range(n_frames):
@@ -335,7 +322,7 @@ def run_closed_loop(
             carried = plant.measure(np.concatenate([ph, ps]))
             remaining -= 1
             if prev_final_power is not None and prev_final_power > 0:
-                if carried < prev_final_power * drop_factor:
+                if carried < prev_final_power * _RESTART_DROP:
                     ps = neutral
         for ci, (f1, f2, f3) in enumerate(_SCHEDULE):
             b1 = min(int(budget * f1), remaining)
@@ -345,25 +332,24 @@ def run_closed_loop(
                 ph = _run_stage(plant, nm, b1, lambda xs: np.concatenate([xs, neutral]))
             remaining -= b1
             # split ratios at the found phases
-            if config.optimize_ratios:
-                b2 = min(int(budget * f2), remaining)
-                if b2 > 0:
-                    nm = NelderMead(
-                        neutral if ci == 0 else ps,
-                        np.full(n_el, 0.35 if ci == 0 else 0.2),
-                    )
-                    ps = _run_stage(plant, nm, b2, lambda xs: np.concatenate([ph, xs]))
-                remaining -= b2
+            b2 = min(int(budget * f2), remaining)
+            if b2 > 0:
+                nm = NelderMead(
+                    neutral if ci == 0 else ps,
+                    np.full(n_el, 0.35 if ci == 0 else 0.2),
+                )
+                ps = _run_stage(plant, nm, b2, lambda xs: np.concatenate([ph, xs]))
+            remaining -= b2
             # joint polish
             b3 = min(int(budget * f3), remaining)
             if b3 > 0:
-                nm = NelderMead(np.concatenate([ph, ps]), np.full(dim, pol))
+                nm = NelderMead(np.concatenate([ph, ps]), np.full(dim, _POLISH_EDGE_RAD))
                 _run_stage(plant, nm, b3, lambda xs: xs)
                 if plant.best_x is not None:
                     ph, ps = plant.best_x[:n_el].copy(), plant.best_x[n_el:].copy()
             remaining -= b3
         if remaining > 0:
-            nm = NelderMead(np.concatenate([ph, ps]), np.full(dim, pol / 2))
+            nm = NelderMead(np.concatenate([ph, ps]), np.full(dim, _POLISH_EDGE_RAD / 2))
             _run_stage(plant, nm, remaining, lambda xs: xs)
             if plant.best_x is not None:
                 ph, ps = plant.best_x[:n_el].copy(), plant.best_x[n_el:].copy()
@@ -405,14 +391,6 @@ def wrap_event_rate(trace: LoopTrace) -> tuple:
     return events / total_time, dead / total_time
 
 
-def uncorrected_efficiency(amplitude_rad: float) -> float:
-    """Mean two-arm efficiency under an uncorrected sinusoidal phase
-    disturbance at the best static phase: (1 + J0(A)) / 2."""
-    from scipy.special import j0
-
-    return float((1.0 + j0(amplitude_rad)) / 2.0)
-
-
 # the tracking simplex is re-seeded every _REFRESH_EVERY evaluations; its
 # first phase edge is _REFRESH_EDGE_RAD, later ones follow the residual error
 _REFRESH_EVERY = 40
@@ -436,7 +414,7 @@ def correction_bandwidth(
     power over the 2.0 W ideal) is averaged over n_periods after a settling
     span, with floors on both spans so high frequencies still exercise a
     settled loop.  Evaluations go through the same evaluator as
-    run_closed_loop, so optimize_ratios=False holds the split at 50/50.
+    run_closed_loop.
     """
     if not (math.isfinite(disturbance_freq_hz) and math.isfinite(amplitude_rad)):
         raise ParameterError("disturbance frequency and amplitude must be finite")
@@ -488,34 +466,3 @@ def correction_bandwidth(
             acc += measured / 2.0
     return acc / measure_evals
 
-
-def correction_bandwidth_knee(
-    freqs_hz,
-    amplitude_rad: float,
-    config: ControllerConfig,
-    seed: int = 0,
-    n_periods: int = 100,
-) -> tuple:
-    """Efficiency over a frequency sweep plus the correction knee.
-
-    The knee is where efficiency crosses midway between the static
-    efficiency (lowest swept frequency) and the uncorrected floor
-    (1 + J0(A))/2, interpolated on a log-frequency axis.  Returns
-    (freqs, efficiencies, knee_hz); knee_hz is None when the sweep never
-    crosses.
-    """
-    freqs = np.asarray(sorted(freqs_hz), dtype=np.float64)
-    effs = np.array(
-        [correction_bandwidth(f, amplitude_rad, config, seed=seed, n_periods=n_periods)
-         for f in freqs]
-    )
-    floor = uncorrected_efficiency(amplitude_rad)
-    midpoint = (effs[0] + floor) / 2.0
-    below = np.nonzero(effs < midpoint)[0]
-    if below.size == 0 or below[0] == 0:
-        return freqs, effs, None
-    j = below[0]
-    lf = np.log(freqs)
-    frac = (midpoint - effs[j - 1]) / (effs[j] - effs[j - 1])
-    knee = math.exp(lf[j - 1] + frac * (lf[j] - lf[j - 1]))
-    return freqs, effs, knee

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import shutil
 import tempfile
 
 import numpy as np
@@ -145,9 +149,9 @@ class TestPipelineArtifacts:
         for out in (empty, synth_run):
             assert main(["wdm", "--config", small_config, "--out", out, "--link"]) == 0
         assert os.listdir(empty) == ["wdm_report.json"]
-        reports = [open(os.path.join(out, "wdm_report.json"), "rb").read()
+        reports = [json.load(open(os.path.join(out, "wdm_report.json")))
                    for out in (empty, synth_run)]
-        assert reports[0] == reports[1]
+        assert reports[0]["link"] == reports[1]["link"]
 
     def test_mixed_hash_exit_code(self, small_config, synth_run, tmp_path):
         # corrupt a stamped artifact with a different scenario hash
@@ -257,7 +261,7 @@ class TestExitCodes:
         out = str(tmp_path / "run")
         assert main(["wdm", "--config", str(tmp_path / "scenario.json"), "--out", out,
                      "--link"]) == 0
-        report = json.load(open(os.path.join(out, "wdm_report.json")))
+        report = json.load(open(os.path.join(out, "wdm_report.json")))["link"]
         for eff, pen in zip(report["line_efficiency"], report["penalty_vs_single_db"]):
             assert eff == pytest.approx(0.75, abs=1e-3)
             assert pen == pytest.approx(-10.0 * math.log10(eff), rel=1e-12)
@@ -265,6 +269,55 @@ class TestExitCodes:
         text = open(os.path.join(out, "report.md")).read()
         assert "n/a" not in text
         assert "- per-line penalty vs single wavelength: 1.251 dB, 1.251 dB" in text
+
+    @pytest.mark.parametrize("order", [("--scan", "--link"), ("--link", "--scan")])
+    def test_wdm_report_keeps_both_modes(self, tmp_path, order):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(TINY))
+        reports = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            for mode in order:
+                assert main(["wdm", "--config", str(path), "--out", str(out), mode]) == 0
+            assert main(["report", "--out", str(out)]) == 0
+            text = (out / "report.md").read_text()
+            assert "scan peak at" in text and "per-line efficiencies" in text
+            reports.append((out / "wdm_report.json").read_bytes())
+        # rerunning the pair in place changes nothing
+        for mode in order:
+            assert main(["wdm", "--config", str(path), "--out", str(tmp_path / "a"), mode]) == 0
+        reports.append((tmp_path / "a" / "wdm_report.json").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        report = json.loads(reports[0])
+        assert sorted(report) == ["link", "scan", "scenario_hash", "version"]
+        # a report written for another scenario is replaced, not merged
+        assert main(["wdm", "--config", str(path), "--out", str(tmp_path / "a"),
+                     "--seed", "6", order[1]]) == 0
+        report = json.load(open(tmp_path / "a" / "wdm_report.json"))
+        assert order[1].strip("-") in report and order[0].strip("-") not in report
+
+    def test_corrupted_artifacts_exit_4_naming_the_file(self, tmp_path, capsys):
+        cfg = dict(TINY, ber={"window_len": 3})
+        assert self._run(tmp_path, cfg, "synth", "wdm") == [0, 0]
+        config, run = str(tmp_path / "scenario.json"), tmp_path / "run"
+        def last_value(text):  # the file's last value replaced by text
+            return lambda raw: raw[: raw.rindex(b",") + 1] + text + b"\n"
+
+        corruptions = [
+            ("modes.csv", last_value(b"abc")),
+            ("smf.csv", lambda raw: raw + b"\xff"),
+            ("smf.csv", last_value(b"nan")),
+            ("wdm_report.json", lambda raw: raw[:-5]),
+        ]
+        for k, (name, corrupt) in enumerate(corruptions):
+            clone = tmp_path / f"clone{k}"
+            shutil.copytree(run, clone)
+            (clone / name).write_bytes(corrupt((clone / name).read_bytes()))
+            command = (["report", "--out", str(clone)] if name.endswith(".json")
+                       else ["couple", "--config", config, "--out", str(clone)])
+            assert main(command) == 4, name
+            err = capsys.readouterr().err
+            assert err.startswith("contract violation: ") and str(clone / name) in err
+            assert "Traceback" not in err
 
     def test_manual_ber_window(self, tmp_path, capsys):
         assert self._run(tmp_path, dict(TINY, run=dict(TINY["run"], n_frames=12)), "synth") == [0]
@@ -381,3 +434,69 @@ class TestChainProperty:
                 main(["report", "--out", out]),
             ]
         assert set(codes) <= {0, 2, 3, 4}, codes
+
+
+# every artifact a command after synth reads
+CORRUPTIBLE = ("modes.csv", "smf.csv", "resolved_config.json", "index.json",
+               "couple_summary.json", "ber_report.json", "wdm_report.json")
+NUMBER = re.compile(rb"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+@pytest.fixture(scope="module")
+def chain_run(tmp_path_factory):
+    """A complete run directory of the chain property's base scenario."""
+    tmp = tmp_path_factory.mktemp("corrupt")
+    path, out = str(tmp / "scenario.json"), str(tmp / "run")
+    with open(path, "w") as fh:
+        json.dump(dict(TINY, ber={"window_len": 3}), fh)
+    common = ["--config", path, "--out", out]
+    for command in (["synth"], ["couple"], ["ber"], ["wdm", "--scan"], ["wdm", "--link"]):
+        assert main([*command, *common]) == 0
+    return path, out
+
+
+class TestCorruptedArtifactProperty:
+    """No corrupted artifact ends in a traceback or an undocumented code."""
+
+    @given(data=st.data())
+    @settings(max_examples=500, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_commands_exit_with_documented_codes(self, chain_run, data):
+        config, base = chain_run
+        name = data.draw(st.sampled_from(CORRUPTIBLE), label="artifact")
+        kind = data.draw(st.sampled_from(["abc", "truncate", "0xff", "drop field"]), label="kind")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "run")
+            shutil.copytree(base, out)
+            path = os.path.join(out, name)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            if kind == "abc":
+                value = data.draw(st.sampled_from(list(NUMBER.finditer(raw))), label="value")
+                raw = raw[: value.start()] + b"abc" + raw[value.end() :]
+            elif kind == "truncate":
+                raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+            elif kind == "0xff":
+                raw += b"\xff"
+            else:
+                lines = raw.split(b"\n")
+                k = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line]),
+                              label="row")
+                row = lines[k].split(b",")
+                del row[data.draw(st.integers(0, len(row) - 1), label="field")]
+                lines[k] = b",".join(row)
+                raw = b"\n".join(lines)
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            common = ["--config", config, "--out", out]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                codes = [
+                    main(["report", "--out", out]),
+                    main(["couple", *common]),
+                    main(["ber", *common]),
+                    main(["wdm", *common, "--link"]),
+                    main(["report", "--out", out]),
+                ]
+        assert set(codes) <= {0, 2, 3, 4}, codes
+        assert "Traceback" not in err.getvalue()

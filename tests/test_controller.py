@@ -12,9 +12,7 @@ from fsolink.controller import (
     ControllerConfig,
     NelderMead,
     correction_bandwidth,
-    correction_bandwidth_knee,
     run_closed_loop,
-    uncorrected_efficiency,
     wrap_event_rate,
 )
 from fsolink.errors import ControllerFault, InvalidFieldError, ParameterError
@@ -312,7 +310,16 @@ class TestClosedLoopStatics:
                             ControllerConfig(evals_per_frame=20), seed=0)
 
 
-NUMERIC_FIELDS = [f.name for f in fields(ControllerConfig) if f.type is not bool]
+NUMERIC_FIELDS = [f.name for f in fields(ControllerConfig)]
+
+# one non-default value per ControllerConfig field
+NON_DEFAULT = {
+    "evals_per_frame": 100,
+    "wrap_transient_s": 1e-4,
+    "detector_noise_rel": 0.02,
+    "loop_rate_hz": 5e5,
+    "wrap_residual_factor": 0.5,
+}
 
 
 class TestControllerConfig:
@@ -321,6 +328,23 @@ class TestControllerConfig:
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ParameterError, match=name):
             ControllerConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", NUMERIC_FIELDS)
+    def test_every_field_changes_a_trace(self, name):
+        assert name in NON_DEFAULT, f"{name} has no non-default value to test"
+        topo = CombinerTopology.balanced(2, 0.0, 0.0)
+        F = 40
+        drift = np.linspace(0, 6 * math.pi, F)
+        frames = np.stack([np.ones(F), np.exp(1j * drift)], axis=1)
+        base = {"evals_per_frame": 120}
+        default = run_closed_loop(frames, topo, ControllerConfig(**base), seed=0)
+        changed = run_closed_loop(
+            frames, topo, ControllerConfig(**dict(base, **{name: NON_DEFAULT[name]})), seed=0
+        )
+        assert any(
+            not np.array_equal(getattr(default, a), getattr(changed, a))
+            for a in ("power_w", "wrap_flag", "time_s")
+        ), f"{name}={NON_DEFAULT[name]!r} left the trace unchanged"
 
 
 class TestWrapModel:
@@ -400,18 +424,18 @@ class TestCorrectionBandwidth:
         assert effs[-1] < 0.7
 
     def test_knee_lands_near_3_khz(self):
+        # the knee: the first swept frequency whose efficiency falls below the
+        # midpoint of the static efficiency and the uncorrected floor (1 + J0(A)) / 2
+        from scipy.special import j0
+
         freqs = [200.0, 600.0, 1500.0, 3000.0, 6000.0, 15000.0]
-        _, effs, knee = correction_bandwidth_knee(freqs, math.pi, self.CAL, n_periods=60)
-        assert knee is not None
-        assert 1500.0 <= knee <= 6000.0
+        effs = [correction_bandwidth(f, math.pi, self.CAL, n_periods=60) for f in freqs]
+        midpoint = (effs[0] + (1 + j0(math.pi)) / 2) / 2
+        knee = next((f for f, e in zip(freqs, effs) if e < midpoint), None)
+        assert knee in (3000.0, 6000.0), (effs, midpoint)
 
     @pytest.mark.parametrize("freq, amplitude", [(math.nan, 1.0), (1000.0, math.nan),
                                                  (math.inf, 1.0), (1000.0, -math.inf)])
     def test_non_finite_disturbance_rejected(self, freq, amplitude):
         with pytest.raises(ParameterError):
             correction_bandwidth(freq, amplitude, self.CAL, n_periods=1, settle_periods=1)
-
-    def test_uncorrected_floor_value(self):
-        from scipy.special import j0
-
-        assert abs(uncorrected_efficiency(math.pi) - (1 + j0(math.pi)) / 2) < 1e-12
