@@ -46,12 +46,8 @@ def modes_up_to_group(max_group_exclusive: int) -> tuple:
     return tuple((m, n) for (m, n) in MODE_ORDER if m + n < max_group_exclusive)
 
 
-def hg_mode_field(m: int, n: int, waist_m: float, grid: GridSpec) -> ComplexFieldGrid:
-    """Sampled HG_mn mode (physicists' Hermite polynomials), unit grid power.
-
-    The mode is real up to a global phase; m indexes x (columns), n indexes
-    y (rows).
-    """
+def _check_mode(m: int, n: int, waist_m: float, grid: GridSpec) -> None:
+    """Reject an HG_mn mode the grid cannot resolve or hold."""
     if m < 0 or n < 0:
         raise ParameterError("mode orders must be >= 0")
     if waist_m <= 0:
@@ -66,9 +62,23 @@ def hg_mode_field(m: int, n: int, waist_m: float, grid: GridSpec) -> ComplexFiel
             f"mode group {m + n} spills beyond the grid: 1/e^2 radius {radius} vs "
             f"extent {grid.extent_m}"
         )
+
+
+def _hg_profile(order: int, waist_m: float, grid: GridSpec) -> np.ndarray:
+    """1-D Hermite-Gauss factor of the given order, unnormalized."""
     x = grid.coords()
-    gx = eval_hermite(m, np.sqrt(2.0) * x / waist_m) * np.exp(-(x**2) / waist_m**2)
-    gy = eval_hermite(n, np.sqrt(2.0) * x / waist_m) * np.exp(-(x**2) / waist_m**2)
+    return eval_hermite(order, np.sqrt(2.0) * x / waist_m) * np.exp(-(x**2) / waist_m**2)
+
+
+def hg_mode_field(m: int, n: int, waist_m: float, grid: GridSpec) -> ComplexFieldGrid:
+    """Sampled HG_mn mode (physicists' Hermite polynomials), unit grid power.
+
+    The mode is real up to a global phase; m indexes x (columns), n indexes
+    y (rows).
+    """
+    _check_mode(m, n, waist_m, grid)
+    gx = _hg_profile(m, waist_m, grid)
+    gy = _hg_profile(n, waist_m, grid)
     s = np.outer(gy, gx).astype(np.complex128)
     norm = math.sqrt(np.sum(np.abs(s) ** 2) * grid.spacing_m**2)
     return ComplexFieldGrid(s / norm, grid.extent_m, grid.wavelength_m)
@@ -89,15 +99,20 @@ def fit_basis_waist(aperture_diameter_m: float, max_group: int = 4) -> float:
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Ordered, grid-sampled HG basis with a common waist."""
+    """Ordered HG basis with a common waist, held as its 1-D factors.
+
+    HG_mn is real and separable, outer(p_n, p_m) on the grid, so the basis
+    keeps only the (orders, N) table of 1-D profiles p_j, each normalized
+    to sum p_j^2 dx = 1; every mode then has unit grid power.
+    """
 
     indices: tuple
     waist_m: float
     grid: GridSpec
-    sampled: np.ndarray  # (K, N, N) complex, unit power each
+    profiles: np.ndarray  # (max order + 1, N) real, unit 1-D power each
 
     def __post_init__(self):
-        self.sampled.setflags(write=False)
+        self.profiles.setflags(write=False)
 
     @classmethod
     def build(cls, grid: GridSpec, aperture_diameter_m: float,
@@ -105,10 +120,13 @@ class ModeBasis:
         """Sample a basis with the aperture-fit waist for its highest group."""
         indices = tuple(indices)
         waist_m = fit_basis_waist(aperture_diameter_m, max(m + n for m, n in indices))
-        modes = np.empty((len(indices), grid.n, grid.n), dtype=np.complex128)
-        for k, (m, n) in enumerate(indices):
-            modes[k] = hg_mode_field(m, n, waist_m, grid).samples
-        return cls(indices=indices, waist_m=waist_m, grid=grid, sampled=modes)
+        for m, n in indices:
+            _check_mode(m, n, waist_m, grid)
+        profiles = np.empty((max(max(mn) for mn in indices) + 1, grid.n))
+        for order in range(profiles.shape[0]):
+            p = _hg_profile(order, waist_m, grid)
+            profiles[order] = p / math.sqrt(np.sum(p * p) * grid.spacing_m)
+        return cls(indices=indices, waist_m=waist_m, grid=grid, profiles=profiles)
 
     @property
     def size(self) -> int:
@@ -118,9 +136,14 @@ class ModeBasis:
         return [mode_name(mn) for mn in self.indices]
 
     def gram(self) -> np.ndarray:
-        """Grid-quadrature Gram matrix; identity for a well-sampled basis."""
-        flat = self.sampled.reshape(self.size, -1)
-        return (flat.conj() @ flat.T) * self.grid.spacing_m**2
+        """Grid-quadrature Gram matrix; identity for a well-sampled basis.
+
+        The Gram of outer(p_n, p_m) modes is the product of the 1-D Grams
+        of their y and x factors.
+        """
+        g1 = (self.profiles @ self.profiles.T) * self.grid.spacing_m
+        m, n = np.array(self.indices).T
+        return g1[np.ix_(n, n)] * g1[np.ix_(m, m)]
 
 
 @dataclass(frozen=True)
@@ -147,17 +170,24 @@ class ModeCoefficients:
 def decompose(field: ComplexFieldGrid, basis: ModeBasis) -> ModeCoefficients:
     """Project a field on the basis by grid quadrature.
 
-    residual_power is the field power outside the basis span and can only
-    be negative by quadrature round-off (Bessel's inequality).
+    The modes are real and separable, so all projections are the entries
+    (n, m) of P F P^T dx^2, P the basis' 1-D profiles: one pass over the
+    field instead of one per mode.  residual_power is the field power
+    outside the basis span and can only be negative by quadrature
+    round-off (Bessel's inequality).
     """
     if field.n != basis.grid.n or not math.isclose(
         field.spacing_m, basis.grid.spacing_m, rel_tol=1e-9
     ):
         raise DimensionError("field and basis grids differ")
-    dx2 = field.spacing_m**2
-    # conj(B) f = conj(B conj(f)): one BLAS pass over the basis, no conjugated copy
-    flat = basis.sampled.reshape(basis.size, -1)
-    coeffs = (flat @ field.samples.ravel().conj()).conj() * dx2
+    p = basis.profiles
+    # a real matrix times a complex one: the product of P with the field
+    # viewed as interleaved (re, im) floats, a real GEMM on the same memory
+    f = np.ascontiguousarray(field.samples).view(np.float64)
+    rows = (p @ f).view(np.complex128)  # P F, (orders, N)
+    proj = (rows @ p.T) * field.spacing_m**2  # P F P^T dx^2, indexed [n, m]
+    m, n = np.array(basis.indices).T
+    coeffs = proj[n, m]
     residual = total_power(field) - float(np.sum(np.abs(coeffs) ** 2))
     return ModeCoefficients(coeffs=coeffs, residual_power=residual)
 

@@ -89,9 +89,10 @@ class PhaseScreen:
 class _SpectralScreen:
     """Spectral representation of one screen, translatable to any offset.
 
-    Holds the DFT coefficient lattice plus the low-frequency augmentation
-    components.  ``phase_at(shift)`` renders the screen translated by a
-    physical offset, exactly, for any (sub)pixel shift.
+    Holds the Hermitian half of the DFT coefficient lattice plus the
+    low-frequency augmentation components.  ``phase_at(shift)`` renders the
+    screen translated by a physical offset, exactly, for any (sub)pixel
+    shift.
     """
 
     def __init__(self, n, spacing_m, r0_m, L0_m, l0_m, rng, subharmonic_levels=0):
@@ -115,7 +116,23 @@ class _SpectralScreen:
             # the 3x3 center of the lattice is handed to the augmentation rings
             psd[np.ix_((-1, 0, 1), (-1, 0, 1))] = 0.0
         noise = rng.standard_normal((2, n, n))
-        self._coeff = (noise[0] + 1j * noise[1]) * np.sqrt(psd) * df
+        coeff = (noise[0] + 1j * noise[1]) * np.sqrt(psd) * df
+        del noise, psd
+        # The screen is the real part of the inverse DFT of coeff * ramp, which
+        # is the inverse DFT of the Hermitian part (S[k] + conj(S[-k])) / 2, so
+        # columns 0..n/2 of that part suffice (irfft2).  Off the Nyquist row
+        # and column f(-k) = -f(k), the ramp factors out of the pair and the
+        # pair sum is precomputed.  The fftshift of the rendered screen is
+        # the exact sign (-1)^(kx+ky), folded in here; the screen is the
+        # unnormalized inverse DFT (norm="forward").
+        h = n // 2
+        mirror = np.roll(coeff[::-1, ::-1], 1, axis=(0, 1)).conj()  # conj(coeff[-k])
+        sign = np.where((np.arange(n)[:, None] + np.arange(h + 1)) % 2, -0.5, 0.5)
+        self._half = (coeff[:, : h + 1] + mirror[:, : h + 1]) * sign
+        # fftfreq puts the Nyquist frequency at -n/2 df for both k and -k, so
+        # there the ramp does not pair: keep the two terms apart
+        self._nyq_row = (coeff[h, : h + 1] * sign[h], mirror[h, : h + 1] * sign[h])
+        self._nyq_col = (coeff[:, h] * sign[:, h], mirror[:, h] * sign[:, h])
         self._f1 = f1
 
         sub_f = []
@@ -136,24 +153,42 @@ class _SpectralScreen:
                         sub_c.append((g[0] + 1j * g[1]) * math.sqrt(power))
         self._sub_f = np.asarray(sub_f, dtype=np.float64).reshape(-1, 2)
         self._sub_c = np.asarray(sub_c, dtype=np.complex128)
-        # the augmentation components sampled on the grid, (n, K) each
+        # the augmentation components sampled on the grid; Re(Y X^T) is the
+        # real product [Re Y, Im Y] [Re X, -Im X]^T, X the (n, 2K) x table
         x = (np.arange(self.n) - self.n // 2) * self.spacing_m
-        self._sub_cx = np.exp(2j * np.pi * np.outer(x, self._sub_f[:, 0]))
+        cx = np.exp(2j * np.pi * np.outer(x, self._sub_f[:, 0]))
+        self._sub_cx = np.concatenate([cx.real, -cx.imag], axis=1)
         self._sub_cy = np.exp(2j * np.pi * np.outer(x, self._sub_f[:, 1]))
 
     def phase_at(self, shift_xy=(0.0, 0.0)) -> np.ndarray:
-        """Render the screen translated by (sx, sy) meters."""
+        """Render the screen translated by (sx, sy) meters.
+
+        The separable translation ramp exp(-2 pi i (fx sx + fy sy)) multiplies
+        the precomputed Hermitian half-spectrum, and irfft2 renders it; the
+        augmentation components translate analytically and add in one real
+        matrix product.
+        """
         sx, sy = float(shift_xy[0]), float(shift_xy[1])
-        # the translation ramp exp(-2 pi i (fx sx + fy sy)) is separable
-        ramp_x = np.exp(-2j * np.pi * self._f1 * sx)
+        h = self.n // 2
+        ramp_x = np.exp(-2j * np.pi * self._f1[: h + 1] * sx)
         ramp_y = np.exp(-2j * np.pi * self._f1 * sy)
-        spectrum = self._coeff * ramp_y[:, None]
+        spectrum = self._half * ramp_y[:, None]
         spectrum *= ramp_x[None, :]
-        out = np.fft.fftshift(_fft.ifft2(spectrum, overwrite_x=True).real) * self.n**2
+        # conj(ramp(-k)) is the ramp itself except at the unpaired Nyquist bin
+        back_x = ramp_x.copy()
+        back_x[h] = back_x[h].conjugate()
+        back_y = ramp_y.copy()
+        back_y[h] = back_y[h].conjugate()
+        direct, mirrored = self._nyq_col
+        spectrum[:, h] = direct * ramp_y * ramp_x[h] + mirrored * back_y * back_x[h]
+        direct, mirrored = self._nyq_row
+        spectrum[h] = direct * ramp_y[h] * ramp_x + mirrored * back_y[h] * back_x
+        out = _fft.irfft2(spectrum, s=(self.n, self.n), norm="forward", overwrite_x=True)
         del spectrum  # the time series renders beside the field chain: hold one grid less
         if self._sub_c.size:
             amp = self._sub_c * np.exp(-2j * np.pi * (self._sub_f[:, 0] * sx + self._sub_f[:, 1] * sy))
-            out += ((self._sub_cy * amp) @ self._sub_cx.T).real
+            y = self._sub_cy * amp
+            out += np.concatenate([y.real, y.imag], axis=1) @ self._sub_cx.T
         return out
 
 
@@ -357,7 +392,13 @@ def build_time_series(
             profile.wind_speed_mps * t * math.cos(azimuths[i]),
             profile.wind_speed_mps * t * math.sin(azimuths[i]),
         )
-        return np.exp(1j * PhaseScreen(gens[i].phase_at(shift), tx.spacing_m).phase)
+        phase = PhaseScreen(gens[i].phase_at(shift), tx.spacing_m).phase
+        # exp(i phi) written as cos and sin into one complex array: the same
+        # bits as np.exp(1j * phase), without its complex temporary
+        factor = np.empty(phase.shape, dtype=np.complex128)
+        np.cos(phase, out=factor.real)
+        np.sin(phase, out=factor.imag)
+        return factor
 
     jobs = ((i, k / frame_rate_hz) for k in range(n_frames) for i in range(len(gens)))
     worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fsolink-phase-factors")

@@ -97,6 +97,16 @@ class TestFitBasisWaist:
         assert abs(fit_basis_waist(1.0, 4) / fit_basis_waist(0.5, 4) - 2.0) < 1e-12
 
 
+def stacked_modes(basis):
+    """(K, N, N) stack of the basis modes, sampled one by one by hg_mode_field."""
+    return np.stack([hg_mode_field(m, n, basis.waist_m, basis.grid).samples
+                     for m, n in basis.indices])
+
+
+def einsum_projection(basis, field):
+    return np.einsum("kij,ij->k", stacked_modes(basis).conj(), field.samples) * field.spacing_m**2
+
+
 class TestBasis:
     def test_gram_orthonormal(self, basis):
         gram = basis.gram()
@@ -104,9 +114,18 @@ class TestBasis:
         assert np.max(np.abs(off)) < 1e-3
         assert np.max(np.abs(np.diag(gram) - 1)) < 1e-4
 
-    def test_build_matches_stacked_modes(self, grid, basis):
-        ref = np.stack([hg_mode_field(m, n, basis.waist_m, grid).samples for m, n in MODE_ORDER])
-        np.testing.assert_array_equal(basis.sampled, ref)
+    def test_gram_matches_stacked_modes(self, grid, basis):
+        flat = stacked_modes(basis).reshape(basis.size, -1)
+        ref = (flat.conj() @ flat.T) * grid.spacing_m**2
+        assert np.max(np.abs(basis.gram() - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("aperture_m", [0.05, 1.2])  # waist unresolved; group 4 spills
+    def test_build_rejects_what_hg_mode_field_rejects(self, grid, aperture_m):
+        waist = fit_basis_waist(aperture_m, 4)
+        with pytest.raises(ParameterError):
+            hg_mode_field(4, 0, waist, grid)
+        with pytest.raises(ParameterError):
+            ModeBasis.build(grid, aperture_diameter_m=aperture_m)
 
 
 class TestDecompose:
@@ -129,17 +148,35 @@ class TestDecompose:
         field_on_grid = smooth_field
         mc = decompose(field_on_grid, basis)
         dx2 = grid.spacing_m**2
+        modes = stacked_modes(basis)
         for k in (0, 4, 14):
             direct = 0.0 + 0.0j
-            mode = basis.sampled[k]
+            mode = modes[k]
             for i in range(grid.n):
                 direct += np.sum(np.conj(mode[i]) * field_on_grid.samples[i]) * dx2
             assert abs(direct - mc.coeffs[k]) < 1e-9 * max(1.0, abs(direct))
 
     def test_matches_einsum_form(self, grid, basis, smooth_field):
-        ref = np.einsum("kij,ij->k", basis.sampled.conj(), smooth_field.samples)
-        ref *= grid.spacing_m**2
+        ref = einsum_projection(basis, smooth_field)
         mc = decompose(smooth_field, basis)
+        assert np.max(np.abs(mc.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_matches_einsum_form_with_power_outside_aperture(self, grid, basis, smooth_field):
+        # a wide, off-axis beam with most of its power beyond the 0.5 m aperture
+        x = grid.coords()
+        beam = np.exp(-((x[None, :] - 0.21) ** 2 + (x[:, None] + 0.13) ** 2) / 0.35**2)
+        field = smooth_field.with_samples(beam * smooth_field.samples + 0.3 * beam)
+        outside = np.hypot(x[None, :], x[:, None]) > 0.25
+        assert np.sum(np.abs(field.samples[outside]) ** 2) > np.sum(np.abs(field.samples[~outside]) ** 2)
+        ref = einsum_projection(basis, field)
+        mc = decompose(field, basis)
+        assert np.max(np.abs(mc.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_matches_einsum_form_on_sub_basis(self, grid, smooth_field):
+        sub = ModeBasis.build(grid, aperture_diameter_m=0.5, indices=modes_up_to_group(3))
+        ref = einsum_projection(sub, smooth_field)
+        mc = decompose(smooth_field, sub)
+        assert mc.coeffs.shape == (6,)
         assert np.max(np.abs(mc.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_bessel_inequality(self, grid, basis, smooth_field):
@@ -157,7 +194,7 @@ class TestDecompose:
     def test_parseval_on_span(self, grid, basis):
         rng = np.random.default_rng(8)
         coeffs = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-        synth = np.einsum("k,kij->ij", coeffs, basis.sampled)
+        synth = np.einsum("k,kij->ij", coeffs, stacked_modes(basis))
         field = hg_mode_field(0, 0, 0.1, grid).with_samples(synth)
         mc = decompose(field, basis)
         np.testing.assert_allclose(mc.coeffs, coeffs, rtol=1e-6, atol=1e-6)

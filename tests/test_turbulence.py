@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from fsolink import turbulence
 from fsolink._streams import substream
 from fsolink.errors import ParameterError
 from fsolink.field import angular_spectrum_propagate, apply_aperture, plane_wave, total_power
@@ -100,17 +101,28 @@ class TestScreenSynthesis:
             synth_phase_screen(64, 0.01, 0.02, seed=0)
 
 
+def drawn_coefficients(n, spacing_m, r0_m, L0_m, l0_m, rng):
+    """The DFT lattice coefficients _SpectralScreen draws, with no augmentation
+    rings: the first draws of its generator, in fftfreq order."""
+    f = np.fft.fftfreq(n, d=spacing_m)
+    psd = _psd_cyclic(f[None, :], f[:, None], r0_m, L0_m, l0_m)
+    psd[0, 0] = 0.0
+    noise = rng.standard_normal((2, n, n))
+    return (noise[0] + 1j * noise[1]) * np.sqrt(psd) / (n * spacing_m), f
+
+
 class TestFrozenFlow:
     @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.0137, -0.402), (3.3, 1.9)])
     def test_render_matches_full_grid_ramp(self, shift):
-        # reference: the 2-D translation ramp and the subharmonic tables
-        # evaluated at render time
+        # reference: the full complex lattice times the 2-D translation ramp
+        # through ifft2, plus the subharmonic tables evaluated at render time
         gen = _SpectralScreen(128, 1 / 128, 0.1, 25.0, 5e-3, np.random.default_rng(5),
                               subharmonic_levels=3)
+        coeff, f = drawn_coefficients(128, 1 / 128, 0.1, 25.0, 5e-3, np.random.default_rng(5))
+        coeff[np.ix_((-1, 0, 1), (-1, 0, 1))] = 0.0  # handed to the augmentation rings
         sx, sy = shift
-        f = np.fft.fftfreq(gen.n, d=gen.spacing_m)
         ramp = np.exp(-2j * np.pi * (f[None, :] * sx + f[:, None] * sy))
-        ref = np.fft.fftshift(np.fft.ifft2(gen._coeff * ramp).real) * gen.n**2
+        ref = np.fft.fftshift(np.fft.ifft2(coeff * ramp).real) * gen.n**2
         x = (np.arange(gen.n) - gen.n // 2) * gen.spacing_m
         cx = np.exp(2j * np.pi * np.outer(x, gen._sub_f[:, 0]))
         cy = np.exp(2j * np.pi * np.outer(x, gen._sub_f[:, 1]))
@@ -118,6 +130,26 @@ class TestFrozenFlow:
         ref += ((cy * amp) @ cx.T).real
         out = gen.phase_at(shift)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.0213, -0.0371), (-0.4444, 0.9876)])
+    def test_render_matches_direct_dft(self, shift):
+        # oracle: Re sum_k C_k exp(2 pi i f_k . (x - s)) summed pixel by pixel
+        # over the fftfreq lattice, whose Nyquist row and column have no
+        # mirror; fractional-pixel shifts on a 16 grid
+        n, dx = 16, 0.05
+        args = (0.1, 25.0, 5e-3)
+        gen = _SpectralScreen(n, dx, *args, rng=substream(3, "phase-screen"))
+        coeff, f = drawn_coefficients(n, dx, *args, rng=substream(3, "phase-screen"))
+        x = (np.arange(n) - n // 2) * dx
+        sx, sy = shift
+        wave_x = np.exp(2j * np.pi * np.outer(f, x - sx))  # (kx, x)
+        wave_y = np.exp(2j * np.pi * np.outer(f, x - sy))  # (ky, y)
+        ref = np.empty((n, n))
+        for iy in range(n):
+            for ix in range(n):
+                ref[iy, ix] = np.sum(coeff * np.outer(wave_y[:, iy], wave_x[:, ix])).real
+        out = gen.phase_at(shift)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
 
 
 class TestAtmosphereProfile:
@@ -245,6 +277,23 @@ class TestRenderingWorker:
         else:
             del frames
         assert threading.active_count() == before
+
+    def test_field_chain_runs_on_the_calling_thread(self, grid64, monkeypatch):
+        # the benchmark's tracer wraps these names with a single-threaded
+        # span stack, so the rendering worker must never call them
+        callers = []
+        for name in ("angular_spectrum_propagate", "apply_aperture", "apply_phase_screen"):
+            original = getattr(turbulence, name)
+
+            def traced(*args, _name=name, _fn=original, **kwargs):
+                callers.append((_name, threading.get_ident()))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(turbulence, name, traced)
+        frames = list(build_time_series(default_profile(), grid=grid64, n_frames=3, seed=4))
+        assert len(frames) == 3
+        assert sorted({name for name, _ in callers}) == ["angular_spectrum_propagate", "apply_aperture"]
+        assert {ident for _, ident in callers} == {threading.get_ident()}
 
     def test_worker_error_raised_from_the_frame_that_needs_it(self, grid128, monkeypatch):
         profile = default_profile()
