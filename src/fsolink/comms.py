@@ -140,17 +140,15 @@ def monte_carlo_cumulated_ber(trace, model: ReceiverModel, bits_per_frame: int =
     return float(estimate), float(math.sqrt(var))
 
 
-def ber_curve(rop_grid_dbm, model: ReceiverModel, efficiency_db=None):
+def ber_curve(rop_grid_dbm, model: ReceiverModel, efficiency_db):
     """Cumulated BER versus ROP setpoint for a fading sequence.
 
     efficiency_db is the per-frame coupling efficiency in dB relative to its
-    own mean; at setpoint R each frame sees R + efficiency_db[i].  With
-    efficiency_db None the curve is the static (back-to-back) receiver
-    curve.  Returns an array matching rop_grid_dbm.
+    own mean; at setpoint R each frame sees R + efficiency_db[i].  The
+    static (back-to-back) receiver curve is ber_instant.  Returns an array
+    matching rop_grid_dbm.
     """
     grid = np.asarray(rop_grid_dbm, dtype=np.float64)
-    if efficiency_db is None:
-        return ber_instant(grid, model)
     eta = np.asarray(efficiency_db, dtype=np.float64)
     eta = eta - np.mean(eta)
     return np.array([float(np.mean(ber_instant(r + eta, model))) for r in grid])
@@ -198,9 +196,10 @@ def sync_loss_stats(
     if reacquire_s < 0:
         raise ParameterError("reacquire_s must be >= 0")
     t = trace.time_s
-    if t.size < 2:
-        duration = 1.0
-        dt = 1.0
+    if t.size < 2:  # one sample lasts one frame period
+        if trace.frame_rate_hz is None or not trace.frame_rate_hz > 0:
+            raise ParameterError("a one-sample trace needs a positive frame rate")
+        dt = duration = 1.0 / trace.frame_rate_hz
     else:
         dt = float(np.median(np.diff(t)))
         duration = t[-1] - t[0] + dt

@@ -4,11 +4,13 @@ The controller maximizes the single detected output power with standard
 Nelder-Mead simplices (reflect 1, expand 2, contract 0.5, shrink 0.5) over
 the actuator vector.  Because element phases and split ratios play very
 different roles (the optimal phases are independent of the ratios), each
-frame runs a staged acquisition schedule of simplex searches: element
-phases at re-coupled 50/50 ratios, then ratios, then a joint polish, twice,
-with a fine polish on the remaining budget.  The stage simplices are
-re-seeded around the best known command, which is the restart policy that
-keeps the loop locked on nonstationary inputs.
+frame runs the simplex searches of one table, _SCHEDULE, over the command
+vector [phases, ratio parameters]: element phases at 50/50 ratios, then
+ratios, then a joint polish, twice, and a fine polish on the remaining
+budget.  Each search moves one part of the command and holds the rest.
+Every frame re-seeds the searches around the carried command and
+re-acquires the ratios from 50/50, which is the restart policy that keeps
+the loop locked on nonstationary inputs.
 
 Actuator phases live in [0, 2 pi): when a command leaves the range the
 electronics slip it back by one turn, costing a dead-time during which the
@@ -48,14 +50,21 @@ TWO_PI = 2 * math.pi
 # standard simplex coefficients: reflect, expand, contract, shrink
 ALPHA, GAMMA, BETA, DELTA = 1.0, 2.0, 0.5, 0.5
 
-# per-frame acquisition schedule: two (phases, ratios, joint) cycles as
-# fractions of the frame budget; the remainder is fine polish
-_SCHEDULE = ((0.20, 0.20, 0.20), (0.15, 0.10, 0.15))
-# joint-polish simplex edge (halved for the fine polish); the coarse stages
-# use the fixed edges in run_closed_loop
+# joint-polish simplex edge (halved for the fine polish)
 _POLISH_EDGE_RAD = 0.07
-# restart monitor: a 3 dB collapse at the carried command re-seeds the ratios
-_RESTART_DROP = 10.0 ** (-3.0 / 10.0)
+# per-frame acquisition schedule, one simplex search per row:
+# (part of the command vector searched, share of the frame budget, simplex
+# edge).  Two (phases, ratios, joint) cycles, then the fine polish on
+# whatever budget is left (share None).
+_SCHEDULE = (
+    ("phases", 0.20, math.pi / 2),
+    ("ratios", 0.20, 0.35),
+    ("joint", 0.20, _POLISH_EDGE_RAD),
+    ("phases", 0.15, 0.8),
+    ("ratios", 0.10, 0.2),
+    ("joint", 0.15, _POLISH_EDGE_RAD),
+    ("joint", None, _POLISH_EDGE_RAD / 2),
+)
 
 
 class NelderMead:
@@ -212,66 +221,6 @@ def _evaluate(x, inputs, topology, config, rng, in_transient=False):
     return p_physical, measured
 
 
-class _Plant:
-    """Applies commands through _evaluate, tracks the wrap dead-time and
-    records the trace.
-
-    Search coordinates are free-running; the applied phase command is
-    always their value modulo 2 pi (the objective is periodic).  Wrap
-    events are raised by the loop when the carried converged command
-    drifts across the actuator range between frames, which opens a
-    dead-time degrading the physical output."""
-
-    def __init__(self, topology, config, rng, n_evals):
-        self.topology = topology
-        self.config = config
-        self.rng = rng
-        self.power = np.empty(n_evals)
-        self.wrap_flag = np.zeros(n_evals, dtype=bool)
-        self.e = 0
-        self.transient_until = -math.inf
-        self.inputs = None
-        self.best_p = 0.0
-        self.best_x = None
-
-    def start_frame(self, inputs):
-        self.inputs = inputs.tolist()
-        self.best_p = 0.0
-        self.best_x = None
-
-    def raise_wrap_event(self):
-        """Open the dead-time window; flagged on the next evaluation."""
-        t = self.e / self.config.loop_rate_hz
-        self.transient_until = t + self.config.wrap_transient_s
-        if self.e < self.wrap_flag.shape[0]:
-            self.wrap_flag[self.e] = True
-
-    def measure(self, x):
-        """Evaluate command vector x; returns the (noisy) optimizer reading."""
-        t = self.e / self.config.loop_rate_hz
-        p_physical, measured = _evaluate(
-            x, self.inputs, self.topology, self.config, self.rng, t < self.transient_until
-        )
-        self.power[self.e] = p_physical
-        self.e += 1
-        if measured > self.best_p:
-            self.best_p = measured
-            self.best_x = x.copy()
-        return measured
-
-
-def _run_stage(plant, nm, budget, assemble):
-    """Run one simplex stage for `budget` evaluations.
-
-    assemble maps the stage's search coordinates to a full command vector.
-    """
-    for _ in range(budget):
-        xs = nm.ask()
-        measured = plant.measure(assemble(xs))
-        nm.tell(-measured)
-    return nm.current_best
-
-
 def run_closed_loop(
     frames,
     topology: CombinerTopology,
@@ -282,13 +231,14 @@ def run_closed_loop(
     """Drive the combiner across a sequence of input frames.
 
     Inputs are held constant within a frame (zero-order hold).  The
-    controller continues across frame boundaries: converged commands are
-    carried over and each frame re-runs the acquisition schedule around
-    them.  When a carried phase command has drifted out of [0, 2 pi) by the
-    end of a frame, the electronics slip it back by whole turns: a wrap
-    event, opening a dead-time of wrap_transient_s during which the output
-    power is multiplied by wrap_residual_factor.  Fully deterministic for
-    fixed (frames, config, seed).
+    controller continues across frame boundaries: the converged command is
+    carried over, measured once at the frame change, and each frame re-runs
+    the acquisition schedule around it, re-acquiring the ratios from 50/50.
+    When a carried phase command has drifted out of [0, 2 pi) by the end of
+    a frame, the electronics slip it back by whole turns: a wrap event,
+    opening a dead-time of wrap_transient_s during which the output power
+    is multiplied by wrap_residual_factor.  Fully deterministic for fixed
+    (frames, config, seed).
     """
     if topology.n_elements == 0:
         raise ParameterError("a 1-input tree has no actuator to search")
@@ -303,67 +253,69 @@ def run_closed_loop(
         raise InvalidFieldError("combiner inputs must be finite")
 
     n_el = topology.n_elements
-    dim = 2 * n_el  # command vector is phases + ratio parameters throughout
     rng = substream(seed, "controller")
     n_frames = frames.shape[0]
     budget = config.evals_per_frame
-    plant = _Plant(topology, config, rng, n_frames * budget)
+    power = np.empty(n_frames * budget)
+    wrap_flag = np.zeros(n_frames * budget, dtype=bool)
+    parts = {"phases": slice(None, n_el), "ratios": slice(n_el, None), "joint": slice(None)}
+    neutral = np.full(n_el, math.pi / 4)  # ratio parameters of 50/50 splits
+    # the command vector: phases, then ratio parameters.  Search coordinates
+    # are free-running; the applied phase is their value modulo 2 pi.
+    x = np.concatenate([np.full(n_el, math.pi), neutral])
+    e = 0
+    transient_until = -math.inf
 
-    ph = np.full(n_el, math.pi)
-    ps = neutral = np.full(n_el, math.pi / 4)  # 50/50 ratios; never written in place
-    prev_final_power = None
+    def measure(command):
+        """Evaluate the command; record its power and the frame's best reading."""
+        nonlocal e, best_p, best_x
+        p_physical, measured = _evaluate(
+            command, inputs, topology, config, rng, e / config.loop_rate_hz < transient_until
+        )
+        power[e] = p_physical
+        e += 1
+        if measured > best_p:
+            best_p, best_x = measured, command.copy()
+        return measured
 
     for k in range(n_frames):
-        plant.start_frame(frames[k])
+        inputs = frames[k].tolist()
+        best_p, best_x = 0.0, None
         remaining = budget
-        # restart monitor: a collapse at the carried command versus the
-        # previous frame's converged power re-seeds the ratio parameters
-        if k > 0 and remaining > 0:
-            carried = plant.measure(np.concatenate([ph, ps]))
+        if k > 0:
+            measure(x)  # the carried command, at the frame change
             remaining -= 1
-            if prev_final_power is not None and prev_final_power > 0:
-                if carried < prev_final_power * _RESTART_DROP:
-                    ps = neutral
-        for ci, (f1, f2, f3) in enumerate(_SCHEDULE):
-            b1 = min(int(budget * f1), remaining)
-            # phases at re-coupled 50/50 ratios
-            if b1 > 0:
-                nm = NelderMead(ph, np.full(n_el, math.pi / 2 if ci == 0 else 0.8))
-                ph = _run_stage(plant, nm, b1, lambda xs: np.concatenate([xs, neutral]))
-            remaining -= b1
-            # split ratios at the found phases
-            b2 = min(int(budget * f2), remaining)
-            if b2 > 0:
-                nm = NelderMead(
-                    neutral if ci == 0 else ps,
-                    np.full(n_el, 0.35 if ci == 0 else 0.2),
-                )
-                ps = _run_stage(plant, nm, b2, lambda xs: np.concatenate([ph, xs]))
-            remaining -= b2
-            # joint polish
-            b3 = min(int(budget * f3), remaining)
-            if b3 > 0:
-                nm = NelderMead(np.concatenate([ph, ps]), np.full(dim, _POLISH_EDGE_RAD))
-                _run_stage(plant, nm, b3, lambda xs: xs)
-                if plant.best_x is not None:
-                    ph, ps = plant.best_x[:n_el].copy(), plant.best_x[n_el:].copy()
-            remaining -= b3
-        if remaining > 0:
-            nm = NelderMead(np.concatenate([ph, ps]), np.full(dim, _POLISH_EDGE_RAD / 2))
-            _run_stage(plant, nm, remaining, lambda xs: xs)
-            if plant.best_x is not None:
-                ph, ps = plant.best_x[:n_el].copy(), plant.best_x[n_el:].copy()
-        prev_final_power = plant.power[plant.e - 1]
+        x[n_el:] = neutral  # the ratios are re-acquired from 50/50 every frame
+        for part, share, edge in _SCHEDULE:
+            n = remaining if share is None else min(int(budget * share), remaining)
+            if n <= 0:
+                continue
+            remaining -= n
+            # each search moves x[part] and holds the rest of x; phase
+            # searches hold the ratios at 50/50
+            command = x.copy()
+            if part == "phases":
+                command[n_el:] = neutral
+            nm = NelderMead(x[parts[part]], edge)
+            for _ in range(n):
+                command[parts[part]] = nm.ask()
+                nm.tell(-measure(command))
+            if part != "joint":
+                x[parts[part]] = nm.current_best
+            elif best_x is not None:  # joint searches carry the frame's best measurement
+                x[:] = best_x
         # carried command leaving the actuator range: slip it back (wrap event)
-        turns = np.floor(ph / TWO_PI)
+        turns = np.floor(x[:n_el] / TWO_PI)
         if np.any(turns != 0):
-            ph = ph - TWO_PI * turns
-            plant.raise_wrap_event()
+            x[:n_el] -= TWO_PI * turns
+            transient_until = e / config.loop_rate_hz + config.wrap_transient_s
+            if e < wrap_flag.shape[0]:
+                wrap_flag[e] = True  # flagged on the next evaluation
 
     return LoopTrace(
         time_s=np.arange(n_frames * budget) / config.loop_rate_hz,
-        power_w=plant.power,
-        wrap_flag=plant.wrap_flag,
+        power_w=power,
+        wrap_flag=wrap_flag,
         frame_index=np.repeat(np.arange(n_frames), budget),
         frame_ideal_power_w=np.sum(np.abs(frames) ** 2, axis=1),
         loop_rate_hz=config.loop_rate_hz,

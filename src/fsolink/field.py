@@ -235,19 +235,8 @@ def apply_phase_screen(field: ComplexFieldGrid, screen) -> ComplexFieldGrid:
     return field.with_samples(_multiply_phase_factor(field.samples, np.exp(1j * phase)))
 
 
-# numpy evaluates `samples * np.exp(1j * phase)` in the buffer of the exp
-# temporary once that reaches its 256 KiB elision threshold, as
-# multiply(factor, samples, out=factor), and below it as
-# multiply(samples, factor).  The two operand orders round differently
-# (FMA complex product), so the product is written out in both orders to
-# keep every grid size bit-identical to that expression.
-_ELIDE_BYTES = 256 * 1024
-
-
 def _multiply_phase_factor(samples: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """samples * factor for a phase factor exp(i phi), written into factor."""
-    if factor.nbytes < _ELIDE_BYTES:
-        return np.multiply(samples, factor, out=factor)
+    """factor * samples for a phase factor exp(i phi), written into factor."""
     return np.multiply(factor, samples, out=factor)
 
 

@@ -139,6 +139,17 @@ class TestSyncLoss:
         with pytest.raises(ParameterError):
             sync_loss_stats(trace, OOK)
 
+    def test_one_sample_lasts_one_frame_period(self):
+        # one sample at 3 Hz is 1/3 s of trace, short of 1 s like two samples
+        trace = PowerTrace.from_rop([-60.0], frame_rate_hz=3.0)
+        with pytest.raises(ParameterError, match="1 s of trace"):
+            sync_loss_stats(trace, OOK)
+
+    def test_one_sample_without_rate_rejected(self):
+        trace = PowerTrace(time_s=[0.0], rop_dbm=[-60.0])
+        with pytest.raises(ParameterError, match="frame rate"):
+            sync_loss_stats(trace, OOK)
+
 
 class TestPowerPenalty:
     def grid_and_curve(self, shift_db=0.0):
@@ -188,7 +199,7 @@ class TestBerCurve:
         eta_db = rng.normal(0.0, 2.0, 200)
         rop = np.linspace(-44, -26, 40)
         curve = ber_curve(rop, OOK, efficiency_db=eta_db)
-        static = ber_curve(rop, OOK)
+        static = ber_instant(rop, OOK)
         # Jensen: averaging a convex BER-vs-dB curve over fades costs power
         mid = slice(5, 30)
         assert np.all(curve[mid] >= static[mid])

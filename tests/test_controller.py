@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsolink import controller
+from fsolink._streams import substream
 from fsolink.combiner import CombinerTopology
 from fsolink.controller import (
+    _POLISH_EDGE_RAD,
+    TWO_PI,
     ControllerConfig,
     NelderMead,
+    _evaluate,
     correction_bandwidth,
     run_closed_loop,
     wrap_event_rate,
@@ -146,6 +150,112 @@ class StateMachineNelderMead:
 
 
 
+class _Plant:
+    """Reference plant of StagedRunClosedLoop: applies commands through
+    _evaluate, tracks the wrap dead-time and records the trace."""
+
+    def __init__(self, topology, config, rng, n_evals):
+        self.topology = topology
+        self.config = config
+        self.rng = rng
+        self.power = np.empty(n_evals)
+        self.wrap_flag = np.zeros(n_evals, dtype=bool)
+        self.e = 0
+        self.transient_until = -math.inf
+        self.inputs = None
+        self.best_p = 0.0
+        self.best_x = None
+
+    def start_frame(self, inputs):
+        self.inputs = inputs.tolist()
+        self.best_p = 0.0
+        self.best_x = None
+
+    def raise_wrap_event(self):
+        t = self.e / self.config.loop_rate_hz
+        self.transient_until = t + self.config.wrap_transient_s
+        if self.e < self.wrap_flag.shape[0]:
+            self.wrap_flag[self.e] = True
+
+    def measure(self, x):
+        t = self.e / self.config.loop_rate_hz
+        p_physical, measured = _evaluate(
+            x, self.inputs, self.topology, self.config, self.rng, t < self.transient_until
+        )
+        self.power[self.e] = p_physical
+        self.e += 1
+        if measured > self.best_p:
+            self.best_p = measured
+            self.best_x = x.copy()
+        return measured
+
+
+def _run_stage(plant, nm, budget, assemble):
+    for _ in range(budget):
+        xs = nm.ask()
+        measured = plant.measure(assemble(xs))
+        nm.tell(-measured)
+    return nm.current_best
+
+
+def staged_run_closed_loop(frames, topology, config, seed=0):
+    """Reference: the former loop with hand-unrolled stage blocks and a
+    restart monitor that re-seeds the ratios after a 3 dB collapse at the
+    carried command.  run_closed_loop must match its trace bit for bit for
+    every evals_per_frame >= 5."""
+    schedule = ((0.20, 0.20, 0.20), (0.15, 0.10, 0.15))
+    restart_drop = 10.0 ** (-3.0 / 10.0)
+    frames = np.asarray(frames, dtype=np.complex128)
+    n_el = topology.n_elements
+    dim = 2 * n_el
+    rng = substream(seed, "controller")
+    n_frames = frames.shape[0]
+    budget = config.evals_per_frame
+    plant = _Plant(topology, config, rng, n_frames * budget)
+    ph = np.full(n_el, math.pi)
+    ps = neutral = np.full(n_el, math.pi / 4)
+    prev_final_power = None
+    for k in range(n_frames):
+        plant.start_frame(frames[k])
+        remaining = budget
+        if k > 0 and remaining > 0:
+            carried = plant.measure(np.concatenate([ph, ps]))
+            remaining -= 1
+            if prev_final_power is not None and prev_final_power > 0:
+                if carried < prev_final_power * restart_drop:
+                    ps = neutral
+        for ci, (f1, f2, f3) in enumerate(schedule):
+            b1 = min(int(budget * f1), remaining)
+            if b1 > 0:
+                nm = NelderMead(ph, np.full(n_el, math.pi / 2 if ci == 0 else 0.8))
+                ph = _run_stage(plant, nm, b1, lambda xs: np.concatenate([xs, neutral]))
+            remaining -= b1
+            b2 = min(int(budget * f2), remaining)
+            if b2 > 0:
+                nm = NelderMead(neutral if ci == 0 else ps, np.full(n_el, 0.35 if ci == 0 else 0.2))
+                ps = _run_stage(plant, nm, b2, lambda xs: np.concatenate([ph, xs]))
+            remaining -= b2
+            b3 = min(int(budget * f3), remaining)
+            if b3 > 0:
+                nm = NelderMead(np.concatenate([ph, ps]), np.full(dim, _POLISH_EDGE_RAD))
+                _run_stage(plant, nm, b3, lambda xs: xs)
+                if plant.best_x is not None:
+                    ph, ps = plant.best_x[:n_el].copy(), plant.best_x[n_el:].copy()
+            remaining -= b3
+        if remaining > 0:
+            nm = NelderMead(np.concatenate([ph, ps]), np.full(dim, _POLISH_EDGE_RAD / 2))
+            _run_stage(plant, nm, remaining, lambda xs: xs)
+            if plant.best_x is not None:
+                ph, ps = plant.best_x[:n_el].copy(), plant.best_x[n_el:].copy()
+        prev_final_power = plant.power[plant.e - 1]
+        turns = np.floor(ph / TWO_PI)
+        if np.any(turns != 0):
+            ph = ph - TWO_PI * turns
+            plant.raise_wrap_event()
+    return np.arange(n_frames * budget) / config.loop_rate_hz, plant.power, plant.wrap_flag
+
+
+
 def neutral_wrap_config(**kw):
     return ControllerConfig(wrap_transient_s=0.0, wrap_residual_factor=1.0, **kw)
 
@@ -246,6 +356,46 @@ class TestSequentialSearch:
                 new_edges = rng.uniform(0.05, 1.5, dim)
                 nm.reinit(nm.current_best, new_edges)
                 ref.reinit(ref.current_best, new_edges)
+
+
+@st.composite
+def closed_loops(draw):
+    """A closed-loop run: 2-9 inputs, a budget of 5-80 or 600 evaluations
+    per frame, detector noise on or off, wrap transients of none, a few or
+    many evaluations, and frames whose phases drift (so the actuators wrap)
+    or whose power collapses (so the former restart monitor fires)."""
+    return {
+        "n_inputs": draw(st.integers(2, 9)),
+        "evals": draw(st.one_of(st.integers(5, 80), st.just(600))),
+        "n_frames": draw(st.integers(1, 4)),
+        "noise": draw(st.sampled_from([0.0, 0.05])),
+        "transient_s": draw(st.sampled_from([0.0, 2e-5, 1e-3])),
+        "frames": draw(st.sampled_from(["drift", "collapse"])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+class TestScheduleTable:
+    @given(closed_loops())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_staged_loop_bit_for_bit(self, run):
+        rng = np.random.default_rng(run["seed"])
+        n, n_frames = run["n_inputs"], run["n_frames"]
+        amps = rng.uniform(0.2, 1.0, n) * np.exp(TWO_PI * 1j * rng.uniform(size=n))
+        if run["frames"] == "drift":
+            rates = rng.uniform(-4.0, 4.0, n)
+            frames = amps * np.exp(1j * np.outer(np.arange(n_frames), rates))
+        else:
+            frames = amps * rng.choice([1.0, 0.3, 0.01], size=(n_frames, n))
+        topo = CombinerTopology.balanced(n, 0.0, 0.0)
+        cfg = ControllerConfig(evals_per_frame=run["evals"], detector_noise_rel=run["noise"],
+                               wrap_transient_s=run["transient_s"])
+        seed = int(rng.integers(1000))
+        trace = run_closed_loop(frames, topo, cfg, seed=seed)
+        time_s, power_w, wrap_flag = staged_run_closed_loop(frames, topo, cfg, seed=seed)
+        assert trace.power_w.tobytes() == power_w.tobytes()
+        assert trace.wrap_flag.tobytes() == wrap_flag.tobytes()
+        assert trace.time_s.tobytes() == time_s.tobytes()
 
 
 class TestClosedLoopStatics:

@@ -159,14 +159,15 @@ class TestPhaseScreenApplication:
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_product_rounds_as_the_expression(self, n):
-        # one size below numpy's temporary-elision threshold, one above it
+        # one size below numpy's temporary-elision threshold, one above it;
+        # the factor is the first operand either way
         rng = np.random.default_rng(n)
         field = ComplexFieldGrid(
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1.0, LAM
         )
         phase = rng.uniform(-20, 20, (n, n))
         out = apply_phase_screen(field, PhaseScreen(phase, field.spacing_m))
-        expected = field.samples * np.exp(1j * phase)
+        expected = np.exp(1j * phase) * field.samples
         assert out.samples.tobytes() == expected.tobytes()
 
     def test_geometry_mismatch_rejected(self, random_smooth_field):

@@ -232,7 +232,7 @@ class TestTimeSeries:
 def sequential_time_series(profile, grid, n_frames, frame_rate_hz, seed,
                            rx_aperture_m=0.5, absorb_edges=False):
     """Reference: the series rendered and applied on the calling thread,
-    layer by layer, with the product written as samples * exp(i phase)."""
+    layer by layer, with the product written as exp(i phase) * samples."""
     tx = plane_wave(grid)
     gens = [
         _SpectralScreen(tx.n, tx.spacing_m, profile.layer_r0_m(i), profile.outer_scale_m,
@@ -250,7 +250,7 @@ def sequential_time_series(profile, grid, n_frames, frame_rate_hz, seed,
                 profile.wind_speed_mps * t * math.sin(azimuths[i]),
             )
             screen = PhaseScreen(gens[i].phase_at(shift), tx.spacing_m)
-            u = u.with_samples(u.samples * np.exp(1j * screen.phase))
+            u = u.with_samples(np.exp(1j * screen.phase) * u.samples)
             u = angular_spectrum_propagate(u, layer.distance_to_next_m, absorb_edges=absorb_edges)
         yield apply_aperture(u, rx_aperture_m)
 
