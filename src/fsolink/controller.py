@@ -18,16 +18,26 @@ combined output is degraded.  Those wrap transients are what puts an
 error-rate floor on an otherwise clean link.
 
 Each simplex search is one sequential Nelder-Mead procedure, suspended at
-every point it needs measured.  One evaluator serves both loops, the
-framed acquisition of run_closed_loop and the continuous tracking of
-correction_bandwidth: it wraps the phase commands, maps the ratio
+every point it needs measured.  Its vertices are Python floats up to
+_FLOAT_SIMPLEX_MAX_DIM dimensions and numpy rows above, the measured
+crossover of the two: on a few coordinates numpy's per-call dispatch costs
+more than the arithmetic, while the float centroid grows as d^2 in Python.
+Both round every step alike, so the choice never changes a result.
+
+One evaluator serves both loops, the framed acquisition of run_closed_loop
+and the continuous tracking of correction_bandwidth.  It takes the command
+as a list of Python floats: it wraps the phase commands, maps the ratio
 parameters to split ratios, runs the combiner's unchecked kernel (inputs
 are checked once, on entry), applies the wrap-residual gain inside a
-dead-time and draws the detector noise.
+dead-time and draws the detector noise.  Both loops keep their command
+vectors as lists, so no evaluation dispatches to numpy.
 """
 
 import math
 from dataclasses import dataclass, fields
+from functools import reduce
+from numbers import Real
+from operator import add
 
 import numpy as np
 
@@ -67,41 +77,149 @@ _SCHEDULE = (
 )
 
 
+# Simplices of at most this many dimensions do their vertex arithmetic on
+# Python floats, larger ones on numpy rows.  On a few coordinates numpy's
+# per-call dispatch dominates a step; the float centroid is O(d^2) Python.
+# Per ask/tell step on a quadratic (2 vCPUs, numpy 2.4.6) floats are faster
+# up to 10 dimensions, even at 11 and slower from 12.
+_FLOAT_SIMPLEX_MAX_DIM = 10
+
+
+class _FloatVertices:
+    """Vertex arithmetic on lists of Python floats.  No vertex is changed in
+    place, so the simplex and the points in flight may share lists."""
+
+    @staticmethod
+    def simplex(x0, edges):
+        x0 = [float(v) for v in x0]
+        return [x0] + [x0[:i] + [v + e] + x0[i + 1:] for i, (v, e) in enumerate(zip(x0, edges))]
+
+    @staticmethod
+    def nan_values(n):
+        return [math.nan] * n
+
+    @staticmethod
+    def order(simplex, values):
+        """Simplex and values sorted by value, ties in vertex order."""
+        order = sorted(range(len(values)), key=values.__getitem__)
+        return [simplex[k] for k in order], [values[k] for k in order]
+
+    @staticmethod
+    def centroid(simplex, dim):
+        """Mean of all vertices but the worst, each coordinate a left-to-right
+        fold as numpy's row reduction (sum() compensates from Python 3.12 on)."""
+        return [reduce(add, column) / dim for column in zip(*simplex[:-1])]
+
+    @staticmethod
+    def step(a, coef, p, q):
+        """a + coef * (p - q)."""
+        return [ai + coef * (pi - qi) for ai, pi, qi in zip(a, p, q)]
+
+    @staticmethod
+    def shrink(simplex):
+        best = simplex[0]
+        return [best] + [[b + DELTA * (v - b) for b, v in zip(best, row)] for row in simplex[1:]]
+
+    @staticmethod
+    def shift(point, offset):
+        return [a + o for a, o in zip(point, offset)]
+
+    @staticmethod
+    def shift_all(simplex, offset):
+        return [[a + o for a, o in zip(row, offset)] for row in simplex]
+
+    @staticmethod
+    def to_list(point):
+        return list(point)
+
+
+class _ArrayVertices:
+    """Vertex arithmetic on numpy rows of one (dim + 1, dim) array."""
+
+    @staticmethod
+    def simplex(x0, edges):
+        simplex = np.tile(np.asarray(x0, dtype=np.float64), (len(x0) + 1, 1))
+        for i, e in enumerate(edges):
+            simplex[i + 1, i] += e
+        return simplex
+
+    @staticmethod
+    def nan_values(n):
+        return np.full(n, np.nan)
+
+    @staticmethod
+    def order(simplex, values):
+        order = np.argsort(values, kind="stable")
+        return simplex[order], values[order]
+
+    @staticmethod
+    def centroid(simplex, dim):
+        # the arithmetic of .mean(axis=0), without its dispatch
+        return np.add.reduce(simplex[:-1], axis=0) / dim
+
+    @staticmethod
+    def step(a, coef, p, q):
+        return a + coef * (p - q)
+
+    @staticmethod
+    def shrink(simplex):
+        best = simplex[0].copy()
+        simplex = best + DELTA * (simplex - best)
+        simplex[0] = best
+        return simplex
+
+    @staticmethod
+    def shift(v, offset):
+        return v + offset
+
+    shift_all = shift
+
+    @staticmethod
+    def to_list(point):
+        return point.tolist()
+
+
 class NelderMead:
     """Nelder-Mead minimizer: one sequential search, a generator suspended
     at every point it needs measured.  ``ask()`` returns the pending point
-    and ``tell(value)`` sends its measurement in, so the closed loop can
-    inject timing, detector noise and actuator-wrap side effects between
-    evaluations.  The points in flight live on the instance, so
-    ``translate`` moves them with the simplex.
+    as a fresh list and ``tell(value)`` sends its measurement in, so the
+    closed loop can inject timing, detector noise and actuator-wrap side
+    effects between evaluations.  The points in flight live on the
+    instance, so ``translate`` moves them with the simplex.  The vertices
+    are Python floats up to _FLOAT_SIMPLEX_MAX_DIM dimensions and numpy
+    rows above; both round every step alike.
     """
 
     def __init__(self, x0, edges):
-        self.dim = np.size(x0)
+        self.dim = len(x0)
+        self._v = _FloatVertices if self.dim <= _FLOAT_SIMPLEX_MAX_DIM else _ArrayVertices
         self.reinit(x0, edges)
 
     def reinit(self, x0, edges):
         """Start a new search on a fresh simplex around x0 (initial or restart)."""
-        x0 = np.asarray(x0, dtype=np.float64)
-        edges = np.broadcast_to(np.asarray(edges, dtype=np.float64), x0.shape)
-        self.simplex = np.tile(x0, (self.dim + 1, 1))
-        for i in range(self.dim):
-            self.simplex[i + 1, i] += edges[i]
-        self.values = np.full(self.dim + 1, np.nan)
+        if isinstance(edges, Real):
+            edges = [edges] * self.dim
+        if len(x0) != self.dim or len(edges) != self.dim:
+            raise ParameterError(f"x0 and edges must have {self.dim} coordinates")
+        edges = [float(e) for e in edges]
+        self.simplex = self._v.simplex(x0, edges)
+        self.values = self._v.nan_values(self.dim + 1)
         self._centroid = self._xr = self._xe = self._xc = None
         self._search = self._run()
         self._x = next(self._search)
 
     def translate(self, offset):
-        """Shift the whole search space (simplex and in-flight points) rigidly."""
-        self.simplex += offset
+        """Shift the whole search space (simplex and in-flight points) rigidly.
+        Each point is rebound, not changed in place, so a point that is also
+        a vertex or another in-flight point moves once."""
+        self.simplex = self._v.shift_all(self.simplex, offset)
         for attr in ("_x", "_centroid", "_xr", "_xe", "_xc"):
             v = getattr(self, attr)
             if v is not None:
-                setattr(self, attr, v + offset)
+                setattr(self, attr, self._v.shift(v, offset))
 
-    def ask(self) -> np.ndarray:
-        return self._x.copy()
+    def ask(self) -> list:
+        return self._v.to_list(self._x)
 
     def tell(self, value: float):
         value = float(value)
@@ -111,18 +229,17 @@ class NelderMead:
 
     def _run(self):
         """The search; each yield hands out a point and receives its value."""
-        for k in range(self.dim + 1):
-            self.values[k] = yield self.simplex[k].copy()
+        dim = self.dim
+        order, centroid, step, shrink = self._v.order, self._v.centroid, self._v.step, self._v.shrink
+        for k in range(dim + 1):
+            self.values[k] = yield self.simplex[k]
         while True:
-            order = np.argsort(self.values, kind="stable")
-            self.simplex = self.simplex[order]
-            self.values = self.values[order]
-            # the arithmetic of .mean(axis=0), without its dispatch
-            self._centroid = np.add.reduce(self.simplex[:-1], axis=0) / self.dim
-            self._xr = self._centroid + ALPHA * (self._centroid - self.simplex[-1])
+            self.simplex, self.values = order(self.simplex, self.values)
+            self._centroid = centroid(self.simplex, dim)
+            self._xr = step(self._centroid, ALPHA, self._centroid, self.simplex[-1])
             fr = yield self._xr
             if fr < self.values[0]:
-                self._xe = self._centroid + GAMMA * (self._centroid - self.simplex[-1])
+                self._xe = step(self._centroid, GAMMA, self._centroid, self.simplex[-1])
                 fe = yield self._xe
                 if fe < fr:
                     self.simplex[-1], self.values[-1] = self._xe, fe
@@ -132,26 +249,24 @@ class NelderMead:
                 self.simplex[-1], self.values[-1] = self._xr, fr
             else:
                 if fr < self.values[-1]:
-                    self._xc = self._centroid + BETA * (self._xr - self._centroid)
+                    self._xc = step(self._centroid, BETA, self._xr, self._centroid)
                 else:
-                    self._xc = self._centroid + BETA * (self.simplex[-1] - self._centroid)
+                    self._xc = step(self._centroid, BETA, self.simplex[-1], self._centroid)
                 fc = yield self._xc
                 if fc < min(fr, self.values[-1]):
                     self.simplex[-1], self.values[-1] = self._xc, fc
                 else:  # shrink towards the best vertex and measure the others
-                    best = self.simplex[0].copy()
-                    self.simplex = best + DELTA * (self.simplex - best)
-                    self.simplex[0] = best
-                    for k in range(1, self.dim + 1):
-                        self.values[k] = yield self.simplex[k].copy()
+                    self.simplex = shrink(self.simplex)
+                    for k in range(1, dim + 1):
+                        self.values[k] = yield self.simplex[k]
 
     @property
-    def current_best(self) -> np.ndarray:
+    def current_best(self) -> list:
         """Best measured simplex vertex; the first vertex before any is measured."""
-        if np.all(np.isnan(self.values)):
-            return self.simplex[0].copy()
-        k = int(np.nanargmin(self.values))
-        return self.simplex[k].copy()
+        values = self.values
+        k = min((k for k, v in enumerate(values) if not math.isnan(v)),
+                key=values.__getitem__, default=0)
+        return self._v.to_list(self.simplex[k])
 
 
 @dataclass(frozen=True)
@@ -199,7 +314,7 @@ class LoopTrace:
 
 
 def _evaluate(x, inputs, topology, config, rng, in_transient=False):
-    """One closed-loop evaluation of command vector x on the input list.
+    """One closed-loop evaluation of command list x on the input list.
 
     Returns (physical output power, optimizer reading): phases wrapped into
     [0, 2 pi), ratios sin^2 of their parameters, the power scaled by
@@ -207,9 +322,9 @@ def _evaluate(x, inputs, topology, config, rng, in_transient=False):
     by relative detector noise.
     """
     n_el = topology.n_elements
-    phases = x[:n_el] % TWO_PI
-    ratios = np.sin(x[n_el:]) ** 2
-    amp = _tree_output(topology, inputs, ratios.tolist(), phases.tolist())
+    phases = [p % TWO_PI for p in x[:n_el]]
+    ratios = [s * s for s in map(math.sin, x[n_el:])]
+    amp = _tree_output(topology, inputs, ratios, phases)
     p_physical = abs(amp) ** 2
     if in_transient:
         p_physical *= config.wrap_residual_factor
@@ -247,8 +362,11 @@ def run_closed_loop(
         raise ParameterError(f"frames must be (F, {topology.n_inputs}) amplitudes")
     if frames.shape[0] == 0:
         raise ParameterError("need at least one frame")
-    if frame_rate_hz is not None and config.loop_rate_hz < frame_rate_hz:
-        raise ParameterError("loop rate must be at least the frame rate")
+    if frame_rate_hz is not None:
+        if not (math.isfinite(frame_rate_hz) and frame_rate_hz > 0):
+            raise ParameterError("frame_rate_hz must be finite and positive")
+        if config.loop_rate_hz < frame_rate_hz:
+            raise ParameterError("loop rate must be at least the frame rate")
     if not np.isfinite(frames).all():
         raise InvalidFieldError("combiner inputs must be finite")
 
@@ -259,10 +377,10 @@ def run_closed_loop(
     power = np.empty(n_frames * budget)
     wrap_flag = np.zeros(n_frames * budget, dtype=bool)
     parts = {"phases": slice(None, n_el), "ratios": slice(n_el, None), "joint": slice(None)}
-    neutral = np.full(n_el, math.pi / 4)  # ratio parameters of 50/50 splits
+    neutral = [math.pi / 4] * n_el  # ratio parameters of 50/50 splits
     # the command vector: phases, then ratio parameters.  Search coordinates
     # are free-running; the applied phase is their value modulo 2 pi.
-    x = np.concatenate([np.full(n_el, math.pi), neutral])
+    x = [math.pi] * n_el + neutral
     e = 0
     transient_until = -math.inf
 
@@ -305,9 +423,9 @@ def run_closed_loop(
             elif best_x is not None:  # joint searches carry the frame's best measurement
                 x[:] = best_x
         # carried command leaving the actuator range: slip it back (wrap event)
-        turns = np.floor(x[:n_el] / TWO_PI)
-        if np.any(turns != 0):
-            x[:n_el] -= TWO_PI * turns
+        turns = [math.floor(p / TWO_PI) for p in x[:n_el]]
+        if any(turns):
+            x[:n_el] = [p - TWO_PI * t for p, t in zip(x, turns)]
             transient_until = e / config.loop_rate_hz + config.wrap_transient_s
             if e < wrap_flag.shape[0]:
                 wrap_flag[e] = True  # flagged on the next evaluation
@@ -372,6 +490,10 @@ def correction_bandwidth(
         raise ParameterError("disturbance frequency and amplitude must be finite")
     if disturbance_freq_hz < 0:
         raise ParameterError("disturbance frequency must be >= 0")
+    if not (math.isfinite(n_periods) and math.isfinite(settle_periods)):
+        raise ParameterError("n_periods and settle_periods must be finite")
+    if n_periods <= 0 or settle_periods < 0:
+        raise ParameterError("need n_periods > 0 and settle_periods >= 0")
     topology = CombinerTopology.balanced(
         2, pic_insertion_loss_db=0.0, demux_insertion_loss_db=0.0
     )
@@ -385,10 +507,8 @@ def correction_bandwidth(
     else:
         settle_evals, measure_evals = 400, 2000
 
-    x0 = np.concatenate([np.full(n_el, math.pi), np.full(n_el, math.pi / 4)])
-    edges = np.concatenate([np.full(n_el, _REFRESH_EDGE_RAD), np.full(n_el, 0.1)])
-    nm = NelderMead(x0, edges)
-    dim = x0.size
+    nm = NelderMead([math.pi] * n_el + [math.pi / 4] * n_el,
+                    [_REFRESH_EDGE_RAD] * n_el + [0.1] * n_el)
 
     acc = 0.0
     window_best = 0.0
@@ -397,12 +517,11 @@ def correction_bandwidth(
         arg = amplitude_rad * math.sin(TWO_PI * disturbance_freq_hz * t)
         inputs = [1 + 0j, math.cos(arg) + 1j * math.sin(arg)]
         x = nm.ask()
-        turns = np.floor(x[:n_el] / TWO_PI)
-        if np.any(turns != 0):
-            shift = np.zeros(dim)
-            shift[:n_el] = -TWO_PI * turns
+        turns = [math.floor(p / TWO_PI) for p in x[:n_el]]
+        if any(turns):
+            shift = [-TWO_PI * t for t in turns] + [0.0] * n_el
             nm.translate(shift)
-            x = x + shift
+            x = [a + b for a, b in zip(x, shift)]
         _, measured = _evaluate(x, inputs, topology, config, rng)
         nm.tell(-measured)
         window_best = max(window_best, measured)
@@ -411,8 +530,7 @@ def correction_bandwidth(
             # so a settled loop dithers gently and a lagging one leaps
             eff = min(1.0, window_best / 2.0)
             edge = min(1.2, max(0.04, 2.0 * math.acos(math.sqrt(eff))))
-            nm.reinit(nm.current_best,
-                      np.concatenate([np.full(n_el, edge), np.full(n_el, edge / 3)]))
+            nm.reinit(nm.current_best, [edge] * n_el + [edge / 3] * n_el)
             window_best = 0.0
         if e >= settle_evals:
             acc += measured / 2.0

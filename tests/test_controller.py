@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from fsolink import controller
 from fsolink._streams import substream
-from fsolink.combiner import CombinerTopology
+from fsolink.combiner import CombinerTopology, _tree_output
 from fsolink.controller import (
+    _FLOAT_SIMPLEX_MAX_DIM,
     _POLISH_EDGE_RAD,
+    _REFRESH_EDGE_RAD,
+    _REFRESH_EVERY,
     TWO_PI,
     ControllerConfig,
     NelderMead,
-    _evaluate,
     correction_bandwidth,
     run_closed_loop,
     wrap_event_rate,
@@ -150,9 +152,28 @@ class StateMachineNelderMead:
 
 
 
+def numpy_evaluate(x, inputs, topology, config, rng, in_transient=False):
+    """Reference: the closed-loop evaluator on numpy arrays (phases x % 2 pi,
+    ratios np.sin(x) ** 2) that the library's float evaluator must match bit
+    for bit."""
+    n_el = topology.n_elements
+    phases = x[:n_el] % TWO_PI
+    ratios = np.sin(x[n_el:]) ** 2
+    amp = _tree_output(topology, inputs, ratios.tolist(), phases.tolist())
+    p_physical = abs(amp) ** 2
+    if in_transient:
+        p_physical *= config.wrap_residual_factor
+    measured = p_physical
+    if config.detector_noise_rel > 0:
+        measured = max(
+            0.0, measured * (1.0 + config.detector_noise_rel * rng.standard_normal())
+        )
+    return p_physical, measured
+
+
 class _Plant:
     """Reference plant of StagedRunClosedLoop: applies commands through
-    _evaluate, tracks the wrap dead-time and records the trace."""
+    numpy_evaluate, tracks the wrap dead-time and records the trace."""
 
     def __init__(self, topology, config, rng, n_evals):
         self.topology = topology
@@ -179,7 +200,7 @@ class _Plant:
 
     def measure(self, x):
         t = self.e / self.config.loop_rate_hz
-        p_physical, measured = _evaluate(
+        p_physical, measured = numpy_evaluate(
             x, self.inputs, self.topology, self.config, self.rng, t < self.transient_until
         )
         self.power[self.e] = p_physical
@@ -201,8 +222,8 @@ def _run_stage(plant, nm, budget, assemble):
 def staged_run_closed_loop(frames, topology, config, seed=0):
     """Reference: the former loop with hand-unrolled stage blocks and a
     restart monitor that re-seeds the ratios after a 3 dB collapse at the
-    carried command.  run_closed_loop must match its trace bit for bit for
-    every evals_per_frame >= 5."""
+    carried command, searching with StateMachineNelderMead.  run_closed_loop
+    must match its trace bit for bit for every evals_per_frame >= 5."""
     schedule = ((0.20, 0.20, 0.20), (0.15, 0.10, 0.15))
     restart_drop = 10.0 ** (-3.0 / 10.0)
     frames = np.asarray(frames, dtype=np.complex128)
@@ -227,23 +248,23 @@ def staged_run_closed_loop(frames, topology, config, seed=0):
         for ci, (f1, f2, f3) in enumerate(schedule):
             b1 = min(int(budget * f1), remaining)
             if b1 > 0:
-                nm = NelderMead(ph, np.full(n_el, math.pi / 2 if ci == 0 else 0.8))
+                nm = StateMachineNelderMead(ph, np.full(n_el, math.pi / 2 if ci == 0 else 0.8))
                 ph = _run_stage(plant, nm, b1, lambda xs: np.concatenate([xs, neutral]))
             remaining -= b1
             b2 = min(int(budget * f2), remaining)
             if b2 > 0:
-                nm = NelderMead(neutral if ci == 0 else ps, np.full(n_el, 0.35 if ci == 0 else 0.2))
+                nm = StateMachineNelderMead(neutral if ci == 0 else ps, np.full(n_el, 0.35 if ci == 0 else 0.2))
                 ps = _run_stage(plant, nm, b2, lambda xs: np.concatenate([ph, xs]))
             remaining -= b2
             b3 = min(int(budget * f3), remaining)
             if b3 > 0:
-                nm = NelderMead(np.concatenate([ph, ps]), np.full(dim, _POLISH_EDGE_RAD))
+                nm = StateMachineNelderMead(np.concatenate([ph, ps]), np.full(dim, _POLISH_EDGE_RAD))
                 _run_stage(plant, nm, b3, lambda xs: xs)
                 if plant.best_x is not None:
                     ph, ps = plant.best_x[:n_el].copy(), plant.best_x[n_el:].copy()
             remaining -= b3
         if remaining > 0:
-            nm = NelderMead(np.concatenate([ph, ps]), np.full(dim, _POLISH_EDGE_RAD / 2))
+            nm = StateMachineNelderMead(np.concatenate([ph, ps]), np.full(dim, _POLISH_EDGE_RAD / 2))
             _run_stage(plant, nm, remaining, lambda xs: xs)
             if plant.best_x is not None:
                 ph, ps = plant.best_x[:n_el].copy(), plant.best_x[n_el:].copy()
@@ -254,6 +275,55 @@ def staged_run_closed_loop(frames, topology, config, seed=0):
             plant.raise_wrap_event()
     return np.arange(n_frames * budget) / config.loop_rate_hz, plant.power, plant.wrap_flag
 
+
+
+def numpy_correction_bandwidth(disturbance_freq_hz, amplitude_rad, config, seed=0,
+                               n_periods=100, settle_periods=25):
+    """Reference: correction_bandwidth on numpy command vectors, searching
+    with StateMachineNelderMead and measuring through numpy_evaluate."""
+    topology = CombinerTopology.balanced(
+        2, pic_insertion_loss_db=0.0, demux_insertion_loss_db=0.0
+    )
+    n_el = topology.n_elements
+    rng = substream(seed, "bandwidth")
+    dt = 1.0 / config.loop_rate_hz
+
+    if disturbance_freq_hz > 0:
+        settle_evals = max(int(settle_periods / disturbance_freq_hz / dt), 400)
+        measure_evals = max(int(n_periods / disturbance_freq_hz / dt), 2000)
+    else:
+        settle_evals, measure_evals = 400, 2000
+
+    x0 = np.concatenate([np.full(n_el, math.pi), np.full(n_el, math.pi / 4)])
+    edges = np.concatenate([np.full(n_el, _REFRESH_EDGE_RAD), np.full(n_el, 0.1)])
+    nm = StateMachineNelderMead(x0, edges)
+    dim = x0.size
+
+    acc = 0.0
+    window_best = 0.0
+    for e in range(settle_evals + measure_evals):
+        t = e * dt
+        arg = amplitude_rad * math.sin(TWO_PI * disturbance_freq_hz * t)
+        inputs = [1 + 0j, math.cos(arg) + 1j * math.sin(arg)]
+        x = nm.ask()
+        turns = np.floor(x[:n_el] / TWO_PI)
+        if np.any(turns != 0):
+            shift = np.zeros(dim)
+            shift[:n_el] = -TWO_PI * turns
+            nm.translate(shift)
+            x = x + shift
+        _, measured = numpy_evaluate(x, inputs, topology, config, rng)
+        nm.tell(-measured)
+        window_best = max(window_best, measured)
+        if (e + 1) % _REFRESH_EVERY == 0:
+            eff = min(1.0, window_best / 2.0)
+            edge = min(1.2, max(0.04, 2.0 * math.acos(math.sqrt(eff))))
+            nm.reinit(nm.current_best,
+                      np.concatenate([np.full(n_el, edge), np.full(n_el, edge / 3)]))
+            window_best = 0.0
+        if e >= settle_evals:
+            acc += measured / 2.0
+    return acc / measure_evals
 
 
 def neutral_wrap_config(**kw):
@@ -280,21 +350,23 @@ class TestNelderMeadStep:
         assert abs(oracle - 1.0) < 1e-4
 
         nm = NelderMead(np.array([0.0]), np.array([0.5]))
-        assert nm.current_best.tolist() == [0.0]  # nothing measured yet: the start point
+        assert nm.current_best == [0.0]  # nothing measured yet: the start point
         run_ask_tell(nm, objective, 60)
         assert abs(nm.current_best[0] - 1.0) < 1e-3
 
     def test_flat_objective_shrinks_simplex(self):
         nm = NelderMead(np.zeros(2), np.ones(2))
-        size_before = np.max(np.abs(nm.simplex - nm.simplex[0]))
+        simplex = np.asarray(nm.simplex)
+        size_before = np.max(np.abs(simplex - simplex[0]))
         run_ask_tell(nm, lambda x: 1.0, 24)
-        size_after = np.max(np.abs(nm.simplex - nm.simplex[0]))
+        simplex = np.asarray(nm.simplex)
+        size_after = np.max(np.abs(simplex - simplex[0]))
         assert size_after < size_before
-        assert np.all(nm.values == 1.0)
+        assert np.all(np.asarray(nm.values) == 1.0)
 
     def test_best_never_worsens_noiseless(self):
         rng = np.random.default_rng(0)
-        objective = lambda x: float(np.sum((x - 2.0) ** 2))
+        objective = lambda x: float(np.sum((np.asarray(x) - 2.0) ** 2))
         nm = NelderMead(rng.standard_normal(3), rng.uniform(0.5, 1.5, 3))
         history = run_ask_tell(nm, objective, 120)
         assert all(b2 <= b1 for b1, b2 in zip(history, history[1:]))
@@ -313,12 +385,13 @@ def _bits(x):
 
 @st.composite
 def search_runs(draw):
-    """A search in 1-8 dims on a noiseless or noisy quadratic, with the
-    steps after which the space is translated (between ask and tell, as
-    correction_bandwidth does) and the steps after which it is re-seeded
-    around the current best."""
-    dim = draw(st.integers(1, 8))
-    n_steps = draw(st.integers(1, 40 * dim))
+    """A search on a noiseless or noisy quadratic, in 1 to twice
+    _FLOAT_SIMPLEX_MAX_DIM dims so that both vertex representations run,
+    with the steps after which the space is translated (between ask and
+    tell, as correction_bandwidth does) and the steps after which it is
+    re-seeded around the current best."""
+    dim = draw(st.integers(1, 2 * _FLOAT_SIMPLEX_MAX_DIM))
+    n_steps = draw(st.integers(1, 40 * min(dim, 8)))
     steps = st.integers(0, n_steps - 1)
     return {
         "dim": dim,
@@ -436,6 +509,14 @@ class TestClosedLoopStatics:
         trace = run_closed_loop(frames, topo, cfg, seed=1)
         per_frame_max = trace.power_w.reshape(6, -1).max(axis=1)
         assert np.all(per_frame_max <= trace.frame_ideal_power_w * (1 + 1e-9))
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_frame_rate_must_be_finite_and_positive(self, rate, monkeypatch):
+        monkeypatch.setattr(controller, "_evaluate", lambda *a, **k: pytest.fail("evaluated"))
+        topo = CombinerTopology.balanced(2, 0.0, 0.0)
+        with pytest.raises(ParameterError, match="frame_rate_hz"):
+            run_closed_loop(np.ones((1, 2)), topo, ControllerConfig(evals_per_frame=20),
+                            seed=0, frame_rate_hz=rate)
 
     def test_loop_rate_must_cover_frame_rate(self):
         topo = CombinerTopology.balanced(2, 0.0, 0.0)
@@ -589,3 +670,39 @@ class TestCorrectionBandwidth:
     def test_non_finite_disturbance_rejected(self, freq, amplitude):
         with pytest.raises(ParameterError):
             correction_bandwidth(freq, amplitude, self.CAL, n_periods=1, settle_periods=1)
+
+    @pytest.mark.parametrize("n_periods, settle_periods", [
+        (math.nan, 1), (1, math.nan), (math.inf, 1), (1, math.inf),
+        (0, 1), (-5, -3), (1, -1),
+    ])
+    def test_bad_periods_rejected(self, n_periods, settle_periods):
+        with pytest.raises(ParameterError):
+            correction_bandwidth(1000.0, 1.0, self.CAL, n_periods=n_periods,
+                                 settle_periods=settle_periods)
+
+
+@st.composite
+def tracking_runs(draw):
+    """A correction_bandwidth call: a static or 300-5000 Hz disturbance of
+    up to two turns (so the phase command wraps and the search space is
+    translated), detector noise on or off, and a short run."""
+    return {
+        "freq": draw(st.one_of(st.just(0.0), st.floats(300.0, 5000.0))),
+        "amplitude": draw(st.floats(0.0, 2 * TWO_PI)),
+        "noise": draw(st.sampled_from([0.0, 0.05])),
+        "loop_rate": draw(st.floats(1e5, 1e6)),
+        "n_periods": draw(st.integers(1, 3)),
+        "settle_periods": draw(st.integers(0, 2)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+class TestTrackingReference:
+    @given(tracking_runs())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_numpy_tracking_bit_for_bit(self, run):
+        cfg = ControllerConfig(detector_noise_rel=run["noise"], loop_rate_hz=run["loop_rate"])
+        args = (run["freq"], run["amplitude"], cfg, run["seed"], run["n_periods"],
+                run["settle_periods"])
+        eff = correction_bandwidth(*args)
+        assert eff.hex() == numpy_correction_bandwidth(*args).hex()
