@@ -10,6 +10,7 @@ demultiplexer insertion losses are lumped on the output.
 import cmath
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -28,73 +29,42 @@ TWO_PI = 2 * math.pi
 
 @dataclass(frozen=True)
 class CombinerTopology:
-    """Wiring of the combining tree plus lumped insertion losses.
+    """Balanced tree of n_inputs leaves plus lumped insertion losses.
 
-    stages is a tuple of stages; each stage is a tuple of ("pair", i, j) or
-    ("pass", i) entries indexing the previous stage's outputs.  Every
-    "pair" consumes one element (phase actuator + split ratio), so a valid
-    tree has exactly n_inputs - 1 elements.  Construction compiles the
-    stages into one flat list of elements over a signal buffer
-    [inputs..., element outputs...]: element k reads the slots in
-    _elements[k] and writes slot n_inputs + k, "pass" entries become slot
-    aliases, and _output is the slot of the tree output.
+    Stage by stage, signals (0, 1), (2, 3), ... meet in one element each
+    (phase actuator + split ratio) and an odd last signal passes on, so the
+    tree has n_inputs - 1 elements.  Construction compiles it over a signal
+    buffer [inputs..., element outputs...]: element k reads the two slots in
+    _elements[k] and writes slot n_inputs + k; _output is the output slot.
     """
 
     n_inputs: int
-    stages: tuple
     pic_insertion_loss_db: float = 7.0
     demux_insertion_loss_db: float = 1.0
     _elements: tuple = field(init=False, repr=False, compare=False)
     _output: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_inputs < 1:
-            raise ParameterError("n_inputs must be >= 1")
+        n = self.n_inputs
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ParameterError(f"n_inputs must be an integer >= 1, got {n!r}")
         if self.pic_insertion_loss_db < 0 or self.demux_insertion_loss_db < 0:
             raise ParameterError("insertion losses must be >= 0")
-        live = list(range(self.n_inputs))  # buffer slot of each signal of the stage
+        live = list(range(n))  # buffer slot of each signal of the stage
         elements = []
-        for st in self.stages:
-            if any((e[0], len(e)) not in (("pair", 3), ("pass", 2)) for e in st):
-                raise ParameterError(f"stage {st} holds an entry other than pair/pass")
-            if sorted(i for e in st for i in e[1:]) != list(range(len(live))):
-                raise ParameterError(f"stage {st} does not consume signals 0..{len(live) - 1}")
-            nxt = []
-            for e in st:
-                if e[0] == "pair":
-                    elements.append((live[e[1]], live[e[2]]))
-                    nxt.append(self.n_inputs + len(elements) - 1)
-                else:
-                    nxt.append(live[e[1]])
-            live = nxt
-        if len(elements) != self.n_inputs - 1:
-            raise ParameterError(
-                f"tree with {self.n_inputs} leaves needs {self.n_inputs - 1} elements, "
-                f"got {len(elements)}"
-            )
-        if len(live) != 1:
-            raise ParameterError("tree must end in a single output")
+        while len(live) > 1:
+            pairs = list(zip(live[0::2], live[1::2]))
+            first = n + len(elements)  # pair k writes slot first + k
+            live = list(range(first, first + len(pairs))) + live[2 * len(pairs):]
+            elements += pairs
         object.__setattr__(self, "_elements", tuple(elements))
         object.__setattr__(self, "_output", live[0])
 
     @classmethod
     def balanced(cls, n_inputs: int, pic_insertion_loss_db: float = 7.0,
                  demux_insertion_loss_db: float = 1.0) -> "CombinerTopology":
-        """Balanced pairing tree; odd signals pass through to the next stage."""
-        stages = []
-        width = n_inputs
-        while width > 1:
-            st = [("pair", 2 * k, 2 * k + 1) for k in range(width // 2)]
-            if width % 2:
-                st.append(("pass", width - 1))
-            stages.append(tuple(st))
-            width = len(st)
-        return cls(
-            n_inputs=n_inputs,
-            stages=tuple(stages),
-            pic_insertion_loss_db=pic_insertion_loss_db,
-            demux_insertion_loss_db=demux_insertion_loss_db,
-        )
+        """The balanced tree of n_inputs leaves (the constructor, by name)."""
+        return cls(n_inputs, pic_insertion_loss_db, demux_insertion_loss_db)
 
     @property
     def n_elements(self) -> int:

@@ -36,7 +36,7 @@ vectors as lists, so no evaluation dispatches to numpy.
 import math
 from dataclasses import dataclass, fields
 from functools import reduce
-from numbers import Real
+from numbers import Integral, Real
 from operator import add
 
 import numpy as np
@@ -280,11 +280,12 @@ class ControllerConfig:
     wrap_residual_factor: float = 0.25
 
     def __post_init__(self):
+        n = self.evals_per_frame
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ParameterError(f"evals_per_frame must be an integer >= 1, got {n!r}")
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ParameterError(f"{f.name} must be finite")
-        if self.evals_per_frame < 1:
-            raise ParameterError("evals_per_frame must be >= 1")
         if self.wrap_transient_s < 0:
             raise ParameterError("wrap_transient_s must be >= 0")
         if self.detector_noise_rel < 0:
@@ -341,7 +342,6 @@ def run_closed_loop(
     topology: CombinerTopology,
     config: ControllerConfig,
     seed: int = 0,
-    frame_rate_hz: float = None,
 ) -> LoopTrace:
     """Drive the combiner across a sequence of input frames.
 
@@ -362,11 +362,6 @@ def run_closed_loop(
         raise ParameterError(f"frames must be (F, {topology.n_inputs}) amplitudes")
     if frames.shape[0] == 0:
         raise ParameterError("need at least one frame")
-    if frame_rate_hz is not None:
-        if not (math.isfinite(frame_rate_hz) and frame_rate_hz > 0):
-            raise ParameterError("frame_rate_hz must be finite and positive")
-        if config.loop_rate_hz < frame_rate_hz:
-            raise ParameterError("loop rate must be at least the frame rate")
     if not np.isfinite(frames).all():
         raise InvalidFieldError("combiner inputs must be finite")
 

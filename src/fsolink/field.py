@@ -130,14 +130,18 @@ def total_power(field: ComplexFieldGrid) -> float:
     return float(np.sum(np.abs(field.samples) ** 2) * dx * dx)
 
 
+@functools.lru_cache(maxsize=4)
 def _edge_absorber(n: int, width_frac: float = 0.08) -> np.ndarray:
-    """Raised-cosine window rolling off over the outer width_frac of the grid."""
+    """Read-only raised-cosine window rolling off over the outer width_frac
+    of the grid, cached per grid size."""
     w = max(2, int(round(n * width_frac)))
     taper = 0.5 * (1 + np.cos(np.linspace(0, np.pi, w)))
     line = np.ones(n)
     line[-w:] = taper
     line[:w] = taper[::-1]
-    return line[:, None] * line[None, :]
+    window = line[:, None] * line[None, :]
+    window.setflags(write=False)
+    return window
 
 
 # 8 entries cover the default 5-layer path; at N=512 they hold at most 32 MB

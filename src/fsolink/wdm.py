@@ -45,8 +45,8 @@ class OpticalSpectrum:
             raise ParameterError("specify either discrete lines or a band, not both")
         if self.lines_hz is not None:
             lines = np.atleast_1d(np.asarray(self.lines_hz, dtype=np.float64))
-            if np.any(lines <= 0):
-                raise ParameterError("line frequencies must be positive")
+            if lines.size == 0 or np.any(lines <= 0):
+                raise ParameterError("need at least one line, every frequency positive")
             object.__setattr__(self, "lines_hz", lines)
             object.__setattr__(self, "weights", np.full(lines.size, 1.0 / lines.size))
         else:

@@ -227,8 +227,7 @@ class TestCriterion06ClosedLoopFading:
         topo = CombinerTopology.balanced(15, 0.0, 0.0)
         cfg = ControllerConfig(evals_per_frame=600, wrap_transient_s=0.0,
                                wrap_residual_factor=1.0)
-        trace = run_closed_loop(seq["coeffs"], topo, cfg, seed=0,
-                                frame_rate_hz=FRAME_RATE)
+        trace = run_closed_loop(seq["coeffs"], topo, cfg, seed=0)
         sampled = trace.frame_sampled_power()
         mm_var = 10 * math.log10(sampled.max() / sampled.min())
         assert mm_var <= 4.5

@@ -94,11 +94,42 @@ def dense_scan_max(inputs, topology, n_starts=8):
     return best
 
 
+def balanced_stages(n):
+    """The balanced tree of n leaves as stages of ("pair", i, j) and
+    ("pass", i) entries indexing the previous stage's signals: pairs
+    (0, 1), (2, 3), ..., an odd last signal passed through."""
+    stages = []
+    width = n
+    while width > 1:
+        stage = [("pair", 2 * k, 2 * k + 1) for k in range(width // 2)]
+        if width % 2:
+            stage.append(("pass", width - 1))
+        stages.append(tuple(stage))
+        width = len(stage)
+    return tuple(stages)
+
+
+def compile_stages(n, stages):
+    """(elements, output) of the stages over the buffer [inputs..., element
+    outputs...], element by element in stage-entry order."""
+    live, elements = list(range(n)), []
+    for stage in stages:
+        nxt = []
+        for entry in stage:
+            if entry[0] == "pair":
+                elements.append((live[entry[1]], live[entry[2]]))
+                nxt.append(n + len(elements) - 1)
+            else:
+                nxt.append(live[entry[1]])
+        live = nxt
+    return tuple(elements), live[0]
+
+
 def stage_walk_combine(inputs, topology, state):
-    """Reference: the tree evaluated stage by stage from its stage tuples."""
+    """Reference: the tree evaluated stage by stage over balanced_stages."""
     signals = np.asarray(inputs, dtype=np.complex128)
     k = 0
-    for stage in topology.stages:
+    for stage in balanced_stages(topology.n_inputs):
         nxt = np.empty(len(stage), dtype=np.complex128)
         for slot, entry in enumerate(stage):
             if entry[0] == "pair":
@@ -118,7 +149,7 @@ def stage_walk_align(inputs, topology):
     """Reference: align_state evaluated stage by stage; (phases, ratios)."""
     signals = np.asarray(inputs, dtype=np.complex128)
     phases, ratios = [], []
-    for stage in topology.stages:
+    for stage in balanced_stages(topology.n_inputs):
         nxt = np.empty(len(stage), dtype=np.complex128)
         for slot, entry in enumerate(stage):
             if entry[0] == "pair":
@@ -141,22 +172,10 @@ def stage_walk_align(inputs, topology):
 
 @st.composite
 def trees(draw):
-    """Balanced trees of 1-16 inputs, or random trees with "pass" entries:
-    each stage pairs up a random subset of a shuffled stage input and
-    passes the rest through, in a shuffled entry order."""
-    n = draw(st.integers(1, 16))
-    if draw(st.booleans()):
-        return CombinerTopology.balanced(n, 0.0, 0.0)
-    stages, width = [], n
-    while width > 1:
-        order = draw(st.permutations(range(width)))
-        n_pairs = draw(st.integers(1, width // 2))
-        entries = [("pair", order[2 * k], order[2 * k + 1]) for k in range(n_pairs)]
-        entries += [("pass", i) for i in order[2 * n_pairs:]]
-        stages.append(tuple(draw(st.permutations(entries))))
-        width = len(entries)
-    loss = draw(st.floats(0.0, 10.0))
-    return CombinerTopology(n, tuple(stages), pic_insertion_loss_db=loss)
+    """Balanced trees of 1-32 inputs with random insertion losses."""
+    return CombinerTopology.balanced(
+        draw(st.integers(1, 32)), draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 10.0))
+    )
 
 
 _parts = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_subnormal=False))
@@ -191,6 +210,11 @@ class TestCompiledTree:
         ref_phases, ref_ratios = stage_walk_align(inputs, topo)
         assert _bits(state.phase_commands) == _bits(ref_phases)
         assert _bits(state.split_ratios) == _bits(ref_ratios)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_compiled_table_matches_stage_compile(self, n):
+        topo = CombinerTopology.balanced(n)
+        assert (topo._elements, topo._output) == compile_stages(n, balanced_stages(n))
 
 
 class TestCombine:
@@ -333,13 +357,16 @@ class TestTopologyValidation:
             topo = CombinerTopology.balanced(n)
             assert topo.n_elements == n - 1
 
-    def test_bad_tree_rejected(self):
-        with pytest.raises(ParameterError):
-            CombinerTopology(n_inputs=3, stages=((("pair", 0, 1),),))  # drops input 2
-        with pytest.raises(ParameterError):
-            CombinerTopology(n_inputs=2, stages=((("pair", 0), ("pass", 1)),))  # half an element
+    @pytest.mark.parametrize("n", [0, -1, 3.0, 2.5, True, "3", None])
+    def test_bad_input_count_rejected(self, n):
+        with pytest.raises(ParameterError, match="n_inputs"):
+            CombinerTopology.balanced(n)
+
+    def test_negative_loss_rejected(self):
         with pytest.raises(ParameterError):
             CombinerTopology.balanced(2, pic_insertion_loss_db=-1.0)
+        with pytest.raises(ParameterError):
+            CombinerTopology.balanced(2, demux_insertion_loss_db=-1.0)
 
     def test_state_validation(self):
         with pytest.raises(ParameterError):

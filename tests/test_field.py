@@ -7,6 +7,7 @@ from fsolink.errors import DimensionError, InvalidFieldError, ParameterError
 from fsolink.field import (
     ComplexFieldGrid,
     GridSpec,
+    _edge_absorber,
     _transfer_function,
     angular_spectrum_propagate,
     apply_aperture,
@@ -125,6 +126,11 @@ class TestPropagation:
         assert total_power(absorbed) < p0 * 0.999
         plain = angular_spectrum_propagate(pw, 100.0)
         assert abs(total_power(plain) - p0) / p0 <= 1e-6
+
+    def test_edge_absorber_cached_read_only(self):
+        window = _edge_absorber(64)
+        assert window is _edge_absorber(64) and not window.flags.writeable
+        np.testing.assert_array_equal(window, _edge_absorber.__wrapped__(64))
 
     def test_non_finite_rejected(self, grid64):
         bad = np.ones((64, 64), dtype=complex)

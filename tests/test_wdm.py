@@ -200,6 +200,11 @@ class TestSpectrumValidation:
         with pytest.raises(ParameterError):
             OpticalSpectrum(lines_hz=np.array([1e14]), band_center_hz=1e14, band_width_hz=1e9)
 
+    @pytest.mark.parametrize("lines", [[], np.array([])])
+    def test_empty_line_list_rejected(self, lines):
+        with pytest.raises(ParameterError, match="line"):
+            OpticalSpectrum(lines_hz=lines)
+
     def test_per_line_needs_lines(self):
         band = OpticalSpectrum(band_center_hz=CENTER, band_width_hz=1e12)
         with pytest.raises(ParameterError):
