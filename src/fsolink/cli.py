@@ -15,6 +15,7 @@ scenario hashes and a corrupted artifact) or any other numerical failure.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .combiner import mm_coupling_efficiency
+from .combiner import CombinerTopology, mm_coupling_efficiency
 from .comms import (
     PowerTrace,
     ber_curve,
@@ -212,13 +213,11 @@ def _load_dataset(scenario: Scenario, out_dir):
 def _receiver_traces(scenario, out_dir, mode_counts, lossless):
     """Efficiency trace per receiver name, from the synth dataset."""
     time_s, powers, residual, smf = _load_dataset(scenario, out_dir)
-    topo = scenario["topology"]
-    # the sum CombinerTopology.total_loss_db makes
-    loss_db = 0.0 if lossless else topo["pic_insertion_loss_db"] + topo["demux_insertion_loss_db"]
     traces = {"smf": smf}
     for n in mode_counts:
         if not 1 <= n <= powers.shape[1]:
             raise ConfigError("modes", f"dataset holds {powers.shape[1]} modes, asked for {n}")
+        loss_db = 0.0 if lossless else CombinerTopology(n, **scenario["topology"]).total_loss_db
         traces[f"mm{n}"] = mm_coupling_efficiency(powers, residual, n, loss_db)
     return time_s, traces
 
@@ -276,8 +275,8 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
         windows = {"manual": (start, end)}
 
     # the wrap-transient error floor belongs to the combined receiver only
-    model = scenario.receiver_model(floor_duty=0.0)
     mm_model = scenario.receiver_model()
+    model = dataclasses.replace(mm_model, floor_duty=0.0)
     btb = ber_instant(rop, model)
 
     report = {

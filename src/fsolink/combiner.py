@@ -10,11 +10,10 @@ demultiplexer insertion losses are lumped on the output.
 import cmath
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidFieldError, ParameterError
+from .errors import InvalidFieldError, ParameterError, _num
 
 __all__ = [
     "CombinerTopology",
@@ -45,11 +44,9 @@ class CombinerTopology:
     _output: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n_inputs
-        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-            raise ParameterError(f"n_inputs must be an integer >= 1, got {n!r}")
-        if self.pic_insertion_loss_db < 0 or self.demux_insertion_loss_db < 0:
-            raise ParameterError("insertion losses must be >= 0")
+        n = _num(self.n_inputs, "n_inputs", lo=1, integer=True)
+        _num(self.pic_insertion_loss_db, "pic_insertion_loss_db", lo=0)
+        _num(self.demux_insertion_loss_db, "demux_insertion_loss_db", lo=0)
         live = list(range(n))  # buffer slot of each signal of the stage
         elements = []
         while len(live) > 1:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import erfc
 
 from ._streams import substream
-from .errors import CurveCrossingError, ParameterError
+from .errors import CurveCrossingError, ParameterError, _num
 
 __all__ = [
     "ReceiverModel",
@@ -54,10 +54,8 @@ class ReceiverModel:
     def __post_init__(self):
         if self.format not in ("ook", "dpsk"):
             raise ParameterError(f"format must be 'ook' or 'dpsk', got {self.format!r}")
-        if not math.isfinite(self.sensitivity_dbm):
-            raise ParameterError("sensitivity_dbm must be finite")
-        if not 0.0 <= self.floor_duty <= 1.0:
-            raise ParameterError("floor_duty must lie in [0, 1]")
+        _num(self.sensitivity_dbm, "sensitivity_dbm")
+        _num(self.floor_duty, "floor_duty", lo=0.0, hi=1.0)
 
     @property
     def effective_sensitivity_dbm(self) -> float:
@@ -105,7 +103,7 @@ def ber_instant(rop_dbm, model: ReceiverModel):
     """
     rop = np.asarray(rop_dbm, dtype=np.float64)
     q = Q_AT_1E9 * 10.0 ** ((rop - model.effective_sensitivity_dbm) / 20.0)
-    floor = 0.5 * model.floor_duty
+    floor = ber_floor_from_phase_jumps(model.floor_duty)
     ber = floor + (1.0 - floor) * 0.5 * erfc(q / math.sqrt(2.0))
     out = np.minimum(ber, 0.5)
     return float(out) if np.isscalar(rop_dbm) else out
@@ -191,10 +189,8 @@ def sync_loss_stats(
     recovers the demodulator still needs reacquire_s before lock counts
     again.  The total outage time is normalized to 60 s.
     """
-    if ber_threshold <= 0 or ber_threshold >= 0.5:
-        raise ParameterError("ber_threshold must lie in (0, 0.5)")
-    if reacquire_s < 0:
-        raise ParameterError("reacquire_s must be >= 0")
+    _num(ber_threshold, "ber_threshold", gt=0, lt=0.5)
+    _num(reacquire_s, "reacquire_s", lo=0)
     t = trace.time_s
     if t.size < 2:  # one sample lasts one frame period
         if trace.frame_rate_hz is None or not trace.frame_rate_hz > 0:
@@ -253,8 +249,8 @@ def select_windows(efficiency_db, window_len: int, stride: int) -> dict:
     (the first on ties).  Returns {"best": (start, end), "worst": (start,
     end)} as frame ranges; a trace no longer than window_len is one window.
     """
-    if window_len < 1 or stride < 1:
-        raise ParameterError("window_len and stride must be >= 1")
+    _num(window_len, "window_len", lo=1, integer=True)
+    _num(stride, "stride", lo=1, integer=True)
     eff = np.asarray(efficiency_db, dtype=np.float64)
     if eff.size <= window_len:
         return {"best": (0, eff.size), "worst": (0, eff.size)}
@@ -267,6 +263,5 @@ def select_windows(efficiency_db, window_len: int, stride: int) -> dict:
 
 def ber_floor_from_phase_jumps(wrap_duty: float) -> float:
     """High-power BER floor from combiner wrap transients: duty / 2."""
-    if not 0.0 <= wrap_duty <= 1.0:
-        raise ParameterError("wrap duty must lie in [0, 1]")
+    _num(wrap_duty, "wrap_duty", lo=0.0, hi=1.0)
     return 0.5 * wrap_duty

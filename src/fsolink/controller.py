@@ -34,9 +34,9 @@ vectors as lists, so no evaluation dispatches to numpy.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
-from numbers import Integral, Real
+from numbers import Real
 from operator import add
 
 import numpy as np
@@ -44,7 +44,7 @@ import numpy as np
 from ._streams import substream
 # combine and CombinerState are unused here: perfbench/tracing.py patches both by these names
 from .combiner import CombinerState, CombinerTopology, _tree_output, combine  # noqa: F401
-from .errors import ControllerFault, InvalidFieldError, ParameterError
+from .errors import ControllerFault, InvalidFieldError, ParameterError, _num
 
 __all__ = [
     "ControllerConfig",
@@ -280,20 +280,11 @@ class ControllerConfig:
     wrap_residual_factor: float = 0.25
 
     def __post_init__(self):
-        n = self.evals_per_frame
-        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-            raise ParameterError(f"evals_per_frame must be an integer >= 1, got {n!r}")
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ParameterError(f"{f.name} must be finite")
-        if self.wrap_transient_s < 0:
-            raise ParameterError("wrap_transient_s must be >= 0")
-        if self.detector_noise_rel < 0:
-            raise ParameterError("detector_noise_rel must be >= 0")
-        if self.loop_rate_hz <= 0:
-            raise ParameterError("loop_rate_hz must be positive")
-        if not 0 <= self.wrap_residual_factor <= 1:
-            raise ParameterError("wrap_residual_factor must lie in [0, 1]")
+        _num(self.evals_per_frame, "evals_per_frame", lo=1, integer=True)
+        _num(self.wrap_transient_s, "wrap_transient_s", lo=0)
+        _num(self.detector_noise_rel, "detector_noise_rel", lo=0)
+        _num(self.loop_rate_hz, "loop_rate_hz", gt=0)
+        _num(self.wrap_residual_factor, "wrap_residual_factor", lo=0, hi=1)
 
 
 @dataclass
@@ -481,14 +472,10 @@ def correction_bandwidth(
     settled loop.  Evaluations go through the same evaluator as
     run_closed_loop.
     """
-    if not (math.isfinite(disturbance_freq_hz) and math.isfinite(amplitude_rad)):
-        raise ParameterError("disturbance frequency and amplitude must be finite")
-    if disturbance_freq_hz < 0:
-        raise ParameterError("disturbance frequency must be >= 0")
-    if not (math.isfinite(n_periods) and math.isfinite(settle_periods)):
-        raise ParameterError("n_periods and settle_periods must be finite")
-    if n_periods <= 0 or settle_periods < 0:
-        raise ParameterError("need n_periods > 0 and settle_periods >= 0")
+    _num(disturbance_freq_hz, "disturbance_freq_hz", lo=0)
+    _num(amplitude_rad, "amplitude_rad")
+    _num(n_periods, "n_periods", gt=0)
+    _num(settle_periods, "settle_periods", lo=0)
     topology = CombinerTopology.balanced(
         2, pic_insertion_loss_db=0.0, demux_insertion_loss_db=0.0
     )

@@ -1,4 +1,10 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the one scalar check."""
+
+import math
+import sys
+from numbers import Integral, Real
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class FsolinkError(Exception):
@@ -58,3 +64,35 @@ class MissingArtifactError(FsolinkError, FileNotFoundError):
 
 class NumericalContractError(FsolinkError, ArithmeticError):
     """A numerical invariant (power conservation, determinism) was violated."""
+
+
+def _parameter_error(name, message):
+    return ParameterError(f"{name}: {message}")
+
+
+def _num(value, name, lo=None, hi=None, *, gt=None, lt=None, integer=False,
+         inf_ok=False, error=_parameter_error):
+    """The one scalar check: value as an int (integer) or a float.
+
+    Rejects bools, non-numbers.Real values, values beyond the float range
+    (except +inf with inf_ok) or NaN, non-Integral values with integer, and
+    values outside the inclusive lo/hi or exclusive gt/lt bounds, by raising
+    error(name, message): a ParameterError naming the argument, or for the
+    scenario a ConfigError with the field's dotted path.
+    """
+    kind = type(value)  # plain ints and floats skip the slow numbers-ABC checks
+    if kind not in (float, int) and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise error(name, f"expected a number, got {kind.__name__}")
+    if not (abs(value) <= _FLOAT_MAX or (inf_ok and value == math.inf)):  # NaN fails too
+        raise error(name, "must be finite")
+    if integer and kind is not int and not isinstance(value, Integral):
+        raise error(name, "expected an integer")
+    if lo is not None and value < lo:
+        raise error(name, f"must be >= {lo}")
+    if hi is not None and value > hi:
+        raise error(name, f"must be <= {hi}")
+    if gt is not None and value <= gt:
+        raise error(name, f"must be > {gt}")
+    if lt is not None and value >= lt:
+        raise error(name, f"must be < {lt}")
+    return int(value) if integer else float(value)

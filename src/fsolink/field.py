@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import DimensionError, InvalidFieldError, ParameterError
+from .errors import DimensionError, InvalidFieldError, ParameterError, _num
 
 __all__ = [
     "GridSpec",
@@ -33,11 +33,16 @@ __all__ = [
 ]
 
 _GEOMETRY_RTOL = 1e-9
+# the edge absorber rolls off over this fraction of the grid on each side
+_EDGE_ABSORBER_FRAC = 0.08
 
 
-def _check_grid_n(n: int) -> None:
-    if n < 64 or (n & (n - 1)) != 0:
+def _check_geometry(n, extent_m, wavelength_m) -> None:
+    _num(n, "n", lo=64, integer=True)
+    if n & (n - 1):
         raise ParameterError(f"grid size must be a power of two >= 64, got {n}")
+    _num(extent_m, "extent_m", gt=0)
+    _num(wavelength_m, "wavelength_m", gt=0)
 
 
 @dataclass(frozen=True)
@@ -49,11 +54,7 @@ class GridSpec:
     wavelength_m: float = 1.55e-6
 
     def __post_init__(self):
-        _check_grid_n(self.n)
-        if self.extent_m <= 0:
-            raise ParameterError("extent_m must be positive")
-        if self.wavelength_m <= 0:
-            raise ParameterError("wavelength_m must be positive")
+        _check_geometry(self.n, self.extent_m, self.wavelength_m)
 
     @property
     def spacing_m(self) -> float:
@@ -86,11 +87,7 @@ class ComplexFieldGrid:
         s = np.asarray(self.samples)
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
             raise DimensionError(f"samples must be square and non-empty, got {s.shape}")
-        _check_grid_n(s.shape[0])
-        if self.extent_m <= 0:
-            raise ParameterError("extent_m must be positive")
-        if self.wavelength_m <= 0:
-            raise ParameterError("wavelength_m must be positive")
+        _check_geometry(s.shape[0], self.extent_m, self.wavelength_m)
         if s.dtype != np.complex128:
             object.__setattr__(self, "samples", s.astype(np.complex128))
         self.samples.setflags(write=False)
@@ -131,10 +128,10 @@ def total_power(field: ComplexFieldGrid) -> float:
 
 
 @functools.lru_cache(maxsize=4)
-def _edge_absorber(n: int, width_frac: float = 0.08) -> np.ndarray:
-    """Read-only raised-cosine window rolling off over the outer width_frac
-    of the grid, cached per grid size."""
-    w = max(2, int(round(n * width_frac)))
+def _edge_absorber(n: int) -> np.ndarray:
+    """Read-only raised-cosine window rolling off over the outer
+    _EDGE_ABSORBER_FRAC of the grid, cached per grid size."""
+    w = max(2, int(round(n * _EDGE_ABSORBER_FRAC)))
     taper = 0.5 * (1 + np.cos(np.linspace(0, np.pi, w)))
     line = np.ones(n)
     line[-w:] = taper
@@ -195,8 +192,7 @@ def angular_spectrum_propagate(
         The propagated field on the same grid.
     """
     _require_finite(field)
-    if distance_m < 0:
-        raise ParameterError("distance_m must be >= 0")
+    _num(distance_m, "distance_m", lo=0)
     if distance_m == 0 and not absorb_edges:
         return field
 
@@ -246,8 +242,7 @@ def _multiply_phase_factor(samples: np.ndarray, factor: np.ndarray) -> np.ndarra
 
 def apply_aperture(field: ComplexFieldGrid, diameter_m: float) -> ComplexFieldGrid:
     """Zero all samples outside the centered circular aperture."""
-    if diameter_m <= 0:
-        raise ParameterError("aperture diameter must be positive")
+    _num(diameter_m, "diameter_m", gt=0)
     if diameter_m > field.extent_m:
         raise ParameterError(
             f"aperture diameter {diameter_m} exceeds grid extent {field.extent_m}"
@@ -284,8 +279,7 @@ def _gaussian_profile(grid: GridSpec, waist_m: float) -> np.ndarray:
     grid power of outer(g, g) is (sum g^2 dx)^2, so each factor is
     normalized to sum g^2 dx = 1.
     """
-    if waist_m <= 0:
-        raise ParameterError("waist_m must be positive")
+    _num(waist_m, "waist_m", gt=0)
     x = grid.coords()
     g = np.exp(-(x**2) / waist_m**2)
     return g / math.sqrt(np.sum(g * g) * grid.spacing_m)

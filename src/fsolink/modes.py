@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_hermite
 
-from .errors import DimensionError, ParameterError, ZeroPowerError
-from .field import ComplexFieldGrid, GridSpec, _gaussian_profile, total_power
+from .errors import ParameterError, ZeroPowerError, _num
+from .field import (ComplexFieldGrid, GridSpec, _gaussian_profile, _require_same_geometry,
+                    total_power)
 
 __all__ = [
     "MODE_ORDER",
@@ -48,10 +49,9 @@ def modes_up_to_group(max_group_exclusive: int) -> tuple:
 
 def _check_mode(m: int, n: int, waist_m: float, grid: GridSpec) -> None:
     """Reject an HG_mn mode the grid cannot resolve or hold."""
-    if m < 0 or n < 0:
-        raise ParameterError("mode orders must be >= 0")
-    if waist_m <= 0:
-        raise ParameterError("waist_m must be positive")
+    _num(m, "m", lo=0, integer=True)
+    _num(n, "n", lo=0, integer=True)
+    _num(waist_m, "waist_m", gt=0)
     if waist_m < 4 * grid.spacing_m:
         raise ParameterError(
             f"waist {waist_m} not resolvable on spacing {grid.spacing_m} (need >= 4 samples)"
@@ -90,10 +90,8 @@ def fit_basis_waist(aperture_diameter_m: float, max_group: int = 4) -> float:
     The intensity radius of group g scales as w sqrt(g+1), so
     w = (D/2) / sqrt(max_group + 1).
     """
-    if aperture_diameter_m <= 0:
-        raise ParameterError("aperture diameter must be positive")
-    if max_group < 0:
-        raise ParameterError("max_group must be >= 0")
+    _num(aperture_diameter_m, "aperture_diameter_m", gt=0)
+    _num(max_group, "max_group", lo=0, integer=True)
     return (aperture_diameter_m / 2) / math.sqrt(max_group + 1)
 
 
@@ -176,10 +174,9 @@ def decompose(field: ComplexFieldGrid, basis: ModeBasis) -> ModeCoefficients:
     outside the basis span and can only be negative by quadrature
     round-off (Bessel's inequality).
     """
-    if field.n != basis.grid.n or not math.isclose(
-        field.spacing_m, basis.grid.spacing_m, rel_tol=1e-9
-    ):
-        raise DimensionError("field and basis grids differ")
+    _require_same_geometry(
+        field.n, field.spacing_m, basis.grid.n, basis.grid.spacing_m, "decompose"
+    )
     p = basis.profiles
     # a real matrix times a complex one: the product of P with the field
     # viewed as interleaved (re, im) floats, a real GEMM on the same memory

@@ -11,14 +11,13 @@ mixed.
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .comms import ReceiverModel
-from .errors import ConfigError
+from .errors import ConfigError, _num
 from .field import GridSpec
 from .modes import MODE_ORDER
 from .turbulence import AtmosphereProfile, default_profile
@@ -26,18 +25,10 @@ from .turbulence import AtmosphereProfile, default_profile
 __all__ = ["SCHEMA", "Scenario", "load_scenario", "scenario_from_dict"]
 
 
-def _num(value, path, lo=None, hi=None, integer=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
-        raise ConfigError(path, "must be finite")
-    if integer and int(value) != value:
-        raise ConfigError(path, "expected an integer")
-    if lo is not None and value < lo:
-        raise ConfigError(path, f"must be >= {lo}")
-    if hi is not None and value > hi:
-        raise ConfigError(path, f"must be <= {hi}")
-    return int(value) if integer else float(value)
+def _json_number(text):
+    """A JSON number: integral values (a count written 3.0) parse as ints, -0.0 as a float."""
+    x = float(text)
+    return int(x) if x.is_integer() and str(x) != "-0.0" else x
 
 
 def _bool(value, path):
@@ -62,13 +53,13 @@ _REQUIRED = object()
 
 
 def _number(lo=None, hi=None, integer=False):
-    return partial(_num, lo=lo, hi=hi, integer=integer)
+    return partial(_num, lo=lo, hi=hi, integer=integer, error=ConfigError)
 
 
 def _ber_list(value, path):
     if not isinstance(value, list) or not value:
         raise ConfigError(path, "expected a non-empty list")
-    return [_num(x, f"{path}[{i}]", lo=1e-15, hi=0.499) for i, x in enumerate(value)]
+    return [_number(lo=1e-15, hi=0.499)(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
 # The schema: section -> field -> (default, validator).  A validator takes
@@ -180,11 +171,8 @@ class Scenario:
         a = self["atmosphere"]
         return default_profile(**{k: v for k, v in a.items() if not k.startswith("quoted_")})
 
-    def receiver_model(self, floor_duty=None) -> ReceiverModel:
-        r = dict(self["receiver"])
-        if floor_duty is not None:
-            r["floor_duty"] = floor_duty
-        return ReceiverModel(**r)
+    def receiver_model(self) -> ReceiverModel:
+        return ReceiverModel(**self["receiver"])
 
     def rop_grid(self):
         b = self["ber"]
@@ -203,7 +191,7 @@ def scenario_from_dict(cfg: dict, overrides: dict = None) -> Scenario:
     """
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
-    cfg = json.loads(json.dumps(cfg))  # deep copy, JSON-clean
+    cfg = json.loads(json.dumps(cfg), parse_float=_json_number)  # deep copy, JSON-clean
     for section, given in cfg.items():
         if section not in SCHEMA:
             raise ConfigError(section, "unknown section")

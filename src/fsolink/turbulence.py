@@ -13,6 +13,7 @@ phase ramp (cyclic), the augmentation components translate analytically
 """
 
 import math
+import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from ._streams import substream
-from .errors import ParameterError
+from .errors import ParameterError, _num
 # apply_phase_screen is unused here: perfbench/tracing.py patches it by this name
 from .field import (  # noqa: F401
     GridSpec,
@@ -52,9 +53,13 @@ def _psd_cyclic(fx, fy, r0_m, L0_m, l0_m):
     return 0.023 * r0_m ** (-5.0 / 3.0) * (f2 + f0 * f0) ** (-11.0 / 6.0) * np.exp(-f2 / fm**2)
 
 
-def _cell_power_and_rms_freq(fcx, fcy, width, r0_m, L0_m, l0_m, nq=17):
+# midpoint-rule points per side of an augmentation cell
+_CELL_POINTS = 17
+
+
+def _cell_power_and_rms_freq(fcx, fcy, width, r0_m, L0_m, l0_m):
     """Integrated PSD power over a square cell and its power-weighted RMS |f|."""
-    q = ((np.arange(nq) + 0.5) / nq - 0.5) * width
+    q = ((np.arange(_CELL_POINTS) + 0.5) / _CELL_POINTS - 0.5) * width
     gx, gy = np.meshgrid(fcx + q, fcy + q, indexing="ij")
     p = _psd_cyclic(gx, gy, r0_m, L0_m, l0_m)
     mean_p = p.mean()
@@ -96,12 +101,12 @@ class _SpectralScreen:
     """
 
     def __init__(self, n, spacing_m, r0_m, L0_m, l0_m, rng, subharmonic_levels=0):
-        if n < 2 or (n & (n - 1)) != 0:
+        _num(n, "n", lo=2, integer=True)
+        if n & (n - 1):
             raise ParameterError("screen size must be a power of two")
-        if spacing_m <= 0:
-            raise ParameterError("spacing_m must be positive")
-        if r0_m <= 0:
-            raise ParameterError("r0_m must be positive")
+        _num(spacing_m, "spacing_m", gt=0)
+        _num(r0_m, "r0_m", gt=0, inf_ok=True)
+        _num(subharmonic_levels, "subharmonic_levels", integer=True)
         self.n = int(n)
         self.spacing_m = float(spacing_m)
         df = 1.0 / (n * spacing_m)
@@ -209,19 +214,17 @@ def synth_phase_screen(
     rings (0 disables; 3 is the usual choice, more for strict large-scale
     statistics).
     """
-    if not math.isinf(r0_m) and r0_m < 4 * spacing_m:
-        import warnings
-
-        warnings.warn(
-            f"grid spacing {spacing_m} resolves r0={r0_m} with fewer than 4 samples",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     gen = _SpectralScreen(
         n, spacing_m, r0_m, L0_m, l0_m,
         rng=substream(seed, "phase-screen"),
         subharmonic_levels=subharmonic_levels,
     )
+    if not math.isinf(r0_m) and r0_m < 4 * spacing_m:
+        warnings.warn(
+            f"grid spacing {spacing_m} resolves r0={r0_m} with fewer than 4 samples",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     phase = gen.phase_at()
     # remove the piston the augmentation rings carry; a constant offset is
     # invisible to every observable and the screen contract wants zero mean
@@ -260,18 +263,18 @@ class AtmosphereProfile:
     subharmonic_levels: int = 3
 
     def __post_init__(self):
-        if self.total_r0_m <= 0:
-            raise ParameterError("total_r0_m must be positive")
-        if not (self.outer_scale_m > self.inner_scale_m > 0):
-            raise ParameterError("need outer_scale_m > inner_scale_m > 0")
-        if self.wind_speed_mps < 0:
-            raise ParameterError("wind_speed_mps must be >= 0")
+        _num(self.total_r0_m, "total_r0_m", gt=0, inf_ok=True)
+        _num(self.outer_scale_m, "outer_scale_m")
+        _num(self.inner_scale_m, "inner_scale_m", gt=0)
+        if not self.outer_scale_m > self.inner_scale_m:
+            raise ParameterError("need outer_scale_m > inner_scale_m")
+        _num(self.wind_speed_mps, "wind_speed_mps", lo=0)
+        _num(self.subharmonic_levels, "subharmonic_levels", integer=True)
         layers = tuple(self.layers)
         if not layers:
             raise ParameterError("profile needs at least one layer")
-        w = np.array([lay.cn2_weight for lay in layers], dtype=np.float64)
-        if np.any(w < 0):
-            raise ParameterError("cn2 weights must be >= 0")
+        w = np.array([_num(lay.cn2_weight, f"layers[{i}].cn2_weight", lo=0)
+                      for i, lay in enumerate(layers)])
         total = w.sum()
         if not math.isclose(total, 1.0, rel_tol=1e-6):
             raise ParameterError(f"cn2 weights must sum to 1, got {total}")
@@ -306,9 +309,9 @@ def default_profile(
     the joint frozen-flow state decorrelates over long runs instead of
     cycling.
     """
-    if n_layers < 1:
-        raise ParameterError("n_layers must be >= 1")
-    sin_el = math.sin(math.radians(elevation_deg))
+    _num(n_layers, "n_layers", lo=1, integer=True)
+    _num(top_altitude_m, "top_altitude_m")
+    sin_el = math.sin(math.radians(_num(elevation_deg, "elevation_deg")))
     if sin_el <= 0:
         raise ParameterError("elevation must be above the horizon")
     altitudes = np.geomspace(top_altitude_m / 2 ** (n_layers - 1), top_altitude_m, n_layers)
@@ -367,10 +370,8 @@ def build_time_series(
     generator cancels the rendering not yet started and joins the thread.
     """
     tx = plane_wave(grid)
-    if n_frames < 0:
-        raise ParameterError("n_frames must be >= 0")
-    if frame_rate_hz <= 0:
-        raise ParameterError("frame_rate_hz must be positive")
+    _num(n_frames, "n_frames", lo=0, integer=True)
+    _num(frame_rate_hz, "frame_rate_hz", gt=0)
 
     gens = []
     for i, layer in enumerate(profile.layers):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ScanRangeError
+from .errors import ParameterError, ScanRangeError, _num
 
 __all__ = [
     "C_VACUUM",
@@ -44,14 +44,16 @@ class OpticalSpectrum:
         if (self.lines_hz is None) == (self.band_center_hz is None):
             raise ParameterError("specify either discrete lines or a band, not both")
         if self.lines_hz is not None:
-            lines = np.atleast_1d(np.asarray(self.lines_hz, dtype=np.float64))
-            if lines.size == 0 or np.any(lines <= 0):
-                raise ParameterError("need at least one line, every frequency positive")
-            object.__setattr__(self, "lines_hz", lines)
+            lines = np.atleast_1d(np.asarray(self.lines_hz))
+            if lines.size == 0:
+                raise ParameterError("need at least one line")
+            for i, f in enumerate(lines.flat):
+                _num(f, f"lines_hz[{i}]", gt=0)
+            object.__setattr__(self, "lines_hz", lines.astype(np.float64))
             object.__setattr__(self, "weights", np.full(lines.size, 1.0 / lines.size))
         else:
-            if self.band_center_hz <= 0 or self.band_width_hz < 0:
-                raise ParameterError("band needs positive center and non-negative width")
+            _num(self.band_center_hz, "band_center_hz", gt=0)
+            _num(self.band_width_hz, "band_width_hz", lo=0)
             if self.band_width_hz >= 2 * self.band_center_hz:
                 raise ParameterError("band width exceeds physical range")
 
@@ -125,8 +127,9 @@ def vodl_scan(
     path-length units (full width at half peak; infinite for a
     monochromatic source).
     """
-    if scan_step_m <= 0 or scan_range_m <= 0:
-        raise ParameterError("scan range and step must be positive")
+    _num(true_mismatch_s, "true_mismatch_s")
+    _num(scan_range_m, "scan_range_m", gt=0)
+    _num(scan_step_m, "scan_step_m", gt=0)
     mismatch_m = true_mismatch_s * C_VACUUM
     if abs(mismatch_m) > scan_range_m:
         raise ScanRangeError(

@@ -362,6 +362,11 @@ class TestTopologyValidation:
         with pytest.raises(ParameterError, match="n_inputs"):
             CombinerTopology.balanced(n)
 
+    @pytest.mark.parametrize("name", ["pic_insertion_loss_db", "demux_insertion_loss_db"])
+    def test_nan_loss_names_the_argument(self, name):
+        with pytest.raises(ParameterError, match=name):
+            CombinerTopology(2, **{name: math.nan})
+
     def test_negative_loss_rejected(self):
         with pytest.raises(ParameterError):
             CombinerTopology.balanced(2, pic_insertion_loss_db=-1.0)

@@ -205,6 +205,17 @@ class TestBerCurve:
         assert np.all(curve[mid] >= static[mid])
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: ReceiverModel(sensitivity_dbm="x"), "sensitivity_dbm"),
+    (lambda: sync_loss_stats(PowerTrace.from_rop(np.full(5, -30.0), frame_rate_hz=3.0), OOK,
+                             reacquire_s=math.nan), "reacquire_s"),
+    (lambda: select_windows(np.zeros(50), math.nan, 1), "window_len"),
+], ids=["sensitivity", "reacquire", "window"])
+def test_bad_scalar_names_the_argument(call, name):
+    with pytest.raises(ParameterError, match=name):
+        call()
+
+
 class TestSelectWindows:
     def test_flat_and_fading_stretches(self):
         # frames 0-39 flat, 40-79 fading by up to 9 dB, 80-119 mildly fading

@@ -540,7 +540,8 @@ NON_DEFAULT = {
 
 
 class TestControllerConfig:
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1"],
+                             ids=["nan", "inf", "-inf", "str"])
     @pytest.mark.parametrize("name", NUMERIC_FIELDS)
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ParameterError, match=name):
@@ -664,10 +665,10 @@ class TestCorrectionBandwidth:
 
     @pytest.mark.parametrize("n_periods, settle_periods", [
         (math.nan, 1), (1, math.nan), (math.inf, 1), (1, math.inf),
-        (0, 1), (-5, -3), (1, -1),
+        (0, 1), (-5, -3), (1, -1), ("3", 1),
     ])
     def test_bad_periods_rejected(self, n_periods, settle_periods):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="periods"):
             correction_bandwidth(1000.0, 1.0, self.CAL, n_periods=n_periods,
                                  settle_periods=settle_periods)
 

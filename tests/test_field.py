@@ -142,6 +142,17 @@ class TestPropagation:
         with pytest.raises(InvalidFieldError):
             angular_spectrum_propagate(field, 1.0)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda g: GridSpec(64, math.nan), "extent_m"),
+        (lambda g: GridSpec(64, 1.0, math.nan), "wavelength_m"),
+        (lambda g: angular_spectrum_propagate(plane_wave(g), math.nan), "distance_m"),
+        (lambda g: apply_aperture(plane_wave(g), math.nan), "diameter_m"),
+        (lambda g: gaussian_field(g, math.nan), "waist_m"),
+    ], ids=["grid-extent", "grid-wavelength", "propagate", "aperture", "gaussian"])
+    def test_nan_scalar_names_the_argument(self, grid64, call, name):
+        with pytest.raises(ParameterError, match=name):
+            call(grid64)
+
 
 class TestPhaseScreenApplication:
     def test_zero_screen_identity(self, random_smooth_field):

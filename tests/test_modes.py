@@ -86,6 +86,14 @@ class TestHgModeField:
 
 
 class TestFitBasisWaist:
+    @pytest.mark.parametrize("call", [
+        lambda g: fit_basis_waist(math.nan),
+        lambda g: ModeBasis.build(g, math.nan),
+    ], ids=["fit", "build"])
+    def test_nan_aperture_names_the_argument(self, grid, call):
+        with pytest.raises(ParameterError, match="aperture_diameter_m"):
+            call(grid)
+
     def test_reference_aperture(self):
         w = fit_basis_waist(0.5, 4)
         assert abs(w - 0.25 / math.sqrt(5.0)) < 1e-15

@@ -5,6 +5,7 @@ its bounds, as an override path, for reaching the object it configures, and
 for changing at least one artifact of the command chain.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -55,7 +56,8 @@ def _with(section, field, value):
 
 
 @pytest.mark.parametrize("section,field", FIELDS)
-@pytest.mark.parametrize("wrong", [None, {}, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("wrong", [None, {}, math.nan, math.inf, -math.inf,
+                                   pytest.param(10**400, id="int-beyond-float")])
 def test_wrong_type_names_the_field(section, field, wrong):
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict(_with(section, field, wrong))
@@ -72,6 +74,14 @@ def test_value_just_outside_a_bound_names_the_field(section, field, side, bound)
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict(_with(section, field, value))
     assert exc.value.path == f"{section}.{field}"
+
+
+def test_json_numbers_keep_their_meaning():
+    # JSON has one number type: a count written 3.0 is a count, and -0.0
+    # keeps its sign (the hash covers it)
+    sc = scenario_from_dict({"run": {"seed": 1, "n_frames": 12.0}, "wdm": {"mismatch_mm": -0.0}})
+    assert sc["run"]["n_frames"] == 12 and isinstance(sc["run"]["n_frames"], int)
+    assert math.copysign(1.0, sc["wdm"]["mismatch_mm"]) == -1.0
 
 
 def test_receiver_format_outside_its_choices():
@@ -114,7 +124,8 @@ def test_non_default_values_reach_their_consumers():
     model = sc.receiver_model()
     for name, value in NON_DEFAULT["receiver"].items():
         assert getattr(model, name) == value, name
-    assert sc.receiver_model(floor_duty=0.0).floor_duty == 0.0
+    smf_model = dataclasses.replace(model, floor_duty=0.0)  # run_ber's single-fiber model
+    assert (smf_model.format, smf_model.sensitivity_dbm, smf_model.floor_duty) == ("dpsk", -40.0, 0.0)
 
 
 # Recorded in the config echo and the hash but read by no command: the run's

@@ -178,6 +178,11 @@ class TestAtmosphereProfile:
         r, d = measure_structure_function(screens, 1.0 / n, lags)
         np.testing.assert_allclose(d, kolmogorov_structure_function(r, r0_total), rtol=0.10)
 
+    @pytest.mark.parametrize("name", ["total_r0_m", "wind_speed_mps", "elevation_deg"])
+    def test_nan_default_profile_argument_named(self, name):
+        with pytest.raises(ParameterError, match=name):
+            default_profile(**{name: math.nan})
+
     def test_weights_must_sum_to_one(self):
         layers = (
             TurbulenceLayer(0.7, 500.0),

@@ -200,10 +200,19 @@ class TestSpectrumValidation:
         with pytest.raises(ParameterError):
             OpticalSpectrum(lines_hz=np.array([1e14]), band_center_hz=1e14, band_width_hz=1e9)
 
-    @pytest.mark.parametrize("lines", [[], np.array([])])
+    @pytest.mark.parametrize("lines", [[], np.array([]), [math.nan]])
     def test_empty_line_list_rejected(self, lines):
         with pytest.raises(ParameterError, match="line"):
             OpticalSpectrum(lines_hz=lines)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: OpticalSpectrum(band_center_hz=math.nan, band_width_hz=1.0), "band_center_hz"),
+        (lambda: vodl_scan(OpticalSpectrum.two_lines(CENTER, 1e11), 0.0, 1e-3, math.nan),
+         "scan_step_m"),
+    ], ids=["band", "scan"])
+    def test_nan_scalar_names_the_argument(self, call, name):
+        with pytest.raises(ParameterError, match=name):
+            call()
 
     def test_per_line_needs_lines(self):
         band = OpticalSpectrum(band_center_hz=CENTER, band_width_hz=1e12)
