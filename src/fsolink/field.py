@@ -75,8 +75,10 @@ class ComplexFieldGrid:
 
     samples are complex amplitudes in sqrt(W)/m; row index is y, column
     index is x, both centered with pixel N//2 at the optical axis.  The
-    constructor takes ownership of the samples array and marks it
-    read-only; pass a copy to keep a writable reference.
+    constructor takes ownership of the samples array, marks it read-only
+    (pass a copy to keep a writable reference) and rejects NaN or infinite
+    samples with InvalidFieldError.  Library operations derive finite fields
+    from finite ones, so they do not check a field's samples again.
     """
 
     samples: np.ndarray
@@ -84,13 +86,14 @@ class ComplexFieldGrid:
     wavelength_m: float
 
     def __post_init__(self):
-        s = np.asarray(self.samples)
+        s = np.asarray(self.samples, dtype=np.complex128)
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
             raise DimensionError(f"samples must be square and non-empty, got {s.shape}")
         _check_geometry(s.shape[0], self.extent_m, self.wavelength_m)
-        if s.dtype != np.complex128:
-            object.__setattr__(self, "samples", s.astype(np.complex128))
-        self.samples.setflags(write=False)
+        if not np.isfinite(s).all():
+            raise InvalidFieldError("field contains non-finite samples")
+        object.__setattr__(self, "samples", s)
+        s.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -104,13 +107,12 @@ class ComplexFieldGrid:
     def grid(self) -> GridSpec:
         return GridSpec(self.n, self.extent_m, self.wavelength_m)
 
-    def with_samples(self, samples: np.ndarray) -> "ComplexFieldGrid":
-        return ComplexFieldGrid(samples, self.extent_m, self.wavelength_m)
-
-
-def _require_finite(field: ComplexFieldGrid) -> None:
-    if not np.all(np.isfinite(field.samples)):
-        raise InvalidFieldError("field contains non-finite samples")
+    def _derive(self, samples: np.ndarray) -> "ComplexFieldGrid":
+        """A field on this grid with complex128 samples derived from finite ones, unchecked."""
+        samples.setflags(write=False)
+        out = object.__new__(ComplexFieldGrid)
+        out.__dict__.update(samples=samples, extent_m=self.extent_m, wavelength_m=self.wavelength_m)
+        return out
 
 
 def _require_same_geometry(n_a, spacing_a, n_b, spacing_b, what: str) -> None:
@@ -122,7 +124,6 @@ def _require_same_geometry(n_a, spacing_a, n_b, spacing_b, what: str) -> None:
 
 def total_power(field: ComplexFieldGrid) -> float:
     """Total optical power in watts: sum |samples|^2 * dx^2."""
-    _require_finite(field)
     dx = field.spacing_m
     return float(np.sum(np.abs(field.samples) ** 2) * dx * dx)
 
@@ -191,7 +192,6 @@ def angular_spectrum_propagate(
     Returns:
         The propagated field on the same grid.
     """
-    _require_finite(field)
     _num(distance_m, "distance_m", lo=0)
     if distance_m == 0 and not absorb_edges:
         return field
@@ -213,18 +213,18 @@ def angular_spectrum_propagate(
     if absorb_edges:
         u = u * _edge_absorber(n)
     if distance_m == 0:
-        return field.with_samples(u)
+        return field._derive(u)
 
     # Circular convolution commutes with the half-grid roll, so the
     # centered samples go through the FFTs without fftshift/ifftshift.
     spectrum = _fft.fft2(u)
     spectrum *= _transfer_function(n, dx, lam, distance_m)
     out = _fft.ifft2(spectrum, overwrite_x=True)
-    return field.with_samples(out)
+    return field._derive(out)
 
 
 def apply_phase_screen(field: ComplexFieldGrid, screen) -> ComplexFieldGrid:
-    """Multiply the field pointwise by exp(i * screen.phase).
+    """Multiply the field pointwise by exp(i * screen.phase), screen a PhaseScreen.
 
     Magnitudes are untouched, so total power is exactly preserved.
     """
@@ -232,12 +232,12 @@ def apply_phase_screen(field: ComplexFieldGrid, screen) -> ComplexFieldGrid:
     _require_same_geometry(
         field.n, field.spacing_m, phase.shape[0], screen.spacing_m, "apply_phase_screen"
     )
-    return field.with_samples(_multiply_phase_factor(field.samples, np.exp(1j * phase)))
+    return _apply_phase_factor(field, np.exp(1j * phase))
 
 
-def _multiply_phase_factor(samples: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """factor * samples for a phase factor exp(i phi), written into factor."""
-    return np.multiply(factor, samples, out=factor)
+def _apply_phase_factor(field: ComplexFieldGrid, factor: np.ndarray) -> ComplexFieldGrid:
+    """factor * field for a finite phase factor exp(i phi), written into factor."""
+    return field._derive(np.multiply(factor, field.samples, out=factor))
 
 
 def apply_aperture(field: ComplexFieldGrid, diameter_m: float) -> ComplexFieldGrid:
@@ -248,7 +248,7 @@ def apply_aperture(field: ComplexFieldGrid, diameter_m: float) -> ComplexFieldGr
             f"aperture diameter {diameter_m} exceeds grid extent {field.extent_m}"
         )
     mask = _disc_mask(field.n, field.extent_m, diameter_m)
-    return field.with_samples(np.where(mask, field.samples, 0.0))
+    return field._derive(np.where(mask, field.samples, 0.0))
 
 
 @functools.lru_cache(maxsize=8)
@@ -268,6 +268,7 @@ def plane_wave(grid: GridSpec) -> ComplexFieldGrid:
 def gaussian_field(grid: GridSpec, waist_m: float, power_w: float = 1.0) -> ComplexFieldGrid:
     """Collimated Gaussian beam, exp(-r^2/w^2) amplitude, normalized on the grid."""
     g = _gaussian_profile(grid, waist_m)
+    _num(power_w, "power_w", lo=0)
     s = np.outer(g, g * np.sqrt(power_w)).astype(np.complex128)
     return ComplexFieldGrid(s, grid.extent_m, grid.wavelength_m)
 
@@ -289,7 +290,7 @@ def uniform_disc_field(grid: GridSpec, diameter_m: float) -> ComplexFieldGrid:
     """Top-hat disc of the given diameter, normalized to 1 W on the grid."""
     f = apply_aperture(plane_wave(grid), diameter_m)
     p = total_power(f)
-    return f.with_samples(f.samples * np.sqrt(1.0 / p))
+    return f._derive(f.samples * np.sqrt(1.0 / p))
 
 
 # --- on-disk snapshot formats -------------------------------------------------

@@ -220,7 +220,7 @@ def optimize_smf_waist(aperture_field: ComplexFieldGrid) -> tuple:
     Coarse log-spaced scan over feasible waists followed by golden-section
     refinement of the best bracket.  Returns (waist_m, efficiency).
     """
-    p = total_power(aperture_field)  # scanned once; every probe reuses it
+    p = total_power(aperture_field)  # summed once; every probe reuses it
     if p <= 0:
         raise ZeroPowerError("cannot optimize the fiber waist of a zero-power field")
 

@@ -26,7 +26,7 @@ from .errors import ParameterError, _num
 # apply_phase_screen is unused here: perfbench/tracing.py patches it by this name
 from .field import (  # noqa: F401
     GridSpec,
-    _multiply_phase_factor,
+    _apply_phase_factor,
     angular_spectrum_propagate,
     apply_aperture,
     apply_phase_screen,
@@ -51,6 +51,14 @@ def _psd_cyclic(fx, fy, r0_m, L0_m, l0_m):
     fm = 5.92 / (2 * np.pi * l0_m)
     f2 = fx * fx + fy * fy
     return 0.023 * r0_m ** (-5.0 / 3.0) * (f2 + f0 * f0) ** (-11.0 / 6.0) * np.exp(-f2 / fm**2)
+
+
+def _check_scales(outer, inner, outer_name, inner_name) -> None:
+    """The von Karman outer and inner scales: both > 0, outer above inner."""
+    _num(outer, outer_name, gt=0)
+    _num(inner, inner_name, gt=0)
+    if not outer > inner:
+        raise ParameterError(f"need {outer_name} > {inner_name}")
 
 
 # midpoint-rule points per side of an augmentation cell
@@ -106,7 +114,8 @@ class _SpectralScreen:
             raise ParameterError("screen size must be a power of two")
         _num(spacing_m, "spacing_m", gt=0)
         _num(r0_m, "r0_m", gt=0, inf_ok=True)
-        _num(subharmonic_levels, "subharmonic_levels", integer=True)
+        _check_scales(L0_m, l0_m, "L0_m", "l0_m")
+        _num(subharmonic_levels, "subharmonic_levels", lo=0, integer=True)
         self.n = int(n)
         self.spacing_m = float(spacing_m)
         df = 1.0 / (n * spacing_m)
@@ -264,12 +273,9 @@ class AtmosphereProfile:
 
     def __post_init__(self):
         _num(self.total_r0_m, "total_r0_m", gt=0, inf_ok=True)
-        _num(self.outer_scale_m, "outer_scale_m")
-        _num(self.inner_scale_m, "inner_scale_m", gt=0)
-        if not self.outer_scale_m > self.inner_scale_m:
-            raise ParameterError("need outer_scale_m > inner_scale_m")
+        _check_scales(self.outer_scale_m, self.inner_scale_m, "outer_scale_m", "inner_scale_m")
         _num(self.wind_speed_mps, "wind_speed_mps", lo=0)
-        _num(self.subharmonic_levels, "subharmonic_levels", integer=True)
+        _num(self.subharmonic_levels, "subharmonic_levels", lo=0, integer=True)
         layers = tuple(self.layers)
         if not layers:
             raise ParameterError("profile needs at least one layer")
@@ -310,7 +316,7 @@ def default_profile(
     cycling.
     """
     _num(n_layers, "n_layers", lo=1, integer=True)
-    _num(top_altitude_m, "top_altitude_m")
+    _num(top_altitude_m, "top_altitude_m", gt=0)
     sin_el = math.sin(math.radians(_num(elevation_deg, "elevation_deg")))
     if sin_el <= 0:
         raise ParameterError("elevation must be above the horizon")
@@ -411,7 +417,7 @@ def build_time_series(
                 while len(pending) <= _FACTORS_AHEAD and (job := next(jobs, None)) is not None:
                     pending.append(worker.submit(render, *job))
                 factor = pending.popleft().result()
-                u = u.with_samples(_multiply_phase_factor(u.samples, factor))
+                u = _apply_phase_factor(u, factor)
                 u = angular_spectrum_propagate(u, layer.distance_to_next_m, absorb_edges=absorb_edges)
             yield apply_aperture(u, rx_aperture_m)
     finally:

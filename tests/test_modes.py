@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fsolink.errors import DimensionError, ParameterError, ZeroPowerError
-from fsolink.field import GridSpec, gaussian_field, total_power, uniform_disc_field
+from fsolink.field import (ComplexFieldGrid, GridSpec, gaussian_field, total_power,
+                           uniform_disc_field)
 from fsolink.modes import (
     MODE_ORDER,
     ModeBasis,
@@ -44,7 +49,7 @@ def smooth_field(grid):
     spec[:keep, -keep:] = block[:keep, keep:]
     spec[-keep:, -keep:] = block[keep:, keep:]
     samples = np.fft.ifft2(spec) * n
-    return gaussian_field(grid, 0.1).with_samples(samples)
+    return ComplexFieldGrid(samples, grid.extent_m, grid.wavelength_m)
 
 
 class TestModeOrder:
@@ -146,7 +151,7 @@ class TestDecompose:
         assert abs(mc.residual_power) < 1e-3
 
     def test_zero_field(self, grid, basis):
-        zero = gaussian_field(grid, 0.1).with_samples(np.zeros((grid.n, grid.n), complex))
+        zero = ComplexFieldGrid(np.zeros((grid.n, grid.n), complex), grid.extent_m, LAM)
         mc = decompose(zero, basis)
         np.testing.assert_array_equal(mc.coeffs, 0.0)
         assert mc.residual_power == 0.0
@@ -173,7 +178,7 @@ class TestDecompose:
         # a wide, off-axis beam with most of its power beyond the 0.5 m aperture
         x = grid.coords()
         beam = np.exp(-((x[None, :] - 0.21) ** 2 + (x[:, None] + 0.13) ** 2) / 0.35**2)
-        field = smooth_field.with_samples(beam * smooth_field.samples + 0.3 * beam)
+        field = ComplexFieldGrid(beam * smooth_field.samples + 0.3 * beam, grid.extent_m, LAM)
         outside = np.hypot(x[None, :], x[:, None]) > 0.25
         assert np.sum(np.abs(field.samples[outside]) ** 2) > np.sum(np.abs(field.samples[~outside]) ** 2)
         ref = einsum_projection(basis, field)
@@ -194,7 +199,7 @@ class TestDecompose:
     def test_linearity(self, grid, basis):
         f = hg_mode_field(0, 0, 0.13, grid)
         g = hg_mode_field(1, 1, 0.09, grid)
-        combo = f.with_samples(0.7 * f.samples + 0.3j * g.samples)
+        combo = ComplexFieldGrid(0.7 * f.samples + 0.3j * g.samples, f.extent_m, f.wavelength_m)
         mc = decompose(combo, basis)
         expected = 0.7 * decompose(f, basis).coeffs + 0.3j * decompose(g, basis).coeffs
         np.testing.assert_allclose(mc.coeffs, expected, atol=1e-9)
@@ -203,7 +208,7 @@ class TestDecompose:
         rng = np.random.default_rng(8)
         coeffs = rng.standard_normal(15) + 1j * rng.standard_normal(15)
         synth = np.einsum("k,kij->ij", coeffs, stacked_modes(basis))
-        field = hg_mode_field(0, 0, 0.1, grid).with_samples(synth)
+        field = ComplexFieldGrid(synth, grid.extent_m, grid.wavelength_m)
         mc = decompose(field, basis)
         np.testing.assert_allclose(mc.coeffs, coeffs, rtol=1e-6, atol=1e-6)
 
@@ -246,11 +251,11 @@ class TestSmfCoupling:
     def test_invariance_to_phase_and_scale(self, grid, basis):
         beam = gaussian_field(grid, 0.2)
         base = smf_coupling_efficiency(beam, 0.1)
-        rotated = beam.with_samples(beam.samples * np.exp(1j * 0.77) * 3.0)
+        rotated = ComplexFieldGrid(beam.samples * np.exp(1j * 0.77) * 3.0, beam.extent_m, LAM)
         assert abs(smf_coupling_efficiency(rotated, 0.1) - base) < 1e-12
 
     def test_zero_power_rejected(self, grid):
-        zero = gaussian_field(grid, 0.1).with_samples(np.zeros((grid.n, grid.n), complex))
+        zero = ComplexFieldGrid(np.zeros((grid.n, grid.n), complex), grid.extent_m, LAM)
         with pytest.raises(ZeroPowerError):
             smf_coupling_efficiency(zero, 0.1)
         with pytest.raises(ZeroPowerError):
@@ -285,3 +290,37 @@ class TestModeStatistics:
     def test_empty_series_rejected(self):
         with pytest.raises(ParameterError):
             mode_statistics([])
+
+
+# one analysed frame: the first of a 256-grid default series, seed 3
+_FRAME_PROBE = """
+import hashlib
+from fsolink.field import GridSpec, total_power
+from fsolink.modes import ModeBasis, decompose, smf_coupling_efficiency
+from fsolink.turbulence import build_time_series, default_profile
+
+grid = GridSpec(256, 1.0, 1.55e-6)
+frames = build_time_series(default_profile(), grid, n_frames=1, seed=3)
+frame = next(frames)
+frames.close()
+mc = decompose(frame, ModeBasis.build(grid, aperture_diameter_m=0.5))
+print(hashlib.sha256(frame.samples.tobytes()).hexdigest())
+print(mc.coeffs.tobytes().hex())
+print(repr(mc.residual_power), repr(smf_coupling_efficiency(frame, 0.2)), repr(total_power(frame)))
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # a BLAS reduction (np.vdot, or @ on a flattened view) would split its
+    # sum by thread and round differently with 1 and 2 threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", _FRAME_PROBE], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]

@@ -8,7 +8,9 @@ import pytest
 from fsolink import turbulence
 from fsolink._streams import substream
 from fsolink.errors import ParameterError
-from fsolink.field import angular_spectrum_propagate, apply_aperture, plane_wave, total_power
+from fsolink.field import (ComplexFieldGrid, angular_spectrum_propagate, apply_aperture,
+                           plane_wave, total_power)
+from fsolink.modes import ModeBasis, decompose, smf_coupling_efficiency
 from fsolink.turbulence import (
     AtmosphereProfile,
     PhaseScreen,
@@ -178,10 +180,21 @@ class TestAtmosphereProfile:
         r, d = measure_structure_function(screens, 1.0 / n, lags)
         np.testing.assert_allclose(d, kolmogorov_structure_function(r, r0_total), rtol=0.10)
 
-    @pytest.mark.parametrize("name", ["total_r0_m", "wind_speed_mps", "elevation_deg"])
-    def test_nan_default_profile_argument_named(self, name):
+    @pytest.mark.parametrize("call, name", [
+        (lambda: default_profile(total_r0_m=math.nan), "total_r0_m"),
+        (lambda: default_profile(wind_speed_mps=math.nan), "wind_speed_mps"),
+        (lambda: default_profile(elevation_deg=math.nan), "elevation_deg"),
+        (lambda: default_profile(subharmonic_levels=-2), "subharmonic_levels"),
+        (lambda: default_profile(top_altitude_m=0.0), "top_altitude_m"),
+        (lambda: synth_phase_screen(64, 0.01, 0.1, l0_m=0.0), "l0_m"),
+        (lambda: synth_phase_screen(64, 0.01, 0.1, L0_m=1e-3, l0_m=5e-3), "l0_m"),
+        (lambda: synth_phase_screen(64, 0.01, 0.1, subharmonic_levels=-1), "subharmonic_levels"),
+    ], ids=["total_r0_m", "wind_speed_mps", "elevation_deg", "subharmonic_levels",
+            "top_altitude_m", "screen-inner-scale", "screen-scales-swapped",
+            "screen-subharmonic_levels"])
+    def test_nan_default_profile_argument_named(self, call, name):
         with pytest.raises(ParameterError, match=name):
-            default_profile(**{name: math.nan})
+            call()
 
     def test_weights_must_sum_to_one(self):
         layers = (
@@ -255,7 +268,7 @@ def sequential_time_series(profile, grid, n_frames, frame_rate_hz, seed,
                 profile.wind_speed_mps * t * math.sin(azimuths[i]),
             )
             screen = PhaseScreen(gens[i].phase_at(shift), tx.spacing_m)
-            u = u.with_samples(np.exp(1j * screen.phase) * u.samples)
+            u = ComplexFieldGrid(np.exp(1j * screen.phase) * u.samples, u.extent_m, u.wavelength_m)
             u = angular_spectrum_propagate(u, layer.distance_to_next_m, absorb_edges=absorb_edges)
         yield apply_aperture(u, rx_aperture_m)
 
@@ -299,6 +312,22 @@ class TestRenderingWorker:
         assert len(frames) == 3
         assert sorted({name for name, _ in callers}) == ["angular_spectrum_propagate", "apply_aperture"]
         assert {ident for _, ident in callers} == {threading.get_ident()}
+
+    def test_fields_are_checked_once_where_they_enter(self, grid64, monkeypatch):
+        # the plane wave is checked; every frame and analysis derives from it
+        basis = ModeBasis.build(grid64, 0.5)
+        checks = []
+        check = ComplexFieldGrid.__post_init__
+
+        def counted(field):
+            checks.append(field)
+            check(field)
+
+        monkeypatch.setattr(ComplexFieldGrid, "__post_init__", counted)
+        for frame in build_time_series(default_profile(), grid=grid64, n_frames=3, seed=4):
+            decompose(frame, basis)
+            smf_coupling_efficiency(frame, 0.2)
+        assert len(checks) == 1
 
     def test_worker_error_raised_from_the_frame_that_needs_it(self, grid128, monkeypatch):
         profile = default_profile()
