@@ -10,6 +10,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import _num
+
 __all__ = ["substream", "stream_words"]
 
 
@@ -27,8 +29,9 @@ def substream(seed: int, *labels) -> np.random.Generator:
     """Return a Generator for the (seed, labels) stream.
 
     The same (seed, labels) pair always yields an identical stream; distinct
-    labels yield statistically independent streams.
+    labels yield statistically independent streams.  The seed is a
+    non-negative integer; every seeded call of the library checks it here.
     """
     words = stream_words(*labels)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=words)
+    ss = np.random.SeedSequence(entropy=_num(seed, "seed", lo=0, integer=True), spawn_key=words)
     return np.random.Generator(np.random.Philox(ss))

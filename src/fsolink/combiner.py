@@ -86,7 +86,7 @@ class CombinerState:
             raise ParameterError("phase_commands and split_ratios must have equal length")
         if not np.all(np.isfinite(ph)):
             raise ParameterError("phase commands must be finite")
-        if np.any((ra < 0) | (ra > 1)):
+        if not np.all((ra >= 0) & (ra <= 1)):  # NaN fails too
             raise ParameterError("split ratios must lie in [0, 1]")
         object.__setattr__(self, "phase_commands", ph)
         object.__setattr__(self, "split_ratios", ra)
@@ -132,6 +132,8 @@ def align_state(inputs, topology: CombinerTopology) -> CombinerState:
     a = np.asarray(inputs, dtype=np.complex128)
     if a.shape != (topology.n_inputs,):
         raise ParameterError("input length does not match topology")
+    if not np.isfinite(a).all():
+        raise InvalidFieldError("combiner inputs must be finite")
     buf = list(a)
     phases = []
     ratios = []
@@ -159,8 +161,10 @@ def mm_coupling_efficiency(mode_power, residual_power, n_modes: int, loss_db: fl
     first n_modes modes collects their summed power (the combining bound);
     loss_db, e.g. a topology's total insertion loss, is a constant offset.
     """
+    _num(n_modes, "n_modes", lo=0, integer=True)
+    _num(loss_db, "loss_db", lo=0)
     power = np.asarray(mode_power, dtype=np.float64)
-    if power.ndim != 2 or not 0 <= n_modes <= power.shape[1]:
+    if power.ndim != 2 or n_modes > power.shape[1]:
         raise ParameterError("need (frames, modes) powers and 0 <= n_modes <= modes")
     scale = 10.0 ** (-loss_db / 10.0)
     return scale * power[:, :n_modes].sum(axis=1) / (power.sum(axis=1) + residual_power)

@@ -66,32 +66,25 @@ class ReceiverModel:
 
 @dataclass(frozen=True)
 class PowerTrace:
-    """Received optical power at the demodulator input, per frame."""
+    """Received optical power at the demodulator input, one sample per frame;
+    frame i starts at i / frame_rate_hz and lasts one frame period."""
 
-    time_s: np.ndarray
     rop_dbm: np.ndarray
-    frame_rate_hz: float = None
+    frame_rate_hz: float = 1.0
     correction_bandwidth_hz: float = None
 
     def __post_init__(self):
-        t = np.asarray(self.time_s, dtype=np.float64)
         p = np.asarray(self.rop_dbm, dtype=np.float64)
-        if t.shape != p.shape or t.ndim != 1:
-            raise ParameterError("time_s and rop_dbm must be 1-D arrays of equal length")
-        if t.size == 0:
-            raise ParameterError("power trace must be non-empty")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+        if p.ndim != 1 or p.size == 0:
+            raise ParameterError("rop_dbm must be a non-empty 1-D array")
+        if not np.all(np.isfinite(p)):
             raise ParameterError("power trace must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise ParameterError("time_s must be strictly increasing")
-        object.__setattr__(self, "time_s", t)
+        _num(self.frame_rate_hz, "frame_rate_hz", gt=0)
         object.__setattr__(self, "rop_dbm", p)
 
     @classmethod
     def from_rop(cls, rop_dbm, frame_rate_hz: float = 1.0, **kw) -> "PowerTrace":
-        rop = np.atleast_1d(np.asarray(rop_dbm, dtype=np.float64))
-        t = np.arange(rop.size) / frame_rate_hz
-        return cls(time_s=t, rop_dbm=rop, frame_rate_hz=frame_rate_hz, **kw)
+        return cls(np.atleast_1d(np.asarray(rop_dbm, dtype=np.float64)), frame_rate_hz, **kw)
 
 
 def ber_instant(rop_dbm, model: ReceiverModel):
@@ -128,6 +121,7 @@ def monte_carlo_cumulated_ber(trace, model: ReceiverModel, bits_per_frame: int =
     Draws bits_per_frame Bernoulli errors per frame at that frame's BER and
     pools the error counts.  Returns (estimate, standard_error).
     """
+    _num(bits_per_frame, "bits_per_frame", lo=1, integer=True)
     rop = trace.rop_dbm if isinstance(trace, PowerTrace) else np.asarray(trace, dtype=np.float64)
     p = np.atleast_1d(ber_instant(rop, model))
     rng = substream(seed, "mc-ber")
@@ -165,7 +159,6 @@ def frame_rate_invariance_check(trace: PowerTrace, model: ReceiverModel, rates_h
         raise ParameterError("need at least one frame rate")
     flagged = (
         trace.correction_bandwidth_hz is not None
-        and trace.frame_rate_hz is not None
         and trace.correction_bandwidth_hz < trace.frame_rate_hz
     )
     baseline = cumulated_ber(trace, model)
@@ -191,22 +184,16 @@ def sync_loss_stats(
     """
     _num(ber_threshold, "ber_threshold", gt=0, lt=0.5)
     _num(reacquire_s, "reacquire_s", lo=0)
-    t = trace.time_s
-    if t.size < 2:  # one sample lasts one frame period
-        if trace.frame_rate_hz is None or not trace.frame_rate_hz > 0:
-            raise ParameterError("a one-sample trace needs a positive frame rate")
-        dt = duration = 1.0 / trace.frame_rate_hz
-    else:
-        dt = float(np.median(np.diff(t)))
-        duration = t[-1] - t[0] + dt
+    rate = trace.frame_rate_hz
+    duration = trace.rop_dbm.size / rate
     if duration < 1.0:
         raise ParameterError("sync loss statistics need at least 1 s of trace")
-    bad = np.atleast_1d(ber_instant(trace.rop_dbm, model)) > ber_threshold
+    bad = ber_instant(trace.rop_dbm, model) > ber_threshold
     outage = 0.0
     in_outage_until = -math.inf
     for i, flag in enumerate(bad):
-        start = t[i]
-        end = t[i] + dt
+        start = i / rate
+        end = (i + 1) / rate
         if flag:
             in_outage_until = max(in_outage_until, end + reacquire_s)
         outage += max(0.0, min(end, in_outage_until) - start)
@@ -220,6 +207,7 @@ def power_penalty(curve, reference, target_ber: float) -> float:
     crossing power is log-interpolated.  Raises CurveCrossingError naming
     the side that never crosses the target.
     """
+    _num(target_ber, "target_ber", gt=0, lt=0.5)
 
     def crossing(rop, ber, side):
         rop = np.asarray(rop, dtype=np.float64)

@@ -289,15 +289,20 @@ class ControllerConfig:
 
 @dataclass
 class LoopTrace:
-    """Per-evaluation record of a closed-loop run."""
+    """Per-evaluation record of a closed-loop run: evaluation e runs at
+    e / loop_rate_hz, in frame e // evaluations per frame."""
 
-    time_s: np.ndarray
     power_w: np.ndarray
     wrap_flag: np.ndarray
-    frame_index: np.ndarray
     frame_ideal_power_w: np.ndarray
     loop_rate_hz: float
     wrap_transient_s: float
+
+    @property
+    def frame_index(self) -> np.ndarray:
+        """Frame of each evaluation."""
+        n_frames = self.frame_ideal_power_w.shape[0]
+        return np.repeat(np.arange(n_frames), self.power_w.shape[0] // n_frames)
 
     def frame_sampled_power(self) -> np.ndarray:
         """Output power at each frame's last evaluation (display-rate samples)."""
@@ -417,10 +422,8 @@ def run_closed_loop(
                 wrap_flag[e] = True  # flagged on the next evaluation
 
     return LoopTrace(
-        time_s=np.arange(n_frames * budget) / config.loop_rate_hz,
         power_w=power,
         wrap_flag=wrap_flag,
-        frame_index=np.repeat(np.arange(n_frames), budget),
         frame_ideal_power_w=np.sum(np.abs(frames) ** 2, axis=1),
         loop_rate_hz=config.loop_rate_hz,
         wrap_transient_s=config.wrap_transient_s,
@@ -429,16 +432,17 @@ def run_closed_loop(
 
 def wrap_event_rate(trace: LoopTrace) -> tuple:
     """Wrap events per second and the transient duty fraction of the run."""
-    n = trace.time_s.shape[0]
+    n = trace.power_w.shape[0]
     if n == 0:
         raise ParameterError("empty trace")
-    total_time = n / trace.loop_rate_hz
+    rate = trace.loop_rate_hz
+    total_time = n / rate
     events = int(np.count_nonzero(trace.wrap_flag))
     # merge overlapping transients for the exact dead-time fraction
     dead = 0.0
     current_end = -math.inf
-    end_of_run = trace.time_s[-1] + 1.0 / trace.loop_rate_hz
-    for t in trace.time_s[trace.wrap_flag]:
+    end_of_run = (n - 1) / rate + 1.0 / rate
+    for t in np.flatnonzero(trace.wrap_flag) / rate:
         start = max(t, current_end)
         end = min(t + trace.wrap_transient_s, end_of_run)
         if end > start:

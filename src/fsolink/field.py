@@ -224,15 +224,19 @@ def angular_spectrum_propagate(
 
 
 def apply_phase_screen(field: ComplexFieldGrid, screen) -> ComplexFieldGrid:
-    """Multiply the field pointwise by exp(i * screen.phase), screen a PhaseScreen.
+    """Multiply the field pointwise by exp(i * screen.phase).
 
-    Magnitudes are untouched, so total power is exactly preserved.
+    Magnitudes are untouched, so total power is exactly preserved.  screen
+    is any object with phase and spacing_m, so the product goes through the
+    checked constructor: a non-finite phase raises InvalidFieldError.
     """
     phase = np.asarray(screen.phase, dtype=np.float64)
     _require_same_geometry(
         field.n, field.spacing_m, phase.shape[0], screen.spacing_m, "apply_phase_screen"
     )
-    return _apply_phase_factor(field, np.exp(1j * phase))
+    with np.errstate(invalid="ignore"):  # an infinite phase raises below, not as a warning
+        samples = np.exp(1j * phase) * field.samples
+    return ComplexFieldGrid(samples, field.extent_m, field.wavelength_m)
 
 
 def _apply_phase_factor(field: ComplexFieldGrid, factor: np.ndarray) -> ComplexFieldGrid:

@@ -256,23 +256,22 @@ def optimize_smf_waist(aperture_field: ComplexFieldGrid) -> tuple:
 
 @dataclass(frozen=True)
 class ModeStatistics:
-    """Time-averaged relative mode powers over a coefficient series."""
+    """Time-averaged relative mode powers over a coefficient series, in
+    MODE_ORDER."""
 
-    indices: tuple
     mean_fraction: np.ndarray  # per mode, fractions of total field power
     residual_fraction: float
 
     def group_fractions(self) -> dict:
         """Summed mean fraction per mode group m+n."""
         out = {}
-        for (m, n), frac in zip(self.indices, self.mean_fraction):
+        for (m, n), frac in zip(MODE_ORDER, self.mean_fraction):
             out[m + n] = out.get(m + n, 0.0) + float(frac)
         return out
 
     def captured_fraction(self, n_modes: int = None) -> float:
         """Mean fraction captured by the first n_modes basis modes."""
-        n = len(self.indices) if n_modes is None else n_modes
-        return float(np.sum(self.mean_fraction[:n]))
+        return float(np.sum(self.mean_fraction[:n_modes]))
 
 
 def mode_statistics(series) -> ModeStatistics:
@@ -286,7 +285,6 @@ def mode_statistics(series) -> ModeStatistics:
     if not fractions:
         raise ParameterError("mode_statistics needs a non-empty series")
     return ModeStatistics(
-        indices=MODE_ORDER,
         mean_fraction=np.mean(fractions, axis=0),
         residual_fraction=float(np.mean(residuals)),
     )

@@ -249,7 +249,6 @@ class TurbulenceLayer:
     or to the receiver plane for the last layer.
     """
 
-    cn2_weight: float
     distance_to_next_m: float
     wind_azimuth_deg: float = 0.0
 
@@ -259,9 +258,9 @@ class AtmosphereProfile:
     """Layered description of the turbulent slant path.
 
     total_r0_m is the Fried parameter of the whole line of sight at the
-    operating wavelength; per-layer strengths follow from the Cn^2 weights
-    through r0_i = total_r0 * w_i^(-3/5), so the layers always recompose to
-    the requested total.
+    operating wavelength.  The n layers carry equal Cn^2 shares, so each
+    has r0 = total_r0 * (1/n)^(-3/5) and the layers recompose to the
+    requested total.
     """
 
     layers: tuple
@@ -279,19 +278,12 @@ class AtmosphereProfile:
         layers = tuple(self.layers)
         if not layers:
             raise ParameterError("profile needs at least one layer")
-        w = np.array([_num(lay.cn2_weight, f"layers[{i}].cn2_weight", lo=0)
-                      for i, lay in enumerate(layers)])
-        total = w.sum()
-        if not math.isclose(total, 1.0, rel_tol=1e-6):
-            raise ParameterError(f"cn2 weights must sum to 1, got {total}")
         object.__setattr__(self, "layers", layers)
 
-    def layer_r0_m(self, index: int) -> float:
-        """Fried parameter of one layer; sum r0_i^(-5/3) equals total_r0^(-5/3)."""
-        w = self.layers[index].cn2_weight
-        if w == 0 or math.isinf(self.total_r0_m):
-            return math.inf
-        return self.total_r0_m * w ** (-3.0 / 5.0)
+    @property
+    def layer_r0_m(self) -> float:
+        """Fried parameter of each layer; n r0_i^(-5/3) equals total_r0^(-5/3)."""
+        return self.total_r0_m * (1.0 / len(self.layers)) ** (-3.0 / 5.0)
 
 
 _GOLDEN_ANGLE_DEG = 137.50776405003785
@@ -327,7 +319,6 @@ def default_profile(
         dist = slant[i] - (slant[i - 1] if i > 0 else 0.0)
         layers.append(
             TurbulenceLayer(
-                cn2_weight=1.0 / n_layers,
                 distance_to_next_m=float(dist),
                 wind_azimuth_deg=(_GOLDEN_ANGLE_DEG * i) % 360.0,
             )
@@ -379,19 +370,12 @@ def build_time_series(
     _num(n_frames, "n_frames", lo=0, integer=True)
     _num(frame_rate_hz, "frame_rate_hz", gt=0)
 
-    gens = []
-    for i, layer in enumerate(profile.layers):
-        gens.append(
-            _SpectralScreen(
-                tx.n,
-                tx.spacing_m,
-                profile.layer_r0_m(i),
-                profile.outer_scale_m,
-                profile.inner_scale_m,
-                rng=substream(seed, "layer", i),
-                subharmonic_levels=profile.subharmonic_levels,
-            )
-        )
+    gens = [
+        _SpectralScreen(tx.n, tx.spacing_m, profile.layer_r0_m, profile.outer_scale_m,
+                        profile.inner_scale_m, rng=substream(seed, "layer", i),
+                        subharmonic_levels=profile.subharmonic_levels)
+        for i in range(len(profile.layers))
+    ]
     azimuths = [math.radians(lay.wind_azimuth_deg) for lay in profile.layers]
 
     def render(i, t):

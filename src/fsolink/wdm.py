@@ -11,7 +11,7 @@ half power at |dnu tau| = 1/2 and a null at |dnu tau| = 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +33,11 @@ C_VACUUM = 299792458.0
 
 @dataclass(frozen=True)
 class OpticalSpectrum:
-    """Discrete lines of equal weight, or a rectangular band."""
+    """Discrete lines of equal weight (1/n of the power each), or a rectangular band."""
 
     lines_hz: np.ndarray = None
     band_center_hz: float = None
     band_width_hz: float = None
-    weights: np.ndarray = field(init=False, default=None)  # per line, summing to 1
 
     def __post_init__(self):
         if (self.lines_hz is None) == (self.band_center_hz is None):
@@ -50,7 +49,6 @@ class OpticalSpectrum:
             for i, f in enumerate(lines.flat):
                 _num(f, f"lines_hz[{i}]", gt=0)
             object.__setattr__(self, "lines_hz", lines.astype(np.float64))
-            object.__setattr__(self, "weights", np.full(lines.size, 1.0 / lines.size))
         else:
             _num(self.band_center_hz, "band_center_hz", gt=0)
             _num(self.band_width_hz, "band_width_hz", lo=0)
@@ -73,14 +71,14 @@ class OpticalSpectrum:
     @property
     def centroid_hz(self) -> float:
         if self.lines_hz is not None:
-            return float(np.sum(self.lines_hz * self.weights))
+            return float(np.sum(self.lines_hz) / self.lines_hz.size)
         return self.band_center_hz
 
     def autocorrelation(self, delay_s: float) -> complex:
         """Normalized spectral autocorrelation about the centroid."""
         if self.lines_hz is not None:
             offsets = self.lines_hz - self.centroid_hz
-            return complex(np.sum(self.weights * np.exp(2j * np.pi * offsets * delay_s)))
+            return complex(np.sum(np.exp(2j * np.pi * offsets * delay_s)) / offsets.size)
         x = self.band_width_hz * delay_s
         return complex(np.sinc(x))
 
@@ -92,7 +90,7 @@ def two_path_efficiency(spectrum: OpticalSpectrum, delay_s: float) -> float:
     each line the residual error of its offset: efficiency =
     (1 + Re gamma(tau)) / 2, which is 1 at tau = 0 and symmetric in tau.
     """
-    g = spectrum.autocorrelation(float(delay_s)).real
+    g = spectrum.autocorrelation(_num(delay_s, "delay_s")).real
     return float(min(1.0, max(0.0, 0.5 * (1.0 + g))))
 
 
@@ -100,8 +98,9 @@ def per_line_efficiency(spectrum: OpticalSpectrum, delay_s: float) -> np.ndarray
     """Efficiency seen by each discrete line under a centroid-locked actuator."""
     if spectrum.lines_hz is None:
         raise ParameterError("per-line efficiency needs a discrete-line spectrum")
+    delay_s = _num(delay_s, "delay_s")
     offsets = spectrum.lines_hz - spectrum.centroid_hz
-    return np.cos(np.pi * offsets * float(delay_s)) ** 2
+    return np.cos(np.pi * offsets * delay_s) ** 2
 
 
 @dataclass(frozen=True)

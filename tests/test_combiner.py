@@ -378,3 +378,19 @@ class TestTopologyValidation:
             CombinerState(np.array([0.0]), np.array([1.5]))
         with pytest.raises(ParameterError):
             CombinerState(np.array([np.inf]), np.array([0.5]))
+        with pytest.raises(ParameterError, match="split ratios"):
+            CombinerState(np.array([0.0]), np.array([np.nan]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_align_state_rejects_non_finite_inputs(self, bad):
+        # the inputs combine() rejects
+        with pytest.raises(InvalidFieldError):
+            align_state([1.0, bad], CombinerTopology(2, 0.0, 0.0))
+
+    @pytest.mark.parametrize("kw, name", [
+        ({"n_modes": True}, "n_modes"),
+        ({"n_modes": 2, "loss_db": math.nan}, "loss_db"),
+    ], ids=["n_modes", "loss_db"])
+    def test_bad_mm_scalar_names_the_argument(self, kw, name):
+        with pytest.raises(ParameterError, match=name):
+            mm_coupling_efficiency(np.ones((3, 4)), np.zeros(3), **kw)

@@ -21,6 +21,8 @@ from fsolink.comms import (
 from fsolink.errors import CurveCrossingError, ParameterError
 
 OOK = ReceiverModel(format="ook", sensitivity_dbm=-39.0)
+ROP = np.linspace(-44, -30, 120)
+BER = ber_instant(ROP, OOK)
 
 
 class TestBerInstant:
@@ -145,11 +147,6 @@ class TestSyncLoss:
         with pytest.raises(ParameterError, match="1 s of trace"):
             sync_loss_stats(trace, OOK)
 
-    def test_one_sample_without_rate_rejected(self):
-        trace = PowerTrace(time_s=[0.0], rop_dbm=[-60.0])
-        with pytest.raises(ParameterError, match="frame rate"):
-            sync_loss_stats(trace, OOK)
-
 
 class TestPowerPenalty:
     def grid_and_curve(self, shift_db=0.0):
@@ -210,7 +207,11 @@ class TestBerCurve:
     (lambda: sync_loss_stats(PowerTrace.from_rop(np.full(5, -30.0), frame_rate_hz=3.0), OOK,
                              reacquire_s=math.nan), "reacquire_s"),
     (lambda: select_windows(np.zeros(50), math.nan, 1), "window_len"),
-], ids=["sensitivity", "reacquire", "window"])
+    (lambda: PowerTrace.from_rop(np.full(5, -30.0), frame_rate_hz=0.0), "frame_rate_hz"),
+    (lambda: power_penalty((ROP, BER), (ROP, BER), 0.0), "target_ber"),
+    (lambda: monte_carlo_cumulated_ber(np.full(3, -38.0), OOK, bits_per_frame=0),
+     "bits_per_frame"),
+], ids=["sensitivity", "reacquire", "window", "frame-rate", "target_ber", "bits_per_frame"])
 def test_bad_scalar_names_the_argument(call, name):
     with pytest.raises(ParameterError, match=name):
         call()

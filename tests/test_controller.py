@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import fields
 
@@ -273,7 +274,7 @@ def staged_run_closed_loop(frames, topology, config, seed=0):
         if np.any(turns != 0):
             ph = ph - TWO_PI * turns
             plant.raise_wrap_event()
-    return np.arange(n_frames * budget) / config.loop_rate_hz, plant.power, plant.wrap_flag
+    return plant.power, plant.wrap_flag
 
 
 
@@ -465,10 +466,9 @@ class TestScheduleTable:
                                wrap_transient_s=run["transient_s"])
         seed = int(rng.integers(1000))
         trace = run_closed_loop(frames, topo, cfg, seed=seed)
-        time_s, power_w, wrap_flag = staged_run_closed_loop(frames, topo, cfg, seed=seed)
+        power_w, wrap_flag = staged_run_closed_loop(frames, topo, cfg, seed=seed)
         assert trace.power_w.tobytes() == power_w.tobytes()
         assert trace.wrap_flag.tobytes() == wrap_flag.tobytes()
-        assert trace.time_s.tobytes() == time_s.tobytes()
 
 
 class TestClosedLoopStatics:
@@ -566,7 +566,7 @@ class TestControllerConfig:
         )
         assert any(
             not np.array_equal(getattr(default, a), getattr(changed, a))
-            for a in ("power_w", "wrap_flag", "time_s")
+            for a in ("power_w", "wrap_flag")
         ), f"{name}={NON_DEFAULT[name]!r} left the trace unchanged"
 
 
@@ -611,7 +611,7 @@ class TestWrapModel:
         trace = run_closed_loop(frames, topo, cfg, seed=0)
         events_per_s, duty = wrap_event_rate(trace)
         n_events = int(trace.wrap_flag.sum())
-        total_time = trace.time_s.size / cfg.loop_rate_hz
+        total_time = trace.power_w.size / cfg.loop_rate_hz
         assert abs(events_per_s - n_events / total_time) < 1e-9
         assert abs(duty - n_events * 1e-4 / total_time) < 1e-9
 
@@ -628,6 +628,48 @@ class TestWrapModel:
         e = events[0]
         # power right after the event sits near the residual factor
         assert trace.power_w[e + 1] < 0.5 * trace.frame_ideal_power_w[trace.frame_index[e + 1]]
+
+
+def _digests(traces):
+    """SHA-256 of the concatenated power_w bytes and of the wrap_flag bytes."""
+    power, wrap = hashlib.sha256(), hashlib.sha256()
+    for trace in traces:
+        power.update(trace.power_w.tobytes())
+        wrap.update(trace.wrap_flag.tobytes())
+    return power.hexdigest(), wrap.hexdigest()
+
+
+class TestRecordedDigests:
+    """The closed-loop traces of acceptance criteria 5 and 8, pinned bit for
+    bit to the digests recorded in CHANGES.md."""
+
+    def test_criterion_5_oracle_runs(self):
+        cfg = neutral_wrap_config(evals_per_frame=200)
+
+        def runs():
+            for n in (2, 3, 4):
+                topo = CombinerTopology.balanced(n, 0.0, 0.0)
+                for s in range(100):
+                    rng = np.random.default_rng(1000 + s)
+                    inputs = rng.uniform(0.2, 1.0, n) * np.exp(2j * math.pi * rng.uniform(size=n))
+                    yield run_closed_loop(inputs[None, :], topo, cfg, seed=s)
+
+        assert _digests(runs()) == (
+            "36828ff8ae136705255af3af604a407646c0e1509fa9fb886f4ef1d6664b19b9",
+            "0946e2eb0fb9ea7ddd935efd1922bc7d1f27101c69ce6d2f5145c7ee28f1b6ba",
+        )
+
+    def test_criterion_8_drift(self):
+        F = 80
+        drift = np.linspace(0, 10 * math.pi, F)
+        frames = np.stack([np.ones(F), np.exp(1j * drift)], axis=1)
+        cfg = ControllerConfig(evals_per_frame=150, wrap_transient_s=1e-4)
+        trace = run_closed_loop(frames, CombinerTopology.balanced(2, 0.0, 0.0), cfg, seed=0)
+        assert _digests([trace]) == (
+            "71d1b4001ceaa6a180b087ff87ad444df634e5e54d98f4de1e8badc27553a694",
+            "20e46a85c1dd15c86d3796094c7518e2f183234d44992da9a508d41c2f3050c9",
+        )
+        np.testing.assert_array_equal(trace.frame_index, np.repeat(np.arange(F), 150))
 
 
 class TestCorrectionBandwidth:

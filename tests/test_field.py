@@ -1,5 +1,6 @@
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,6 +180,15 @@ class TestPhaseScreenApplication:
         out = apply_phase_screen(field, PhaseScreen(phase, field.spacing_m))
         expected = np.exp(1j * phase) * field.samples
         assert out.samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_phase_rejected(self, grid64, bad):
+        # any object with phase and spacing_m is read, not only a PhaseScreen
+        phase = np.zeros((64, 64))
+        phase[3, 5] = bad
+        screen = SimpleNamespace(phase=phase, spacing_m=grid64.spacing_m)
+        with pytest.raises(InvalidFieldError):
+            apply_phase_screen(plane_wave(grid64), screen)
 
     def test_geometry_mismatch_rejected(self, random_smooth_field):
         screen = PhaseScreen(np.zeros((64, 64)), random_smooth_field.spacing_m)

@@ -157,8 +157,15 @@ class TestFrozenFlow:
 class TestAtmosphereProfile:
     def test_layer_r0_composition(self):
         profile = default_profile(total_r0_m=0.077)
-        total = sum(profile.layer_r0_m(i) ** (-5.0 / 3.0) for i in range(len(profile.layers)))
+        total = len(profile.layers) * profile.layer_r0_m ** (-5.0 / 3.0)
         assert abs(total - 0.077 ** (-5.0 / 3.0)) / total < 1e-12
+
+    def test_hand_built_layers_share_cn2_equally(self):
+        profile = AtmosphereProfile(layers=[TurbulenceLayer(500.0)] * 4, total_r0_m=0.1)
+        assert profile.layer_r0_m == 0.1 * 0.25 ** (-3.0 / 5.0)
+        assert AtmosphereProfile((TurbulenceLayer(1.0),), math.inf).layer_r0_m == math.inf
+        with pytest.raises(ParameterError, match="layer"):
+            AtmosphereProfile(layers=(), total_r0_m=0.1)
 
     def test_recombined_layer_screens_match_total_r0(self):
         # oracle: ensemble structure function of the summed layer screens
@@ -195,14 +202,6 @@ class TestAtmosphereProfile:
     def test_nan_default_profile_argument_named(self, call, name):
         with pytest.raises(ParameterError, match=name):
             call()
-
-    def test_weights_must_sum_to_one(self):
-        layers = (
-            TurbulenceLayer(0.7, 500.0),
-            TurbulenceLayer(0.7, 500.0),
-        )
-        with pytest.raises(ParameterError):
-            AtmosphereProfile(layers=layers, total_r0_m=0.1)
 
 
 class TestTimeSeries:
@@ -253,7 +252,7 @@ def sequential_time_series(profile, grid, n_frames, frame_rate_hz, seed,
     layer by layer, with the product written as exp(i phase) * samples."""
     tx = plane_wave(grid)
     gens = [
-        _SpectralScreen(tx.n, tx.spacing_m, profile.layer_r0_m(i), profile.outer_scale_m,
+        _SpectralScreen(tx.n, tx.spacing_m, profile.layer_r0_m, profile.outer_scale_m,
                         profile.inner_scale_m, rng=substream(seed, "layer", i),
                         subharmonic_levels=profile.subharmonic_levels)
         for i in range(len(profile.layers))

@@ -27,7 +27,7 @@ def theta_scan_oracle(spectrum, delay_s, n_theta=200001):
     # the actuator tracks the centroid carrier; theta = 0 after that lock
     thetas = np.linspace(- math.pi, math.pi, n_theta)
     # evaluate the centroid-locked operating point directly
-    eff = np.sum(spectrum.weights * np.cos(np.pi * offsets * delay_s) ** 2)
+    eff = np.mean(np.cos(np.pi * offsets * delay_s) ** 2)  # lines of equal weight
     return float(eff)
 
 
@@ -209,7 +209,9 @@ class TestSpectrumValidation:
         (lambda: OpticalSpectrum(band_center_hz=math.nan, band_width_hz=1.0), "band_center_hz"),
         (lambda: vodl_scan(OpticalSpectrum.two_lines(CENTER, 1e11), 0.0, 1e-3, math.nan),
          "scan_step_m"),
-    ], ids=["band", "scan"])
+        (lambda: two_path_efficiency(TWO_100G, math.nan), "delay_s"),
+        (lambda: wdm_link_run(TWO_100G, math.inf), "delay_s"),
+    ], ids=["band", "scan", "two-path-delay", "link-delay"])
     def test_nan_scalar_names_the_argument(self, call, name):
         with pytest.raises(ParameterError, match=name):
             call()
