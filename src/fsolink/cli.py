@@ -15,7 +15,6 @@ scenario hashes and a corrupted artifact) or any other numerical failure.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -28,7 +27,6 @@ from .combiner import CombinerTopology, mm_coupling_efficiency
 from .comms import (
     PowerTrace,
     ber_curve,
-    ber_floor_from_phase_jumps,
     ber_instant,
     power_penalty,
     select_windows,
@@ -274,9 +272,7 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
             raise ConfigError("window", f"window {start}:{end} outside 0..{smf_db.size}")
         windows = {"manual": (start, end)}
 
-    # the wrap-transient error floor belongs to the combined receiver only
-    mm_model = scenario.receiver_model()
-    model = dataclasses.replace(mm_model, floor_duty=0.0)
+    model = scenario.receiver_model()
     btb = ber_instant(rop, model)
 
     report = {
@@ -286,7 +282,6 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
             "format": model.format,
             "sensitivity_dbm": model.sensitivity_dbm,
             "effective_sensitivity_dbm": model.effective_sensitivity_dbm,
-            "floor_duty": scenario["receiver"]["floor_duty"],
         },
         "rop_grid_dbm": [float(x) for x in rop],
         "windows": {},
@@ -299,20 +294,19 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
         for rx, eff in traces.items():
             seg = eff[start:end]
             eta_db = 10.0 * np.log10(np.maximum(seg, 1e-300))
-            rx_model = mm_model if rx.startswith("mm") else model
-            curve = ber_curve(rop, rx_model, efficiency_db=eta_db)
+            curve = ber_curve(rop, model, efficiency_db=eta_db)
             penalties = {}
             for target in bercfg["target_bers"]:
                 try:
                     penalties[f"{target:g}"] = power_penalty((rop, curve), (rop, btb), target)
                 except CurveCrossingError as exc:
                     penalties[f"{target:g}"] = {"error": str(exc), "side": exc.side}
-            setpoint = rx_model.effective_sensitivity_dbm + bercfg["operating_margin_db"]
+            setpoint = model.effective_sensitivity_dbm + bercfg["operating_margin_db"]
             replay = PowerTrace.from_rop(
                 setpoint + (eta_db - eta_db.mean()), frame_rate_hz=3.0
             )
             sync = sync_loss_stats(
-                replay, rx_model,
+                replay, model,
                 ber_threshold=bercfg["sync_threshold"],
                 reacquire_s=bercfg["reacquire_s"],
             )
@@ -326,7 +320,6 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
                 "curve_csv": f"ber_{rx}_{wname}.csv",
                 "penalty_db": penalties,
                 "sync_loss_s_per_min": sync,
-                "floor_estimate": ber_floor_from_phase_jumps(rx_model.floor_duty),
                 "ber_at_top_of_sweep": float(curve[-1]),
             }
         report["windows"][wname] = wrep
@@ -421,8 +414,7 @@ def _coupling_section(cs):
 def _ber_section(br):
     lines = ["## BER", "",
              f"- format: {br['model']['format']}, sensitivity "
-             f"{br['model']['sensitivity_dbm']} dBm, floor duty "
-             f"{br['model']['floor_duty']:g}"]
+             f"{br['model']['sensitivity_dbm']} dBm"]
     for wname, w in sorted(br["windows"].items()):
         lines.append(f"- window `{wname}` frames {w['start']}..{w['end']}:")
         for rx in sorted(w["receivers"]):

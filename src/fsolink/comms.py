@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc
 
 from ._streams import substream
@@ -80,6 +81,8 @@ class PowerTrace:
         if not np.all(np.isfinite(p)):
             raise ParameterError("power trace must be finite")
         _num(self.frame_rate_hz, "frame_rate_hz", gt=0)
+        if self.correction_bandwidth_hz is not None:
+            _num(self.correction_bandwidth_hz, "correction_bandwidth_hz", gt=0)
         object.__setattr__(self, "rop_dbm", p)
 
     @classmethod
@@ -92,38 +95,37 @@ def ber_instant(rop_dbm, model: ReceiverModel):
 
     BER = floor + (1 - floor) * 0.5 erfc(Q / sqrt 2) with
     Q = 6 * 10^((rop - sensitivity) / 20) and floor = floor_duty / 2,
-    clamped to 0.5.  Vectorized over rop_dbm.
+    clamped to 0.5.  Elementwise over rop_dbm; a scalar gives an np.float64.
     """
     rop = np.asarray(rop_dbm, dtype=np.float64)
     q = Q_AT_1E9 * 10.0 ** ((rop - model.effective_sensitivity_dbm) / 20.0)
     floor = ber_floor_from_phase_jumps(model.floor_duty)
     ber = floor + (1.0 - floor) * 0.5 * erfc(q / math.sqrt(2.0))
-    out = np.minimum(ber, 0.5)
-    return float(out) if np.isscalar(rop_dbm) else out
+    return np.minimum(ber, 0.5)
 
 
-def cumulated_ber(trace, model: ReceiverModel) -> float:
-    """Frame-averaged BER of a fading sequence: mean of BER(P(i)).
+def cumulated_ber(rop_dbm, model: ReceiverModel) -> float:
+    """Frame-averaged BER of a fading sequence: mean of BER(P(i)) over an
+    array of per-frame powers in dBm.
 
-    Independent of the frame rate for a fixed power sequence.  Accepts a
-    PowerTrace or a plain array of per-frame powers in dBm.
+    Independent of the frame rate for a fixed power sequence.
     """
-    rop = trace.rop_dbm if isinstance(trace, PowerTrace) else np.asarray(trace, dtype=np.float64)
+    rop = np.asarray(rop_dbm, dtype=np.float64)
     if rop.size == 0:
         raise ParameterError("cumulated_ber needs a non-empty trace")
     return float(np.mean(ber_instant(rop, model)))
 
 
-def monte_carlo_cumulated_ber(trace, model: ReceiverModel, bits_per_frame: int = 10**7,
+def monte_carlo_cumulated_ber(rop_dbm, model: ReceiverModel, bits_per_frame: int = 10**7,
                               seed: int = 0) -> tuple:
-    """Bit-level Monte Carlo estimate of the cumulated BER.
+    """Bit-level Monte Carlo estimate of the cumulated BER of an array of
+    per-frame powers in dBm.
 
     Draws bits_per_frame Bernoulli errors per frame at that frame's BER and
     pools the error counts.  Returns (estimate, standard_error).
     """
     _num(bits_per_frame, "bits_per_frame", lo=1, integer=True)
-    rop = trace.rop_dbm if isinstance(trace, PowerTrace) else np.asarray(trace, dtype=np.float64)
-    p = np.atleast_1d(ber_instant(rop, model))
+    p = np.atleast_1d(ber_instant(rop_dbm, model))
     rng = substream(seed, "mc-ber")
     errors = rng.binomial(bits_per_frame, p)
     total_bits = bits_per_frame * p.size
@@ -138,12 +140,12 @@ def ber_curve(rop_grid_dbm, model: ReceiverModel, efficiency_db):
     efficiency_db is the per-frame coupling efficiency in dB relative to its
     own mean; at setpoint R each frame sees R + efficiency_db[i].  The
     static (back-to-back) receiver curve is ber_instant.  Returns an array
-    matching rop_grid_dbm.
+    matching rop_grid_dbm, from one pass over the (setpoint x frame) grid.
     """
     grid = np.asarray(rop_grid_dbm, dtype=np.float64)
     eta = np.asarray(efficiency_db, dtype=np.float64)
     eta = eta - np.mean(eta)
-    return np.array([float(np.mean(ber_instant(r + eta, model))) for r in grid])
+    return np.mean(ber_instant(grid[:, None] + eta, model), axis=1)
 
 
 def frame_rate_invariance_check(trace: PowerTrace, model: ReceiverModel, rates_hz) -> tuple:
@@ -161,11 +163,11 @@ def frame_rate_invariance_check(trace: PowerTrace, model: ReceiverModel, rates_h
         trace.correction_bandwidth_hz is not None
         and trace.correction_bandwidth_hz < trace.frame_rate_hz
     )
-    baseline = cumulated_ber(trace, model)
+    baseline = cumulated_ber(trace.rop_dbm, model)
     deviations = []
     for rate in rates:
         replay = PowerTrace.from_rop(trace.rop_dbm, frame_rate_hz=rate)
-        deviations.append(abs(cumulated_ber(replay, model) - baseline))
+        deviations.append(abs(cumulated_ber(replay.rop_dbm, model) - baseline))
     max_dev = max(deviations) / baseline if baseline > 0 else max(deviations)
     return (max_dev <= 1e-12 and not flagged), float(max_dev), flagged
 
@@ -242,10 +244,9 @@ def select_windows(efficiency_db, window_len: int, stride: int) -> dict:
     eff = np.asarray(efficiency_db, dtype=np.float64)
     if eff.size <= window_len:
         return {"best": (0, eff.size), "worst": (0, eff.size)}
-    starts = range(0, eff.size - window_len + 1, stride)
-    spans = [np.ptp(eff[s : s + window_len]) for s in starts]
-    best = starts[int(np.argmin(spans))]
-    worst = starts[int(np.argmax(spans))]
+    spans = np.ptp(sliding_window_view(eff, window_len)[::stride], axis=1)
+    best = stride * int(np.argmin(spans))
+    worst = stride * int(np.argmax(spans))
     return {"best": (best, best + window_len), "worst": (worst, worst + window_len)}
 
 

@@ -231,6 +231,9 @@ def apply_phase_screen(field: ComplexFieldGrid, screen) -> ComplexFieldGrid:
     checked constructor: a non-finite phase raises InvalidFieldError.
     """
     phase = np.asarray(screen.phase, dtype=np.float64)
+    if phase.shape != field.samples.shape:
+        raise DimensionError(f"apply_phase_screen: phase shape {phase.shape} is not the "
+                             f"field's {field.samples.shape}")
     _require_same_geometry(
         field.n, field.spacing_m, phase.shape[0], screen.spacing_m, "apply_phase_screen"
     )

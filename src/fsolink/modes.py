@@ -270,7 +270,9 @@ class ModeStatistics:
         return out
 
     def captured_fraction(self, n_modes: int = None) -> float:
-        """Mean fraction captured by the first n_modes basis modes."""
+        """Mean fraction captured by the first n_modes basis modes (all by default)."""
+        if n_modes is not None:
+            _num(n_modes, "n_modes", lo=0, hi=len(self.mean_fraction), integer=True)
         return float(np.sum(self.mean_fraction[:n_modes]))
 
 

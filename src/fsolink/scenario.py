@@ -101,7 +101,6 @@ SCHEMA = {
     "receiver": {
         "format": ("ook", partial(_str, choices={"ook", "dpsk"})),
         "sensitivity_dbm": (-39.0, _number(lo=-120.0, hi=30.0)),
-        "floor_duty": (0.0, _number(lo=0.0, hi=1.0)),
     },
     "ber": {
         "rop_start_dbm": (-45.0, _number(lo=-120.0, hi=30.0)),
@@ -125,8 +124,9 @@ SCHEMA = {
     },
 }
 
-# vodl_scan evaluates 2 floor(range / step) + 1 delays, one Python call each
-# (about 8 us): the cap keeps a scan to seconds and its arrays to megabytes
+# vodl_scan evaluates 2 floor(range / step) + 1 delays in one array pass:
+# the cap keeps a scan's arrays under 100 MB (48 MB for a band, 80 MB for
+# two lines)
 _MAX_SCAN_POINTS = 10**6
 
 # Rules between fields, checked once every field has resolved:

@@ -74,13 +74,18 @@ class OpticalSpectrum:
             return float(np.sum(self.lines_hz) / self.lines_hz.size)
         return self.band_center_hz
 
-    def autocorrelation(self, delay_s: float) -> complex:
-        """Normalized spectral autocorrelation about the centroid."""
-        if self.lines_hz is not None:
-            offsets = self.lines_hz - self.centroid_hz
-            return complex(np.sum(np.exp(2j * np.pi * offsets * delay_s)) / offsets.size)
-        x = self.band_width_hz * delay_s
-        return complex(np.sinc(x))
+
+def _efficiency(spectrum: OpticalSpectrum, delays_s: np.ndarray) -> np.ndarray:
+    """(1 + Re gamma(tau)) / 2 clamped to [0, 1] at each of an array of
+    finite delays, gamma the normalized spectral autocorrelation about the
+    centroid (the mean phasor of the line offsets, or the band's sinc)."""
+    if spectrum.lines_hz is not None:
+        offsets = spectrum.lines_hz - spectrum.centroid_hz
+        phasors = np.exp(2j * np.pi * offsets * delays_s[..., None])
+        g = (np.sum(phasors, axis=-1) / offsets.size).real
+    else:
+        g = np.sinc(spectrum.band_width_hz * delays_s)
+    return np.minimum(1.0, np.maximum(0.0, 0.5 * (1.0 + g)))
 
 
 def two_path_efficiency(spectrum: OpticalSpectrum, delay_s: float) -> float:
@@ -90,8 +95,7 @@ def two_path_efficiency(spectrum: OpticalSpectrum, delay_s: float) -> float:
     each line the residual error of its offset: efficiency =
     (1 + Re gamma(tau)) / 2, which is 1 at tau = 0 and symmetric in tau.
     """
-    g = spectrum.autocorrelation(_num(delay_s, "delay_s")).real
-    return float(min(1.0, max(0.0, 0.5 * (1.0 + g))))
+    return float(_efficiency(spectrum, np.float64(_num(delay_s, "delay_s"))))
 
 
 def per_line_efficiency(spectrum: OpticalSpectrum, delay_s: float) -> np.ndarray:
@@ -136,21 +140,17 @@ def vodl_scan(
         )
     n = int(math.floor(scan_range_m / scan_step_m))
     delays_m = np.arange(-n, n + 1) * scan_step_m
-    taus = delays_m / C_VACUUM - true_mismatch_s
-    eff = np.array([two_path_efficiency(spectrum, t) for t in taus])
+    eff = _efficiency(spectrum, delays_m / C_VACUUM - true_mismatch_s)
     k = int(np.argmax(eff))
-    peak = eff[k]
-    half = peak / 2.0
-    above = eff >= half
-    if above.all():
+    # the points below half peak; the run of points above it holding the
+    # peak lies between the nearest of them on either side
+    below = np.flatnonzero(eff < eff[k] / 2.0)
+    if below.size == 0:
         width = math.inf
     else:
-        left = k
-        while left > 0 and above[left - 1]:
-            left -= 1
-        right = k
-        while right < eff.size - 1 and above[right + 1]:
-            right += 1
+        j = int(np.searchsorted(below, k))
+        left = below[j - 1] + 1 if j > 0 else 0
+        right = below[j] - 1 if j < below.size else eff.size - 1
         width = delays_m[right] - delays_m[left]
     return VodlScan(
         delay_m=delays_m,

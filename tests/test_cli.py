@@ -118,10 +118,13 @@ class TestPipelineArtifacts:
             assert float(ber_s) == pytest.approx(ber_instant(float(rop_s), model), rel=1e-12)
 
     def test_ber_report_carries_floor_and_sync(self, small_config, synth_run):
+        # the floor a run shows is its curve's BER at the top of the sweep;
+        # the wrap floor is computed in the library from a loop trace
         report = json.load(open(os.path.join(synth_run, "ber_report.json")))
+        assert "floor_duty" not in report["model"]
         for w in report["windows"].values():
             for rx, rr in w["receivers"].items():
-                assert "floor_estimate" in rr and rr["floor_estimate"] == 0.0
+                assert "floor_estimate" not in rr and 0.0 <= rr["ber_at_top_of_sweep"] <= 0.5
                 assert rr["sync_loss_s_per_min"] >= 0.0
 
     def test_wdm_scan_and_report(self, small_config, synth_run):
@@ -221,7 +224,8 @@ class TestExitCodes:
         assert "optics.max_mode_group" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("path", ["optics.transmit_aperture_m", "receiver.bit_rate_bps",
-                                      "topology.n_inputs", "wdm.target_ber"])
+                                      "topology.n_inputs", "wdm.target_ber",
+                                      "receiver.floor_duty"])
     def test_deleted_field_is_unknown(self, tmp_path, capsys, path):
         section, field = path.split(".")
         cfg = dict(TINY, **{section: {field: 1.0}})

@@ -60,7 +60,7 @@ class TestBerInstant:
 class TestCumulatedBer:
     def test_constant_power_equals_instant(self):
         trace = PowerTrace.from_rop(np.full(10, -38.0))
-        assert cumulated_ber(trace, OOK) == pytest.approx(ber_instant(-38.0, OOK), rel=1e-12)
+        assert cumulated_ber(trace.rop_dbm, OOK) == pytest.approx(ber_instant(-38.0, OOK), rel=1e-12)
 
     def test_two_frame_arithmetic_mean(self):
         # frames engineered to BER 1e-3 and 1e-9 exactly, mean 5.0000005e-4
@@ -112,6 +112,14 @@ class TestFrameRateInvariance:
         )
         ok, _, flagged = frame_rate_invariance_check(trace, OOK, [1500.0])
         assert flagged and not ok
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, 0.0, -1.0, math.inf, True, "1"])
+    def test_bad_correction_bandwidth_names_the_field(self, bandwidth):
+        # a NaN bandwidth compares false against the frame rate and would
+        # claim the invariance it is there to exclude
+        with pytest.raises(ParameterError, match="correction_bandwidth_hz"):
+            PowerTrace.from_rop(np.full(5, -35.0), frame_rate_hz=1500.0,
+                                correction_bandwidth_hz=bandwidth)
 
 
 class TestSyncLoss:
@@ -190,7 +198,40 @@ class TestWrapFloor:
             ber_floor_from_phase_jumps(1.5)
 
 
+def per_setpoint_ber_curve(rop_grid_dbm, model, efficiency_db):
+    """Reference: the former per-setpoint loop, one ber_instant call and one
+    mean over the frames for each setpoint."""
+    grid = np.asarray(rop_grid_dbm, dtype=np.float64)
+    eta = np.asarray(efficiency_db, dtype=np.float64)
+    eta = eta - np.mean(eta)
+    return np.array([float(np.mean(ber_instant(r + eta, model))) for r in grid])
+
+
+def per_window_select(efficiency_db, window_len, stride):
+    """Reference: the former per-window loop of select_windows."""
+    eff = np.asarray(efficiency_db, dtype=np.float64)
+    if eff.size <= window_len:
+        return {"best": (0, eff.size), "worst": (0, eff.size)}
+    starts = range(0, eff.size - window_len + 1, stride)
+    spans = [np.ptp(eff[s : s + window_len]) for s in starts]
+    best = starts[int(np.argmin(spans))]
+    worst = starts[int(np.argmax(spans))]
+    return {"best": (best, best + window_len), "worst": (worst, worst + window_len)}
+
+
 class TestBerCurve:
+    # frame counts on both sides of numpy's pairwise-summation blocks (8, 128)
+    @pytest.mark.parametrize("n_frames", [1, 3, 8, 9, 127, 128, 129, 4097])
+    @pytest.mark.parametrize("fmt", ["ook", "dpsk"])
+    @pytest.mark.parametrize("duty", [0.0, 1e-3])
+    def test_one_pass_matches_the_per_setpoint_loop(self, n_frames, fmt, duty):
+        model = ReceiverModel(format=fmt, sensitivity_dbm=-39.0, floor_duty=duty)
+        rng = np.random.default_rng(n_frames)
+        eta_db = rng.normal(-3.0, 2.5, n_frames)
+        rop = np.arange(-45.0, -15.0 + 0.25, 0.5)  # the scenario's default sweep
+        got = ber_curve(rop, model, efficiency_db=eta_db)
+        assert got.tobytes() == per_setpoint_ber_curve(rop, model, eta_db).tobytes()
+
     def test_fading_curve_lies_above_static(self):
         rng = np.random.default_rng(2)
         eta_db = rng.normal(0.0, 2.0, 200)
@@ -228,6 +269,18 @@ class TestSelectWindows:
 
     def test_short_trace_is_one_window(self):
         assert select_windows(np.zeros(5), 5, 1) == {"best": (0, 5), "worst": (0, 5)}
+
+    @pytest.mark.parametrize("trace", ["random", "tied", "flat"])
+    def test_one_pass_matches_the_per_window_loop(self, trace):
+        rng = np.random.default_rng(5)
+        eff_db = {"random": rng.normal(-6.0, 2.0, 200),
+                  # a few levels, so many windows share their span
+                  "tied": rng.integers(-3, 1, 200).astype(np.float64),
+                  "flat": np.full(200, -4.0)}[trace]
+        for window_len in (3, 17, 60, 199, 200, 250):
+            for stride in range(1, 31):
+                assert select_windows(eff_db, window_len, stride) == \
+                    per_window_select(eff_db, window_len, stride), (window_len, stride)
 
     def test_rejects_empty_stride(self):
         with pytest.raises(ParameterError):

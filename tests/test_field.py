@@ -190,6 +190,13 @@ class TestPhaseScreenApplication:
         with pytest.raises(InvalidFieldError):
             apply_phase_screen(plane_wave(grid64), screen)
 
+    @pytest.mark.parametrize("shape", [(64, 32), (64,), (64, 64, 1)])
+    def test_phase_shape_must_be_the_field_shape(self, grid64, shape):
+        # a row, a half-width or a stacked phase would otherwise broadcast
+        screen = SimpleNamespace(phase=np.zeros(shape), spacing_m=grid64.spacing_m)
+        with pytest.raises(DimensionError, match="phase shape"):
+            apply_phase_screen(plane_wave(grid64), screen)
+
     def test_geometry_mismatch_rejected(self, random_smooth_field):
         screen = PhaseScreen(np.zeros((64, 64)), random_smooth_field.spacing_m)
         with pytest.raises(DimensionError):

@@ -13,6 +13,7 @@ from fsolink.field import (ComplexFieldGrid, GridSpec, gaussian_field, total_pow
 from fsolink.modes import (
     MODE_ORDER,
     ModeBasis,
+    ModeStatistics,
     decompose,
     fit_basis_waist,
     hg_mode_field,
@@ -290,6 +291,14 @@ class TestModeStatistics:
     def test_empty_series_rejected(self):
         with pytest.raises(ParameterError):
             mode_statistics([])
+
+    def test_captured_fraction_checks_the_mode_count(self):
+        stats = ModeStatistics(mean_fraction=np.full(15, 1 / 20), residual_fraction=0.25)
+        assert stats.captured_fraction() == stats.captured_fraction(15) == pytest.approx(0.75)
+        assert stats.captured_fraction(0) == 0.0
+        for bad in (-1, True, 16, 1.5, math.nan):
+            with pytest.raises(ParameterError, match="n_modes"):
+                stats.captured_fraction(bad)
 
 
 # one analysed frame: the first of a 256-grid default series, seed 3

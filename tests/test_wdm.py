@@ -81,7 +81,59 @@ class TestTwoPathEfficiency:
         assert two_path_efficiency(band, 2e-12) < 1.0
 
 
+def per_delay_efficiency(spectrum, delay_s):
+    """Reference: the former scalar two-path efficiency, one delay per call."""
+    if spectrum.lines_hz is not None:
+        offsets = spectrum.lines_hz - spectrum.centroid_hz
+        g = complex(np.sum(np.exp(2j * np.pi * offsets * delay_s)) / offsets.size).real
+    else:
+        g = complex(np.sinc(spectrum.band_width_hz * delay_s)).real
+    return float(min(1.0, max(0.0, 0.5 * (1.0 + g))))
+
+
+def per_delay_scan(spectrum, true_mismatch_s, scan_range_m, scan_step_m):
+    """Reference: the former scan, one efficiency call per delay and a walk
+    out from the peak to each side of the half-peak run."""
+    n = int(math.floor(scan_range_m / scan_step_m))
+    delays_m = np.arange(-n, n + 1) * scan_step_m
+    taus = delays_m / C_VACUUM - true_mismatch_s
+    eff = np.array([per_delay_efficiency(spectrum, t) for t in taus])
+    k = int(np.argmax(eff))
+    above = eff >= eff[k] / 2.0
+    if above.all():
+        return eff, float(delays_m[k]), math.inf
+    left = k
+    while left > 0 and above[left - 1]:
+        left -= 1
+    right = k
+    while right < eff.size - 1 and above[right + 1]:
+        right += 1
+    return eff, float(delays_m[k]), float(delays_m[right] - delays_m[left])
+
+
+SCAN_SPECTRA = {
+    "16nm-band": OpticalSpectrum.rectangular_wavelength(1560e-9, 16e-9),
+    "1-line": OpticalSpectrum(lines_hz=np.array([CENTER])),
+    "2-line": TWO_100G,
+    "3-line": OpticalSpectrum(lines_hz=CENTER + np.array([-70e9, 10e9, 130e9])),
+    "9-line": OpticalSpectrum(lines_hz=CENTER + 100e9 * np.arange(-4, 5)),
+}
+
+
 class TestVodlScan:
+    @pytest.mark.parametrize("name", list(SCAN_SPECTRA))
+    # +-5.995 mm puts the peak's half-power run against an end of the scan
+    @pytest.mark.parametrize("mismatch_mm", [0.0, 0.7, -1.3, 5.995, -5.995])
+    def test_one_pass_matches_the_per_delay_scan(self, name, mismatch_mm):
+        spectrum = SCAN_SPECTRA[name]
+        mismatch_s = mismatch_mm * 1e-3 / C_VACUUM
+        scan = vodl_scan(spectrum, mismatch_s, 6e-3, 0.01e-3)  # the scenario's default scan
+        eff, peak, width = per_delay_scan(spectrum, mismatch_s, 6e-3, 0.01e-3)
+        assert scan.efficiency.tobytes() == eff.tobytes()
+        assert (scan.peak_delay_m, scan.half_width_m) == (peak, width)
+        for tau in (0.0, mismatch_s, 2.1e-12, -7.7e-12):
+            assert two_path_efficiency(spectrum, tau) == per_delay_efficiency(spectrum, tau)
+
     def test_monochromatic_flat(self):
         mono = OpticalSpectrum(lines_hz=np.array([CENTER]))
         scan = vodl_scan(mono, 0.4e-3 / C_VACUUM, 3e-3, 0.05e-3)
