@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidFieldError, ParameterError, _num
+from .errors import ParameterError, ZeroPowerError, _array, _num
 
 __all__ = [
     "CombinerTopology",
@@ -80,14 +80,9 @@ class CombinerState:
     split_ratios: np.ndarray
 
     def __post_init__(self):
-        ph = np.array(self.phase_commands, dtype=np.float64, copy=True)
-        ra = np.array(self.split_ratios, dtype=np.float64, copy=True)
-        if ph.shape != ra.shape:
-            raise ParameterError("phase_commands and split_ratios must have equal length")
-        if not np.all(np.isfinite(ph)):
-            raise ParameterError("phase commands must be finite")
-        if not np.all((ra >= 0) & (ra <= 1)):  # NaN fails too
-            raise ParameterError("split ratios must lie in [0, 1]")
+        # empty for the elementless 1-input tree
+        ph = _array(self.phase_commands, "phase_commands", (None,), empty_ok=True).copy()
+        ra = _array(self.split_ratios, "split_ratios", ph.shape, lo=0, hi=1, empty_ok=True).copy()
         object.__setattr__(self, "phase_commands", ph)
         object.__setattr__(self, "split_ratios", ra)
         ph.setflags(write=False)
@@ -100,14 +95,7 @@ def combine(inputs, topology: CombinerTopology, state: CombinerState) -> complex
     Output power never exceeds the summed input power (each element is the
     kept port of a unitary 2x2 map).
     """
-    a = np.asarray(inputs, dtype=np.complex128)
-    if a.shape != (topology.n_inputs,):
-        raise ParameterError(
-            f"expected {topology.n_inputs} input amplitudes, got shape {a.shape}"
-        )
-    buf = a.tolist()
-    if not all(map(cmath.isfinite, buf)):
-        raise InvalidFieldError("combiner inputs must be finite")
+    buf = _array(inputs, "inputs", (topology.n_inputs,), dtype=np.complex128).tolist()
     if state.phase_commands.shape[0] != topology.n_elements:
         raise ParameterError("state size does not match topology")
     return _tree_output(topology, buf, state.split_ratios.tolist(), state.phase_commands.tolist())
@@ -129,12 +117,7 @@ def align_state(inputs, topology: CombinerTopology) -> CombinerState:
     Per element: ratio matched to the input powers, phase equal to the
     inter-arm phase difference; the output then carries |a|^2 + |b|^2.
     """
-    a = np.asarray(inputs, dtype=np.complex128)
-    if a.shape != (topology.n_inputs,):
-        raise ParameterError("input length does not match topology")
-    if not np.isfinite(a).all():
-        raise InvalidFieldError("combiner inputs must be finite")
-    buf = list(a)
+    buf = list(_array(inputs, "inputs", (topology.n_inputs,), dtype=np.complex128))
     phases = []
     ratios = []
     for i, j in topology._elements:
@@ -160,11 +143,14 @@ def mm_coupling_efficiency(mode_power, residual_power, n_modes: int, loss_db: fl
     per-frame aperture power outside the basis.  Lossless combining of the
     first n_modes modes collects their summed power (the combining bound);
     loss_db, e.g. a topology's total insertion loss, is a constant offset.
+    A frame of zero total power raises ZeroPowerError.
     """
-    _num(n_modes, "n_modes", lo=0, integer=True)
+    power = _array(mode_power, "mode_power", (None, None), lo=0)
+    residual = _array(residual_power, "residual_power", power.shape[:1])
+    _num(n_modes, "n_modes", lo=0, hi=power.shape[1], integer=True)
     _num(loss_db, "loss_db", lo=0)
-    power = np.asarray(mode_power, dtype=np.float64)
-    if power.ndim != 2 or n_modes > power.shape[1]:
-        raise ParameterError("need (frames, modes) powers and 0 <= n_modes <= modes")
+    total = power.sum(axis=1) + residual
+    if not (total > 0).all():
+        raise ZeroPowerError("coupling efficiency undefined for a frame of zero power")
     scale = 10.0 ** (-loss_db / 10.0)
-    return scale * power[:, :n_modes].sum(axis=1) / (power.sum(axis=1) + residual_power)
+    return scale * power[:, :n_modes].sum(axis=1) / total

@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc
 
 from ._streams import substream
-from .errors import CurveCrossingError, ParameterError, _num
+from .errors import CurveCrossingError, ParameterError, _array, _num
 
 __all__ = [
     "ReceiverModel",
@@ -75,19 +75,15 @@ class PowerTrace:
     correction_bandwidth_hz: float = None
 
     def __post_init__(self):
-        p = np.asarray(self.rop_dbm, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise ParameterError("rop_dbm must be a non-empty 1-D array")
-        if not np.all(np.isfinite(p)):
-            raise ParameterError("power trace must be finite")
+        object.__setattr__(self, "rop_dbm", _array(self.rop_dbm, "rop_dbm", (None,)))
         _num(self.frame_rate_hz, "frame_rate_hz", gt=0)
         if self.correction_bandwidth_hz is not None:
             _num(self.correction_bandwidth_hz, "correction_bandwidth_hz", gt=0)
-        object.__setattr__(self, "rop_dbm", p)
 
     @classmethod
     def from_rop(cls, rop_dbm, frame_rate_hz: float = 1.0, **kw) -> "PowerTrace":
-        return cls(np.atleast_1d(np.asarray(rop_dbm, dtype=np.float64)), frame_rate_hz, **kw)
+        """A trace of per-frame powers in dBm; a scalar is a one-frame trace."""
+        return cls(np.atleast_1d(_array(rop_dbm, "rop_dbm", None)), frame_rate_hz, **kw)
 
 
 def ber_instant(rop_dbm, model: ReceiverModel):
@@ -97,7 +93,7 @@ def ber_instant(rop_dbm, model: ReceiverModel):
     Q = 6 * 10^((rop - sensitivity) / 20) and floor = floor_duty / 2,
     clamped to 0.5.  Elementwise over rop_dbm; a scalar gives an np.float64.
     """
-    rop = np.asarray(rop_dbm, dtype=np.float64)
+    rop = _array(rop_dbm, "rop_dbm", None)
     q = Q_AT_1E9 * 10.0 ** ((rop - model.effective_sensitivity_dbm) / 20.0)
     floor = ber_floor_from_phase_jumps(model.floor_duty)
     ber = floor + (1.0 - floor) * 0.5 * erfc(q / math.sqrt(2.0))
@@ -110,10 +106,7 @@ def cumulated_ber(rop_dbm, model: ReceiverModel) -> float:
 
     Independent of the frame rate for a fixed power sequence.
     """
-    rop = np.asarray(rop_dbm, dtype=np.float64)
-    if rop.size == 0:
-        raise ParameterError("cumulated_ber needs a non-empty trace")
-    return float(np.mean(ber_instant(rop, model)))
+    return float(np.mean(ber_instant(_array(rop_dbm, "rop_dbm", (None,)), model)))
 
 
 def monte_carlo_cumulated_ber(rop_dbm, model: ReceiverModel, bits_per_frame: int = 10**7,
@@ -125,7 +118,7 @@ def monte_carlo_cumulated_ber(rop_dbm, model: ReceiverModel, bits_per_frame: int
     pools the error counts.  Returns (estimate, standard_error).
     """
     _num(bits_per_frame, "bits_per_frame", lo=1, integer=True)
-    p = np.atleast_1d(ber_instant(rop_dbm, model))
+    p = ber_instant(_array(rop_dbm, "rop_dbm", (None,)), model)
     rng = substream(seed, "mc-ber")
     errors = rng.binomial(bits_per_frame, p)
     total_bits = bits_per_frame * p.size
@@ -142,8 +135,8 @@ def ber_curve(rop_grid_dbm, model: ReceiverModel, efficiency_db):
     static (back-to-back) receiver curve is ber_instant.  Returns an array
     matching rop_grid_dbm, from one pass over the (setpoint x frame) grid.
     """
-    grid = np.asarray(rop_grid_dbm, dtype=np.float64)
-    eta = np.asarray(efficiency_db, dtype=np.float64)
+    grid = _array(rop_grid_dbm, "rop_grid_dbm", (None,))
+    eta = _array(efficiency_db, "efficiency_db", (None,))
     eta = eta - np.mean(eta)
     return np.mean(ber_instant(grid[:, None] + eta, model), axis=1)
 
@@ -151,14 +144,13 @@ def ber_curve(rop_grid_dbm, model: ReceiverModel, efficiency_db):
 def frame_rate_invariance_check(trace: PowerTrace, model: ReceiverModel, rates_hz) -> tuple:
     """Replay the same power sequence at several frame rates.
 
-    Returns (invariant, max_relative_deviation, flagged).  flagged is True
-    when the trace carries a correction bandwidth smaller than its frame
-    rate, in which case the zero-order-hold premise does not apply and the
-    trace is excluded from the invariance claim.
+    Returns (invariant, max_relative_deviation, flagged).  cumulated_ber
+    takes no rate, so the deviation is zero by construction and flagged
+    carries the information: it is True when the trace carries a correction
+    bandwidth smaller than its frame rate, where the zero-order-hold premise
+    fails and the trace is excluded from the invariance claim.
     """
-    rates = list(rates_hz)
-    if not rates:
-        raise ParameterError("need at least one frame rate")
+    rates = _array(rates_hz, "rates_hz", (None,), gt=0)
     flagged = (
         trace.correction_bandwidth_hz is not None
         and trace.correction_bandwidth_hz < trace.frame_rate_hz
@@ -210,10 +202,10 @@ def power_penalty(curve, reference, target_ber: float) -> float:
     the side that never crosses the target.
     """
     _num(target_ber, "target_ber", gt=0, lt=0.5)
+    curve = _array(curve, "curve", (2, None))
+    reference = _array(reference, "reference", (2, None))
 
     def crossing(rop, ber, side):
-        rop = np.asarray(rop, dtype=np.float64)
-        ber = np.asarray(ber, dtype=np.float64)
         order = np.argsort(rop)
         rop, ber = rop[order], ber[order]
         log_b = np.log10(np.maximum(ber, 1e-300))
@@ -241,7 +233,7 @@ def select_windows(efficiency_db, window_len: int, stride: int) -> dict:
     """
     _num(window_len, "window_len", lo=1, integer=True)
     _num(stride, "stride", lo=1, integer=True)
-    eff = np.asarray(efficiency_db, dtype=np.float64)
+    eff = _array(efficiency_db, "efficiency_db", (None,))
     if eff.size <= window_len:
         return {"best": (0, eff.size), "worst": (0, eff.size)}
     spans = np.ptp(sliding_window_view(eff, window_len)[::stride], axis=1)

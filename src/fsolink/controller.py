@@ -44,7 +44,7 @@ import numpy as np
 from ._streams import substream
 # combine and CombinerState are unused here: perfbench/tracing.py patches both by these names
 from .combiner import CombinerState, CombinerTopology, _tree_output, combine  # noqa: F401
-from .errors import ControllerFault, InvalidFieldError, ParameterError, _num
+from .errors import ControllerFault, ParameterError, _array, _num
 
 __all__ = [
     "ControllerConfig",
@@ -91,7 +91,6 @@ class _FloatVertices:
 
     @staticmethod
     def simplex(x0, edges):
-        x0 = [float(v) for v in x0]
         return [x0] + [x0[:i] + [v + e] + x0[i + 1:] for i, (v, e) in enumerate(zip(x0, edges))]
 
     @staticmethod
@@ -191,7 +190,7 @@ class NelderMead:
     """
 
     def __init__(self, x0, edges):
-        self.dim = len(x0)
+        self.dim = _array(x0, "x0", (None,)).size
         self._v = _FloatVertices if self.dim <= _FLOAT_SIMPLEX_MAX_DIM else _ArrayVertices
         self.reinit(x0, edges)
 
@@ -199,9 +198,11 @@ class NelderMead:
         """Start a new search on a fresh simplex around x0 (initial or restart)."""
         if isinstance(edges, Real):
             edges = [edges] * self.dim
-        if len(x0) != self.dim or len(edges) != self.dim:
-            raise ParameterError(f"x0 and edges must have {self.dim} coordinates")
-        edges = [float(e) for e in edges]
+        self._restart(_array(x0, "x0", (self.dim,)).tolist(),
+                      _array(edges, "edges", (self.dim,)).tolist())
+
+    def _restart(self, x0, edges):
+        """reinit from two lists of dim finite floats, unchecked."""
         self.simplex = self._v.simplex(x0, edges)
         self.values = self._v.nan_values(self.dim + 1)
         self._centroid = self._xr = self._xe = self._xc = None
@@ -353,13 +354,7 @@ def run_closed_loop(
     """
     if topology.n_elements == 0:
         raise ParameterError("a 1-input tree has no actuator to search")
-    frames = np.asarray(frames, dtype=np.complex128)
-    if frames.ndim != 2 or frames.shape[1] != topology.n_inputs:
-        raise ParameterError(f"frames must be (F, {topology.n_inputs}) amplitudes")
-    if frames.shape[0] == 0:
-        raise ParameterError("need at least one frame")
-    if not np.isfinite(frames).all():
-        raise InvalidFieldError("combiner inputs must be finite")
+    frames = _array(frames, "frames", (None, topology.n_inputs), dtype=np.complex128)
 
     n_el = topology.n_elements
     rng = substream(seed, "controller")
@@ -516,7 +511,7 @@ def correction_bandwidth(
             # so a settled loop dithers gently and a lagging one leaps
             eff = min(1.0, window_best / 2.0)
             edge = min(1.2, max(0.04, 2.0 * math.acos(math.sqrt(eff))))
-            nm.reinit(nm.current_best, [edge] * n_el + [edge / 3] * n_el)
+            nm._restart(nm.current_best, [edge] * n_el + [edge / 3] * n_el)
             window_best = 0.0
         if e >= settle_evals:
             acc += measured / 2.0

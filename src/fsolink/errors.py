@@ -1,8 +1,10 @@
-"""Exception types shared across the simulator, and the one scalar check."""
+"""Exception types shared across the simulator, and the one scalar and one array check."""
 
 import math
 import sys
 from numbers import Integral, Real
+
+import numpy as np
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -66,8 +68,12 @@ class NumericalContractError(FsolinkError, ArithmeticError):
     """A numerical invariant (power conservation, determinism) was violated."""
 
 
-def _parameter_error(name, message):
-    return ParameterError(f"{name}: {message}")
+def _prefixed(kind):
+    """An error hook of the checks: kind, its message prefixed by the argument."""
+    return lambda name, message: kind(f"{name}: {message}")
+
+
+_parameter_error = _prefixed(ParameterError)
 
 
 def _num(value, name, lo=None, hi=None, *, gt=None, lt=None, integer=False,
@@ -96,3 +102,42 @@ def _num(value, name, lo=None, hi=None, *, gt=None, lt=None, integer=False,
     if lt is not None and value >= lt:
         raise error(name, f"must be < {lt}")
     return int(value) if integer else float(value)
+
+
+def _array(values, name, shape, lo=None, hi=None, *, gt=None, lt=None, integer=False,
+           dtype=np.float64, empty_ok=False, error=_parameter_error, nonfinite=None):
+    """The one array check: values as an array of dtype (int64 with
+    integer), not copied if it is one already.
+
+    shape gives each axis' length: an int, None for any, or a name shared
+    by axes of equal length (("n", "n") is square); shape None allows any.
+    Non-numbers (strings, bools, objects, ragged nesting; complex unless
+    dtype is complex128; non-integers with integer), a wrong shape, an
+    empty array unless empty_ok and elements outside _num's bounds raise
+    error(name, message); NaN or infinite elements raise nonfinite(name,
+    message): by default an InvalidFieldError for complex values, else error.
+    """
+    try:
+        a = np.asarray(values)
+    except (TypeError, ValueError):  # ragged nesting, or no array at all
+        raise error(name, "expected a rectangular array of numbers") from None
+    kinds = "iu" if integer else "iufc" if dtype is np.complex128 else "iuf"
+    if a.dtype.kind not in kinds:
+        raise error(name, f"expected {'integers' if integer else 'numbers'}, got {a.dtype}")
+    if shape is not None:
+        named = {}  # a named axis takes the length of the first axis of that name
+        want = tuple(g if w is None else named.setdefault(w, g) if isinstance(w, str) else w
+                     for w, g in zip(shape, a.shape))
+        if a.ndim != len(shape) or a.shape != want:
+            raise error(name, f"expected shape {shape}, got {a.shape}")
+    if a.size == 0 and not empty_ok:
+        raise error(name, "must not be empty")
+    a = a.astype(np.int64 if integer else dtype, copy=False)
+    if not integer and not np.isfinite(a).all():
+        if nonfinite is None:
+            nonfinite = _prefixed(InvalidFieldError) if dtype is np.complex128 else error
+        raise nonfinite(name, "holds non-finite values")
+    if a.size and (lo is not None or hi is not None or gt is not None or lt is not None):
+        for extreme in (a.min(), a.max()):  # all elements lie within bounds the extremes meet
+            _num(extreme, name, lo, hi, gt=gt, lt=lt, error=error)
+    return a

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import DimensionError, InvalidFieldError, ParameterError, _num
+from .errors import DimensionError, InvalidFieldError, ParameterError, _array, _num, _prefixed
 
 __all__ = [
     "GridSpec",
@@ -86,12 +86,9 @@ class ComplexFieldGrid:
     wavelength_m: float
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.complex128)
-        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
-            raise DimensionError(f"samples must be square and non-empty, got {s.shape}")
+        s = _array(self.samples, "samples", ("n", "n"), dtype=np.complex128,
+                   error=_prefixed(DimensionError))
         _check_geometry(s.shape[0], self.extent_m, self.wavelength_m)
-        if not np.isfinite(s).all():
-            raise InvalidFieldError("field contains non-finite samples")
         object.__setattr__(self, "samples", s)
         s.setflags(write=False)
 
@@ -227,19 +224,15 @@ def apply_phase_screen(field: ComplexFieldGrid, screen) -> ComplexFieldGrid:
     """Multiply the field pointwise by exp(i * screen.phase).
 
     Magnitudes are untouched, so total power is exactly preserved.  screen
-    is any object with phase and spacing_m, so the product goes through the
-    checked constructor: a non-finite phase raises InvalidFieldError.
+    is any object with phase and spacing_m; the phase is checked like a
+    field's samples: one of another shape raises DimensionError, a
+    non-finite one InvalidFieldError.
     """
-    phase = np.asarray(screen.phase, dtype=np.float64)
-    if phase.shape != field.samples.shape:
-        raise DimensionError(f"apply_phase_screen: phase shape {phase.shape} is not the "
-                             f"field's {field.samples.shape}")
-    _require_same_geometry(
-        field.n, field.spacing_m, phase.shape[0], screen.spacing_m, "apply_phase_screen"
-    )
-    with np.errstate(invalid="ignore"):  # an infinite phase raises below, not as a warning
-        samples = np.exp(1j * phase) * field.samples
-    return ComplexFieldGrid(samples, field.extent_m, field.wavelength_m)
+    phase = _array(screen.phase, "phase", field.samples.shape,
+                   error=_prefixed(DimensionError), nonfinite=_prefixed(InvalidFieldError))
+    _require_same_geometry(field.n, field.spacing_m, phase.shape[0], screen.spacing_m,
+                           "apply_phase_screen")
+    return field._derive(np.exp(1j * phase) * field.samples)
 
 
 def _apply_phase_factor(field: ComplexFieldGrid, factor: np.ndarray) -> ComplexFieldGrid:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_hermite
 
-from .errors import ParameterError, ZeroPowerError, _num
+from .errors import ParameterError, ZeroPowerError, _array, _num
 from .field import (ComplexFieldGrid, GridSpec, _gaussian_profile, _require_same_geometry,
                     total_power)
 
@@ -152,7 +152,8 @@ class ModeCoefficients:
     residual_power: float  # W not captured by the basis
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.complex128, copy=True)
+        c = _array(self.coeffs, "coeffs", (None,), dtype=np.complex128).copy()
+        _num(self.residual_power, "residual_power")
         object.__setattr__(self, "coeffs", c)
         c.setflags(write=False)
 
@@ -277,11 +278,14 @@ class ModeStatistics:
 
 
 def mode_statistics(series) -> ModeStatistics:
-    """Average per-frame relative mode powers; sums to 1 with the residual."""
+    """Average per-frame relative mode powers; sums to 1 with the residual.
+    A frame of zero total power raises ZeroPowerError."""
     fractions = []
     residuals = []
     for mc in series:
         total = mc.total_power
+        if total <= 0:
+            raise ZeroPowerError("mode fractions undefined for a frame of zero power")
         fractions.append(mc.mode_power / total)
         residuals.append(mc.residual_power / total)
     if not fractions:

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .comms import ReceiverModel
-from .errors import ConfigError, _num
+from .errors import ConfigError, _array, _num
 from .field import GridSpec
 from .modes import MODE_ORDER
 from .turbulence import AtmosphereProfile, default_profile
@@ -57,9 +57,7 @@ def _number(lo=None, hi=None, integer=False):
 
 
 def _ber_list(value, path):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(path, "expected a non-empty list")
-    return [_number(lo=1e-15, hi=0.499)(x, f"{path}[{i}]") for i, x in enumerate(value)]
+    return _array(value, path, (None,), lo=1e-15, hi=0.499, error=ConfigError).tolist()
 
 
 # The schema: section -> field -> (default, validator).  A validator takes

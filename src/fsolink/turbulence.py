@@ -22,7 +22,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from ._streams import substream
-from .errors import ParameterError, _num
+from .errors import ParameterError, _array, _num
 # apply_phase_screen is unused here: perfbench/tracing.py patches it by this name
 from .field import (  # noqa: F401
     GridSpec,
@@ -90,12 +90,7 @@ class PhaseScreen:
     spacing_m: float
 
     def __post_init__(self):
-        p = np.asarray(self.phase, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ParameterError(f"phase must be square, got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ParameterError("phase screen contains non-finite values")
-        object.__setattr__(self, "phase", p)
+        object.__setattr__(self, "phase", _array(self.phase, "phase", ("n", "n")))
         self.phase.setflags(write=False)
 
 
@@ -410,26 +405,21 @@ def build_time_series(
 
 def kolmogorov_structure_function(r, r0_m: float):
     """The inertial-range phase structure function 6.88 (r/r0)^(5/3)."""
-    return 6.88 * (np.asarray(r, dtype=np.float64) / r0_m) ** (5.0 / 3.0)
+    r = _array(r, "r", None, lo=0)
+    return 6.88 * (r / _num(r0_m, "r0_m", gt=0, inf_ok=True)) ** (5.0 / 3.0)
 
 
 def measure_structure_function(phases, spacing_m: float, lags_px) -> tuple:
-    """Ensemble phase structure function at integer pixel lags.
-
-    Averages squared differences along both grid axes over all screens.
-    Returns (separations_m, D) arrays.
+    """Ensemble phase structure function of one or more square N x N screens
+    of one shape at integer pixel lags 1..N-1: squared differences along
+    both grid axes, averaged over all screens.  Returns (separations_m, D).
     """
-    lags = np.asarray(lags_px, dtype=int)
-    if np.any(lags < 1):
-        raise ParameterError("lags must be >= 1 pixel")
+    stack = _array(list(phases), "phases", (None, "n", "n"))
+    lags = _array(lags_px, "lags_px", (None,), lo=1, hi=stack.shape[1] - 1, integer=True)
     acc = np.zeros(lags.shape, dtype=np.float64)
-    count = 0
-    for phase in phases:
+    for phase in stack:
         for j, lag in enumerate(lags):
             dx = phase[:, lag:] - phase[:, :-lag]
             dy = phase[lag:, :] - phase[:-lag, :]
             acc[j] += 0.5 * (np.mean(dx * dx) + np.mean(dy * dy))
-        count += 1
-    if count == 0:
-        raise ParameterError("need at least one screen")
-    return lags * spacing_m, acc / count
+    return lags * spacing_m, acc / stack.shape[0]

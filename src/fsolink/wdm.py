@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ScanRangeError, _num
+from .errors import ParameterError, ScanRangeError, _array, _num
 
 __all__ = [
     "C_VACUUM",
@@ -43,12 +43,7 @@ class OpticalSpectrum:
         if (self.lines_hz is None) == (self.band_center_hz is None):
             raise ParameterError("specify either discrete lines or a band, not both")
         if self.lines_hz is not None:
-            lines = np.atleast_1d(np.asarray(self.lines_hz))
-            if lines.size == 0:
-                raise ParameterError("need at least one line")
-            for i, f in enumerate(lines.flat):
-                _num(f, f"lines_hz[{i}]", gt=0)
-            object.__setattr__(self, "lines_hz", lines.astype(np.float64))
+            object.__setattr__(self, "lines_hz", _array(self.lines_hz, "lines_hz", (None,), gt=0))
         else:
             _num(self.band_center_hz, "band_center_hz", gt=0)
             _num(self.band_width_hz, "band_width_hz", lo=0)

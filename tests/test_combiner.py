@@ -378,7 +378,7 @@ class TestTopologyValidation:
             CombinerState(np.array([0.0]), np.array([1.5]))
         with pytest.raises(ParameterError):
             CombinerState(np.array([np.inf]), np.array([0.5]))
-        with pytest.raises(ParameterError, match="split ratios"):
+        with pytest.raises(ParameterError, match="split_ratios"):
             CombinerState(np.array([0.0]), np.array([np.nan]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])

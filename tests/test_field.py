@@ -194,7 +194,7 @@ class TestPhaseScreenApplication:
     def test_phase_shape_must_be_the_field_shape(self, grid64, shape):
         # a row, a half-width or a stacked phase would otherwise broadcast
         screen = SimpleNamespace(phase=np.zeros(shape), spacing_m=grid64.spacing_m)
-        with pytest.raises(DimensionError, match="phase shape"):
+        with pytest.raises(DimensionError, match="phase: expected shape"):
             apply_phase_screen(plane_wave(grid64), screen)
 
     def test_geometry_mismatch_rejected(self, random_smooth_field):
