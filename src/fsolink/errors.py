@@ -104,6 +104,19 @@ def _num(value, name, lo=None, hi=None, *, gt=None, lt=None, integer=False,
     return int(value) if integer else float(value)
 
 
+_PLAIN_NUMBERS = frozenset((float, int, complex))
+
+
+def _holds_bool(values):
+    """Whether values, a number or a list or tuple of them, nested or not,
+    is or holds a bool (a Python or numpy bool, or a bool array)."""
+    if not isinstance(values, (list, tuple)):
+        return isinstance(values, (bool, np.bool_)) or (
+            isinstance(values, np.ndarray) and values.dtype.kind == "b")
+    # a flat list of plain numbers, the common input, is settled by its types
+    return not _PLAIN_NUMBERS.issuperset(map(type, values)) and any(map(_holds_bool, values))
+
+
 def _array(values, name, shape, lo=None, hi=None, *, gt=None, lt=None, integer=False,
            dtype=np.float64, empty_ok=False, error=_parameter_error, nonfinite=None):
     """The one array check: values as an array of dtype (int64 with
@@ -111,9 +124,10 @@ def _array(values, name, shape, lo=None, hi=None, *, gt=None, lt=None, integer=F
 
     shape gives each axis' length: an int, None for any, or a name shared
     by axes of equal length (("n", "n") is square); shape None allows any.
-    Non-numbers (strings, bools, objects, ragged nesting; complex unless
-    dtype is complex128; non-integers with integer), a wrong shape, an
-    empty array unless empty_ok and elements outside _num's bounds raise
+    Non-numbers (strings, bools, also among the numbers of a list, objects,
+    ragged nesting; complex unless dtype is complex128; non-integers with
+    integer), a wrong shape, an empty array unless empty_ok and elements
+    outside _num's bounds raise
     error(name, message); NaN or infinite elements raise nonfinite(name,
     message): by default an InvalidFieldError for complex values, else error.
     """
@@ -124,6 +138,8 @@ def _array(values, name, shape, lo=None, hi=None, *, gt=None, lt=None, integer=F
     kinds = "iu" if integer else "iufc" if dtype is np.complex128 else "iuf"
     if a.dtype.kind not in kinds:
         raise error(name, f"expected {'integers' if integer else 'numbers'}, got {a.dtype}")
+    if isinstance(values, (list, tuple)) and _holds_bool(values):  # numpy reads them as 0 and 1
+        raise error(name, f"expected {'integers' if integer else 'numbers'}, got bools among them")
     if shape is not None:
         named = {}  # a named axis takes the length of the first axis of that name
         want = tuple(g if w is None else named.setdefault(w, g) if isinstance(w, str) else w

@@ -313,7 +313,19 @@ def write_field_bin(field: ComplexFieldGrid, path) -> None:
 
 
 def read_field_bin(path) -> ComplexFieldGrid:
+    """Read a field write_field_bin wrote.
+
+    A file shorter than the header, or not of the length its N calls for,
+    raises InvalidFieldError naming the path and both byte counts.
+    """
     with open(path, "rb") as fh:
-        n, extent_m, wavelength_m = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
-        raw = np.frombuffer(fh.read(), dtype="<f8").reshape(n, n, 2)
+        data = fh.read()
+    if len(data) < _BIN_HEADER.size:
+        raise InvalidFieldError(
+            f"{path}: expected at least {_BIN_HEADER.size} bytes (the header), got {len(data)}")
+    n, extent_m, wavelength_m = _BIN_HEADER.unpack_from(data)
+    expected = _BIN_HEADER.size + 16 * n * n
+    if len(data) != expected:
+        raise InvalidFieldError(f"{path}: a {n}-grid field takes {expected} bytes, got {len(data)}")
+    raw = np.frombuffer(data, dtype="<f8", offset=_BIN_HEADER.size).reshape(n, n, 2)
     return ComplexFieldGrid(raw[..., 0] + 1j * raw[..., 1], extent_m, wavelength_m)

@@ -64,18 +64,36 @@ def _check_scales(outer, inner, outer_name, inner_name) -> None:
 # midpoint-rule points per side of an augmentation cell
 _CELL_POINTS = 17
 
+# the eight cells of an augmentation ring as (ix, iy) offsets, in drawing order
+_RING = [(ix, iy) for iy in (-1, 0, 1) for ix in (-1, 0, 1) if ix or iy]
+# the unit vector from the ring's centre towards each cell
+_RING_DIRECTIONS = [(math.cos(math.atan2(iy, ix)), math.sin(math.atan2(iy, ix)))
+                    for ix, iy in _RING]
 
-def _cell_power_and_rms_freq(fcx, fcy, width, r0_m, L0_m, l0_m):
-    """Integrated PSD power over a square cell and its power-weighted RMS |f|."""
-    q = ((np.arange(_CELL_POINTS) + 0.5) / _CELL_POINTS - 0.5) * width
-    gx, gy = np.meshgrid(fcx + q, fcy + q, indexing="ij")
-    p = _psd_cyclic(gx, gy, r0_m, L0_m, l0_m)
-    mean_p = p.mean()
-    power = mean_p * width * width
-    if mean_p <= 0:
-        return 0.0, math.hypot(fcx, fcy)
-    f_rms = math.sqrt(float((p * (gx**2 + gy**2)).mean() / mean_p))
-    return float(power), f_rms
+
+def _augmentation_cells(df, levels, r0_m, L0_m, l0_m):
+    """Frequencies (K, 2) and sqrt(integrated power) (K,) of the K = 8 * levels
+    augmentation cells, ring by ring, integrated in one array pass.
+
+    Each cell of width df / 3^level carries its integrated PSD power (the
+    midpoint rule on 17 x 17 points), placed at its power-weighted RMS |f|
+    along the direction of the cell from the ring's centre; a cell whose
+    power underflows to zero sits at its centre.
+    """
+    width = np.repeat([df / 3.0**level for level in range(levels)], len(_RING))
+    ix, iy = np.array(_RING * levels, dtype=np.float64).reshape(-1, 2).T
+    q = ((np.arange(_CELL_POINTS) + 0.5) / _CELL_POINTS - 0.5)[None, :] * width[:, None]
+    gx = (ix * width)[:, None] + q
+    gy = (iy * width)[:, None] + q
+    gx, gy = gx[:, :, None], gy[:, None, :]  # each cell's midpoint grid, x down, y across
+    p = _psd_cyclic(gx, gy, r0_m, L0_m, l0_m).reshape(width.size, _CELL_POINTS**2)
+    mean_p = p.mean(axis=1)
+    weighted = (p * (gx**2 + gy**2).reshape(width.size, _CELL_POINTS**2)).mean(axis=1)
+    f_rms = np.hypot(ix * width, iy * width)
+    lit = mean_p > 0
+    f_rms[lit] = np.sqrt(weighted[lit] / mean_p[lit])
+    directions = np.array(_RING_DIRECTIONS * levels, dtype=np.float64).reshape(-1, 2)
+    return f_rms[:, None] * directions, np.sqrt(mean_p * width * width)
 
 
 @dataclass(frozen=True)
@@ -94,80 +112,102 @@ class PhaseScreen:
         self.phase.setflags(write=False)
 
 
+class _SpectralTemplate:
+    """What every screen of one grid and one spectrum shares, built once.
+
+    The PSD amplitude sqrt(psd) of the DFT lattice (its 3x3 centre handed
+    to the augmentation rings when they are on), the fftshift sign table of
+    the Hermitian half, the lattice frequencies, and the augmentation cells:
+    their frequencies, sqrt(power) and the x and y tables sampling them on
+    the grid.  Every array is read-only: all screens of a time series and
+    its rendering worker read them.
+    """
+
+    def __init__(self, n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels=0):
+        n = _num(n, "n", lo=2, integer=True)
+        if n & (n - 1):
+            raise ParameterError("screen size must be a power of two")
+        spacing_m = _num(spacing_m, "spacing_m", gt=0)
+        _num(r0_m, "r0_m", gt=0, inf_ok=True)
+        _check_scales(L0_m, l0_m, "L0_m", "l0_m")
+        levels = _num(subharmonic_levels, "subharmonic_levels", lo=0, integer=True)
+        self.n = n
+        self.spacing_m = spacing_m
+        self.df = 1.0 / (n * spacing_m)
+
+        self.f1 = np.fft.fftfreq(n, d=spacing_m)
+        if math.isinf(r0_m):
+            psd = np.zeros((n, n))
+        else:
+            psd = _psd_cyclic(self.f1[None, :], self.f1[:, None], r0_m, L0_m, l0_m)
+        psd[0, 0] = 0.0
+        if levels > 0:
+            # the 3x3 center of the lattice is handed to the augmentation rings
+            psd[np.ix_((-1, 0, 1), (-1, 0, 1))] = 0.0
+        self.amp = np.sqrt(psd, out=psd)
+        h = n // 2
+        # the fftshift of the rendered screen is the exact sign (-1)^(kx+ky);
+        # the 1/2 makes the Hermitian part (S[k] + conj(S[-k])) / 2
+        self.sign = np.where((np.arange(n)[:, None] + np.arange(h + 1)) % 2, -0.5, 0.5)
+
+        self.sub_f, self.sub_amp = _augmentation_cells(
+            self.df, 0 if math.isinf(r0_m) else levels, r0_m, L0_m, l0_m)
+        # the augmentation components sampled on the grid; Re(Y X^T) is the
+        # real product [Re Y, Im Y] [Re X, -Im X]^T, X the (n, 2K) x table
+        x = (np.arange(n) - h) * spacing_m
+        cx = np.exp(2j * np.pi * np.outer(x, self.sub_f[:, 0]))
+        self.sub_cx = np.concatenate([cx.real, -cx.imag], axis=1)
+        self.sub_cy = np.exp(2j * np.pi * np.outer(x, self.sub_f[:, 1]))
+        for table in (self.f1, self.amp, self.sign, self.sub_f, self.sub_amp, self.sub_cx,
+                      self.sub_cy):
+            table.setflags(write=False)
+
+
 class _SpectralScreen:
     """Spectral representation of one screen, translatable to any offset.
 
     Holds the Hermitian half of the DFT coefficient lattice plus the
-    low-frequency augmentation components.  ``phase_at(shift)`` renders the
-    screen translated by a physical offset, exactly, for any (sub)pixel
-    shift.
+    low-frequency augmentation components, drawn from rng over a shared
+    _SpectralTemplate.  ``phase_at(shift)`` renders the screen translated by
+    a physical offset, exactly, for any (sub)pixel shift.
     """
 
-    def __init__(self, n, spacing_m, r0_m, L0_m, l0_m, rng, subharmonic_levels=0):
-        _num(n, "n", lo=2, integer=True)
-        if n & (n - 1):
-            raise ParameterError("screen size must be a power of two")
-        _num(spacing_m, "spacing_m", gt=0)
-        _num(r0_m, "r0_m", gt=0, inf_ok=True)
-        _check_scales(L0_m, l0_m, "L0_m", "l0_m")
-        _num(subharmonic_levels, "subharmonic_levels", lo=0, integer=True)
-        self.n = int(n)
-        self.spacing_m = float(spacing_m)
-        df = 1.0 / (n * spacing_m)
-
-        f1 = np.fft.fftfreq(n, d=spacing_m)
-        if math.isinf(r0_m):
-            psd = np.zeros((n, n))
-        else:
-            psd = _psd_cyclic(f1[None, :], f1[:, None], r0_m, L0_m, l0_m)
-        psd[0, 0] = 0.0
-        if subharmonic_levels > 0:
-            # the 3x3 center of the lattice is handed to the augmentation rings
-            psd[np.ix_((-1, 0, 1), (-1, 0, 1))] = 0.0
+    def __init__(self, template, rng):
+        self.n = n = template.n
+        self.spacing_m = template.spacing_m
         noise = rng.standard_normal((2, n, n))
-        coeff = (noise[0] + 1j * noise[1]) * np.sqrt(psd) * df
-        del noise, psd
+        coeff = 1j * noise[1]
+        coeff += noise[0]
+        del noise
+        coeff *= template.amp
+        coeff *= template.df
         # The screen is the real part of the inverse DFT of coeff * ramp, which
         # is the inverse DFT of the Hermitian part (S[k] + conj(S[-k])) / 2, so
         # columns 0..n/2 of that part suffice (irfft2).  Off the Nyquist row
         # and column f(-k) = -f(k), the ramp factors out of the pair and the
-        # pair sum is precomputed.  The fftshift of the rendered screen is
-        # the exact sign (-1)^(kx+ky), folded in here; the screen is the
-        # unnormalized inverse DFT (norm="forward").
+        # pair sum is precomputed; the template's sign table folds in the
+        # fftshift.  The screen is the unnormalized inverse DFT (norm="forward").
         h = n // 2
-        mirror = np.roll(coeff[::-1, ::-1], 1, axis=(0, 1)).conj()  # conj(coeff[-k])
-        sign = np.where((np.arange(n)[:, None] + np.arange(h + 1)) % 2, -0.5, 0.5)
-        self._half = (coeff[:, : h + 1] + mirror[:, : h + 1]) * sign
+        # conj(coeff[-k]) for columns 0..n/2: rows 0, n-1, ..., 1 of columns
+        # 0, n-1, ..., n/2
+        rows = -np.arange(n) % n
+        mirror = np.empty((n, h + 1), dtype=np.complex128)
+        mirror[:, 0] = coeff[rows, 0]
+        mirror[:, 1:] = coeff[rows, : h - 1 : -1]
+        np.conjugate(mirror, out=mirror)
+        sign = template.sign
+        self._half = (coeff[:, : h + 1] + mirror) * sign
         # fftfreq puts the Nyquist frequency at -n/2 df for both k and -k, so
         # there the ramp does not pair: keep the two terms apart
-        self._nyq_row = (coeff[h, : h + 1] * sign[h], mirror[h, : h + 1] * sign[h])
+        self._nyq_row = (coeff[h, : h + 1] * sign[h], mirror[h] * sign[h])
         self._nyq_col = (coeff[:, h] * sign[:, h], mirror[:, h] * sign[:, h])
-        self._f1 = f1
+        self._f1 = template.f1
 
-        sub_f = []
-        sub_c = []
-        if subharmonic_levels > 0 and not math.isinf(r0_m):
-            for level in range(subharmonic_levels):
-                width = df / 3.0**level
-                for iy in (-1, 0, 1):
-                    for ix in (-1, 0, 1):
-                        if ix == 0 and iy == 0:
-                            continue
-                        power, f_rms = _cell_power_and_rms_freq(
-                            ix * width, iy * width, width, r0_m, L0_m, l0_m
-                        )
-                        direction = math.atan2(iy, ix)
-                        sub_f.append((f_rms * math.cos(direction), f_rms * math.sin(direction)))
-                        g = rng.standard_normal(2)
-                        sub_c.append((g[0] + 1j * g[1]) * math.sqrt(power))
-        self._sub_f = np.asarray(sub_f, dtype=np.float64).reshape(-1, 2)
-        self._sub_c = np.asarray(sub_c, dtype=np.complex128)
-        # the augmentation components sampled on the grid; Re(Y X^T) is the
-        # real product [Re Y, Im Y] [Re X, -Im X]^T, X the (n, 2K) x table
-        x = (np.arange(self.n) - self.n // 2) * self.spacing_m
-        cx = np.exp(2j * np.pi * np.outer(x, self._sub_f[:, 0]))
-        self._sub_cx = np.concatenate([cx.real, -cx.imag], axis=1)
-        self._sub_cy = np.exp(2j * np.pi * np.outer(x, self._sub_f[:, 1]))
+        g = rng.standard_normal((template.sub_amp.size, 2))
+        self._sub_c = (g[:, 0] + 1j * g[:, 1]) * template.sub_amp
+        self._sub_f = template.sub_f
+        self._sub_cx = template.sub_cx
+        self._sub_cy = template.sub_cy
 
     def phase_at(self, shift_xy=(0.0, 0.0)) -> np.ndarray:
         """Render the screen translated by (sx, sy) meters.
@@ -218,11 +258,8 @@ def synth_phase_screen(
     rings (0 disables; 3 is the usual choice, more for strict large-scale
     statistics).
     """
-    gen = _SpectralScreen(
-        n, spacing_m, r0_m, L0_m, l0_m,
-        rng=substream(seed, "phase-screen"),
-        subharmonic_levels=subharmonic_levels,
-    )
+    template = _SpectralTemplate(n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels)
+    gen = _SpectralScreen(template, substream(seed, "phase-screen"))
     if not math.isinf(r0_m) and r0_m < 4 * spacing_m:
         warnings.warn(
             f"grid spacing {spacing_m} resolves r0={r0_m} with fewer than 4 samples",
@@ -354,6 +391,13 @@ def build_time_series(
     deterministic per (seed, profile, grid): frame k never depends on
     n_frames.
 
+    All layers share one spectral template (PSD amplitude, sign table,
+    augmentation cells), built once per call.  Each layer's seeded draws
+    happen on the calling thread just before its first factor is queued,
+    so the worker renders layer 0 while the later layers are still being
+    drawn, and n_frames=0 draws nothing.  There is no setting for this and
+    the frames are the same bits as drawing every screen up front.
+
     A layer's phase factor exp(i phi) depends on the layer and the frame
     time only, never on the field, so one worker thread renders the
     factors in (frame, layer) order, up to two ahead of the field chain on
@@ -365,12 +409,9 @@ def build_time_series(
     _num(n_frames, "n_frames", lo=0, integer=True)
     _num(frame_rate_hz, "frame_rate_hz", gt=0)
 
-    gens = [
-        _SpectralScreen(tx.n, tx.spacing_m, profile.layer_r0_m, profile.outer_scale_m,
-                        profile.inner_scale_m, rng=substream(seed, "layer", i),
-                        subharmonic_levels=profile.subharmonic_levels)
-        for i in range(len(profile.layers))
-    ]
+    template = _SpectralTemplate(tx.n, tx.spacing_m, profile.layer_r0_m, profile.outer_scale_m,
+                                 profile.inner_scale_m, profile.subharmonic_levels)
+    screens = []
     azimuths = [math.radians(lay.wind_azimuth_deg) for lay in profile.layers]
 
     def render(i, t):
@@ -378,7 +419,7 @@ def build_time_series(
             profile.wind_speed_mps * t * math.cos(azimuths[i]),
             profile.wind_speed_mps * t * math.sin(azimuths[i]),
         )
-        phase = PhaseScreen(gens[i].phase_at(shift), tx.spacing_m).phase
+        phase = PhaseScreen(screens[i].phase_at(shift), tx.spacing_m).phase
         # exp(i phi) written as cos and sin into one complex array: the same
         # bits as np.exp(1j * phase), without its complex temporary
         factor = np.empty(phase.shape, dtype=np.complex128)
@@ -386,7 +427,14 @@ def build_time_series(
         np.sin(phase, out=factor.imag)
         return factor
 
-    jobs = ((i, k / frame_rate_hz) for k in range(n_frames) for i in range(len(gens)))
+    def factor_jobs():
+        for k in range(n_frames):
+            for i in range(len(profile.layers)):
+                if k == 0:  # drawn here, while the worker renders the layers before
+                    screens.append(_SpectralScreen(template, substream(seed, "layer", i)))
+                yield i, k / frame_rate_hz
+
+    jobs = factor_jobs()
     worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fsolink-phase-factors")
     pending = deque()
     try:

@@ -191,6 +191,30 @@ class TestSaveFields:
         assert field.n == 128
 
 
+GEO_DOWNLINK = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "geo_downlink.json")
+
+
+class TestShippedGeoDownlinkConfig:
+    def test_validates(self):
+        scenario = load_scenario(GEO_DOWNLINK)
+        assert scenario["grid"]["n"] == 512 and scenario["run"]["label"] == "geo-downlink"
+
+    def test_two_frame_synth_stamps_every_artifact(self, tmp_path):
+        out = str(tmp_path / "run")
+        # the shipped 1 m / 512 geometry undersamples the longest layer step
+        # for the angular-spectrum band limit, and says so
+        with pytest.warns(RuntimeWarning, match="sampling bound violated"):
+            assert main(["synth", "--config", GEO_DOWNLINK, "--out", out, "--frames", "2"]) == 0
+        stamp = load_scenario(GEO_DOWNLINK, {"run.n_frames": 2}).hash
+        assert sorted(os.listdir(out)) == ["index.json", "modes.csv", "resolved_config.json",
+                                           "smf.csv"]
+        for name in ("index.json", "resolved_config.json"):
+            assert json.load(open(os.path.join(out, name)))["scenario_hash"] == stamp
+        for name in ("modes.csv", "smf.csv"):
+            lines = open(os.path.join(out, name)).read().splitlines()
+            assert lines[0] == f"# scenario={stamp}" and len(lines) == 2 + 2
+
+
 TINY = {
     "run": {"label": "tiny", "seed": 5, "n_frames": 4, "frame_rate_hz": 1500.0},
     "grid": {"n": 64},

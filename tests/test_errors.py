@@ -42,6 +42,13 @@ def _spoil(a, value):
     return b
 
 
+def _with_a_bool(values):
+    """values, a nested list of numbers, with its first number made True."""
+    if isinstance(values[0], list):
+        return [_with_a_bool(values[0]), *values[1:]]
+    return [True, *values[1:]]
+
+
 # fault -> f(valid array, the axis whose length the call implies)
 FAULTS = {
     "nan": lambda a, axis: _spoil(a, math.nan),
@@ -51,6 +58,7 @@ FAULTS = {
     "length": lambda a, axis: np.concatenate([a, np.take(a, [0], axis=axis)], axis=axis),
     "strings": lambda a, axis: a.astype(str),
     "bools": lambda a, axis: a.astype(bool),
+    "list-with-a-bool": lambda a, axis: _with_a_bool(a.tolist()),
 }
 
 # name -> (call, {argument: valid value}, {(argument, fault): why it is accepted})

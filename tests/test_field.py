@@ -301,3 +301,20 @@ class TestSnapshots:
         path.write_bytes(struct.pack("<Qdd", 64, 1.0, LAM) + raw.tobytes())
         with pytest.raises(InvalidFieldError):
             read_field_bin(path)
+
+    @pytest.mark.parametrize("body, expected", [
+        (b"\0" * 100, 24 + 16 * 64 * 64),
+        (b"\0" * (16 * 64 * 64 + 8), 24 + 16 * 64 * 64),
+    ], ids=["100-bytes", "one-element-too-many"])
+    def test_wrong_length_file_names_path_and_sizes(self, tmp_path, body, expected):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<Qdd", 64, 1.0, LAM) + body)
+        got = 24 + len(body)
+        with pytest.raises(InvalidFieldError, match=rf"bad\.bin: .*{expected} bytes, got {got}"):
+            read_field_bin(path)
+
+    def test_file_shorter_than_header_names_path_and_sizes(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(struct.pack("<Qdd", 64, 1.0, LAM)[:20])
+        with pytest.raises(InvalidFieldError, match=r"short\.bin: .*24 bytes .*got 20"):
+            read_field_bin(path)

@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from fsolink.turbulence import (
     TurbulenceLayer,
     _psd_cyclic,
     _SpectralScreen,
+    _SpectralTemplate,
     build_time_series,
     default_profile,
     kolmogorov_structure_function,
@@ -113,13 +116,102 @@ def drawn_coefficients(n, spacing_m, r0_m, L0_m, l0_m, rng):
     return (noise[0] + 1j * noise[1]) * np.sqrt(psd) / (n * spacing_m), f
 
 
+def full_grid_screen_state(n, spacing_m, r0_m, L0_m, l0_m, rng, subharmonic_levels):
+    """Reference: a screen's state as a constructor with no shared template
+    builds it: the PSD over the whole lattice per screen, the mirror by
+    rolling the whole reversed grid, and each augmentation cell integrated
+    and drawn in its own loop step."""
+    df = 1.0 / (n * spacing_m)
+    f1 = np.fft.fftfreq(n, d=spacing_m)
+    psd = np.zeros((n, n)) if math.isinf(r0_m) else _psd_cyclic(f1[None, :], f1[:, None],
+                                                                 r0_m, L0_m, l0_m)
+    psd[0, 0] = 0.0
+    if subharmonic_levels > 0:
+        psd[np.ix_((-1, 0, 1), (-1, 0, 1))] = 0.0
+    noise = rng.standard_normal((2, n, n))
+    coeff = (noise[0] + 1j * noise[1]) * np.sqrt(psd) * df
+    h = n // 2
+    mirror = np.roll(coeff[::-1, ::-1], 1, axis=(0, 1)).conj()
+    sign = np.where((np.arange(n)[:, None] + np.arange(h + 1)) % 2, -0.5, 0.5)
+    state = {
+        "_half": (coeff[:, : h + 1] + mirror[:, : h + 1]) * sign,
+        "_nyq_row": (coeff[h, : h + 1] * sign[h], mirror[h, : h + 1] * sign[h]),
+        "_nyq_col": (coeff[:, h] * sign[:, h], mirror[:, h] * sign[:, h]),
+        "_f1": f1, "n": n, "spacing_m": spacing_m,
+    }
+    sub_f, sub_c = [], []
+    for level in range(subharmonic_levels if not math.isinf(r0_m) else 0):
+        width = df / 3.0**level
+        for iy in (-1, 0, 1):
+            for ix in (-1, 0, 1):
+                if ix == 0 and iy == 0:
+                    continue
+                q = ((np.arange(17) + 0.5) / 17 - 0.5) * width
+                gx, gy = np.meshgrid(ix * width + q, iy * width + q, indexing="ij")
+                p = _psd_cyclic(gx, gy, r0_m, L0_m, l0_m)
+                power = p.mean() * width * width
+                f_rms = math.sqrt(float((p * (gx**2 + gy**2)).mean() / p.mean()))
+                direction = math.atan2(iy, ix)
+                sub_f.append((f_rms * math.cos(direction), f_rms * math.sin(direction)))
+                g = rng.standard_normal(2)
+                sub_c.append((g[0] + 1j * g[1]) * math.sqrt(power))
+    state["_sub_f"] = np.asarray(sub_f, dtype=np.float64).reshape(-1, 2)
+    state["_sub_c"] = np.asarray(sub_c, dtype=np.complex128)
+    x = (np.arange(n) - h) * spacing_m
+    cx = np.exp(2j * np.pi * np.outer(x, state["_sub_f"][:, 0]))
+    state["_sub_cx"] = np.concatenate([cx.real, -cx.imag], axis=1)
+    state["_sub_cy"] = np.exp(2j * np.pi * np.outer(x, state["_sub_f"][:, 1]))
+    return state
+
+
+class TestSpectralTemplate:
+    @pytest.mark.parametrize("r0_m", [0.1, math.inf])
+    @pytest.mark.parametrize("levels", [0, 3, 9])
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_screens_match_full_grid_constructor(self, n, levels, r0_m):
+        # one template serves several screens, each the same bits as a
+        # screen built from scratch on its own substream
+        template = _SpectralTemplate(n, 1.0 / n, r0_m, 25.0, 5e-3, levels)
+        for layer in range(3):
+            screen = _SpectralScreen(template, substream(9, "layer", layer))
+            state = full_grid_screen_state(n, 1.0 / n, r0_m, 25.0, 5e-3,
+                                           substream(9, "layer", layer), levels)
+            reference = object.__new__(_SpectralScreen)
+            reference.__dict__.update(state)
+            for name in ("_half", "_sub_f", "_sub_c"):
+                a, b = getattr(screen, name), state[name]
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            for name in ("_nyq_row", "_nyq_col"):
+                for a, b in zip(getattr(screen, name), state[name]):
+                    assert a.tobytes() == b.tobytes(), name
+            for shift in [(0.0, 0.0), (0.0137, -0.402), (3.3, 1.9)]:
+                assert screen.phase_at(shift).tobytes() == reference.phase_at(shift).tobytes()
+
+    def test_cells_whose_power_underflows_sit_at_their_centres(self):
+        # r0^(-5/3) underflows to zero: no cell carries power, none divides by it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            template = _SpectralTemplate(16, 1.0 / 16, 1e300, 25.0, 5e-3, 2)
+        assert not template.sub_amp.any()
+        centres = [(ix / 3**level, iy / 3**level)  # df = 1 / (16 * 1/16) = 1
+                   for level in range(2) for iy in (-1, 0, 1) for ix in (-1, 0, 1) if ix or iy]
+        np.testing.assert_allclose(template.sub_f, centres, rtol=1e-15, atol=1e-15)
+
+    def test_template_tables_are_read_only(self):
+        template = _SpectralTemplate(16, 1.0 / 16, 0.1, 25.0, 5e-3, 3)
+        for table in (template.f1, template.amp, template.sign, template.sub_f,
+                      template.sub_amp, template.sub_cx, template.sub_cy):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+
 class TestFrozenFlow:
     @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.0137, -0.402), (3.3, 1.9)])
     def test_render_matches_full_grid_ramp(self, shift):
         # reference: the full complex lattice times the 2-D translation ramp
         # through ifft2, plus the subharmonic tables evaluated at render time
-        gen = _SpectralScreen(128, 1 / 128, 0.1, 25.0, 5e-3, np.random.default_rng(5),
-                              subharmonic_levels=3)
+        gen = _SpectralScreen(_SpectralTemplate(128, 1 / 128, 0.1, 25.0, 5e-3, 3),
+                              np.random.default_rng(5))
         coeff, f = drawn_coefficients(128, 1 / 128, 0.1, 25.0, 5e-3, np.random.default_rng(5))
         coeff[np.ix_((-1, 0, 1), (-1, 0, 1))] = 0.0  # handed to the augmentation rings
         sx, sy = shift
@@ -140,7 +232,7 @@ class TestFrozenFlow:
         # mirror; fractional-pixel shifts on a 16 grid
         n, dx = 16, 0.05
         args = (0.1, 25.0, 5e-3)
-        gen = _SpectralScreen(n, dx, *args, rng=substream(3, "phase-screen"))
+        gen = _SpectralScreen(_SpectralTemplate(n, dx, *args), substream(3, "phase-screen"))
         coeff, f = drawn_coefficients(n, dx, *args, rng=substream(3, "phase-screen"))
         x = (np.arange(n) - n // 2) * dx
         sx, sy = shift
@@ -249,12 +341,15 @@ class TestTimeSeries:
 def sequential_time_series(profile, grid, n_frames, frame_rate_hz, seed,
                            rx_aperture_m=0.5, absorb_edges=False):
     """Reference: the series rendered and applied on the calling thread,
-    layer by layer, with the product written as exp(i phase) * samples."""
+    layer by layer, with the product written as exp(i phase) * samples, and
+    every screen drawn up front over a template of its own."""
     tx = plane_wave(grid)
     gens = [
-        _SpectralScreen(tx.n, tx.spacing_m, profile.layer_r0_m, profile.outer_scale_m,
-                        profile.inner_scale_m, rng=substream(seed, "layer", i),
-                        subharmonic_levels=profile.subharmonic_levels)
+        _SpectralScreen(
+            _SpectralTemplate(tx.n, tx.spacing_m, profile.layer_r0_m, profile.outer_scale_m,
+                              profile.inner_scale_m, profile.subharmonic_levels),
+            substream(seed, "layer", i),
+        )
         for i in range(len(profile.layers))
     ]
     azimuths = [math.radians(lay.wind_azimuth_deg) for lay in profile.layers]
@@ -282,6 +377,36 @@ class TestRenderingWorker:
         reference = sequential_time_series(*args, absorb_edges=absorb_edges)
         for a, b in itertools.zip_longest(threaded, reference):
             assert a.samples.tobytes() == b.samples.tobytes()
+
+    def test_no_frames_draw_no_screen_and_start_no_thread(self, grid64, monkeypatch):
+        drawn = []
+        draw = _SpectralScreen.__init__
+
+        def counted(screen, template, rng):
+            drawn.append(threading.get_ident())
+            draw(screen, template, rng)
+
+        monkeypatch.setattr(_SpectralScreen, "__init__", counted)
+        before = threading.active_count()
+        assert list(build_time_series(default_profile(), grid=grid64, n_frames=0, seed=4)) == []
+        assert drawn == [] and threading.active_count() == before
+        frames = build_time_series(default_profile(), grid=grid64, n_frames=2, seed=4)
+        next(frames)
+        assert drawn == [threading.get_ident()] * len(default_profile().layers)
+        frames.close()
+
+    def test_lazy_draws_survive_frequent_thread_switches(self, grid64):
+        # the calling thread appends each layer's screen while the worker
+        # renders the layers before it; switch threads as often as possible
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            args = (default_profile(), grid64, 3, 1500.0, 4)
+            for a, b in itertools.zip_longest(build_time_series(*args),
+                                              sequential_time_series(*args)):
+                assert a.samples.tobytes() == b.samples.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("end", ["close", "drop"])
     def test_ending_after_one_frame_joins_the_worker(self, grid128, end):
