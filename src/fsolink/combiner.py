@@ -8,6 +8,7 @@ demultiplexer insertion losses are lumped on the output.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +27,18 @@ __all__ = [
 TWO_PI = 2 * math.pi
 
 
+def _tree_slots(n_inputs: int) -> tuple:
+    """(_elements, _output) of the balanced tree of n_inputs leaves."""
+    live = list(range(n_inputs))  # buffer slot of each signal of the stage
+    elements = []
+    while len(live) > 1:
+        pairs = list(zip(live[0::2], live[1::2]))
+        first = n_inputs + len(elements)  # pair k writes slot first + k
+        live = list(range(first, first + len(pairs))) + live[2 * len(pairs):]
+        elements += pairs
+    return tuple(elements), live[0]
+
+
 @dataclass(frozen=True)
 class CombinerTopology:
     """Balanced tree of n_inputs leaves plus lumped insertion losses.
@@ -35,6 +48,8 @@ class CombinerTopology:
     tree has n_inputs - 1 elements.  Construction compiles it over a signal
     buffer [inputs..., element outputs...]: element k reads the two slots in
     _elements[k] and writes slot n_inputs + k; _output is the output slot.
+    The shape depends on n_inputs alone, and so does _tree_kernel, the same
+    walk compiled once per input count into straight-line code.
     """
 
     n_inputs: int
@@ -47,15 +62,9 @@ class CombinerTopology:
         n = _num(self.n_inputs, "n_inputs", lo=1, integer=True)
         _num(self.pic_insertion_loss_db, "pic_insertion_loss_db", lo=0)
         _num(self.demux_insertion_loss_db, "demux_insertion_loss_db", lo=0)
-        live = list(range(n))  # buffer slot of each signal of the stage
-        elements = []
-        while len(live) > 1:
-            pairs = list(zip(live[0::2], live[1::2]))
-            first = n + len(elements)  # pair k writes slot first + k
-            live = list(range(first, first + len(pairs))) + live[2 * len(pairs):]
-            elements += pairs
-        object.__setattr__(self, "_elements", tuple(elements))
-        object.__setattr__(self, "_output", live[0])
+        elements, output = _tree_slots(n)
+        object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "_output", output)
 
     @classmethod
     def balanced(cls, n_inputs: int, pic_insertion_loss_db: float = 7.0,
@@ -102,13 +111,40 @@ def combine(inputs, topology: CombinerTopology, state: CombinerState) -> complex
 
 
 def _tree_output(topology: CombinerTopology, inputs, ratios, phases) -> complex:
-    """Unchecked kernel of combine.  inputs is a list of finite complex
-    amplitudes, one per leaf; ratios (each in [0, 1]) and phases (finite)
-    are lists of one value per element."""
+    """Unchecked kernel of combine, and the reference of _tree_kernel.
+    inputs is a list of finite complex amplitudes, one per leaf; ratios
+    (each in [0, 1]) and phases (finite) are lists of one value per element."""
     buf = list(inputs)
     for (i, j), rho, theta in zip(topology._elements, ratios, phases):
         buf.append(math.sqrt(rho) * buf[i] + (cmath.rect(math.sqrt(1.0 - rho), theta) * buf[j]))
     return buf[topology._output] * 10.0 ** (-topology.total_loss_db / 20.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _tree_kernel(n_inputs: int):
+    """The tree of n_inputs leaves as one straight-line function
+    kernel(x, inputs) -> pre-loss output amplitude.
+
+    x is the closed loop's command list, n_inputs - 1 phases then as many
+    ratio parameters, and inputs a list of n_inputs complex amplitudes; both
+    are unchecked.  Element k takes phase x[k] % 2 pi and split ratio
+    sin(x[n_el + k]) ** 2 (computed s * s), with the operations of
+    _tree_output in its order, so times 10 ** (-total_loss_db / 20) the
+    output is _tree_output's to the bit.  Every slot of the signal buffer is
+    a local variable, b0, b1, ...: no list is built and no table walked.
+    """
+    elements, output = _tree_slots(n_inputs)
+    n_el = len(elements)
+    lines = ["def kernel(x, inputs):",
+             "    " + "".join(f"b{i}, " for i in range(n_inputs)) + "= inputs"]
+    for k, (i, j) in enumerate(elements):
+        lines.append(f"    s = sin(x[{n_el + k}]); r = s * s")
+        lines.append(f"    b{n_inputs + k} = sqrt(r) * b{i}"
+                     f" + (rect(sqrt(1.0 - r), x[{k}] % {TWO_PI!r}) * b{j})")
+    lines.append(f"    return b{output}")
+    namespace = {"sin": math.sin, "sqrt": math.sqrt, "rect": cmath.rect}
+    exec(compile("\n".join(lines), f"<combiner tree of {n_inputs} inputs>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def align_state(inputs, topology: CombinerTopology) -> CombinerState:

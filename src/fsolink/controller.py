@@ -26,11 +26,13 @@ Both round every step alike, so the choice never changes a result.
 
 One evaluator serves both loops, the framed acquisition of run_closed_loop
 and the continuous tracking of correction_bandwidth.  It takes the command
-as a list of Python floats: it wraps the phase commands, maps the ratio
-parameters to split ratios, runs the combiner's unchecked kernel (inputs
-are checked once, on entry), applies the wrap-residual gain inside a
-dead-time and draws the detector noise.  Both loops keep their command
-vectors as lists, so no evaluation dispatches to numpy.
+as a list of Python floats and runs it through the combiner tree compiled
+into straight-line code (combiner._tree_kernel, fetched once per loop
+call), which wraps the phase commands, maps the ratio parameters to split
+ratios and combines the inputs (checked once, on entry) without building
+a list; the evaluator then applies the insertion loss, the wrap-residual
+gain inside a dead-time and the detector noise.  Both loops keep their
+command vectors as lists, so no evaluation dispatches to numpy.
 """
 
 import math
@@ -43,7 +45,7 @@ import numpy as np
 
 from ._streams import substream
 # combine and CombinerState are unused here: perfbench/tracing.py patches both by these names
-from .combiner import CombinerState, CombinerTopology, _tree_output, combine  # noqa: F401
+from .combiner import CombinerState, CombinerTopology, _tree_kernel, combine  # noqa: F401
 from .errors import ControllerFault, ParameterError, _array, _num
 
 __all__ = [
@@ -148,7 +150,7 @@ class _ArrayVertices:
 
     @staticmethod
     def order(simplex, values):
-        order = np.argsort(values, kind="stable")
+        order = values.argsort(kind="stable")
         return simplex[order], values[order]
 
     @staticmethod
@@ -311,19 +313,16 @@ class LoopTrace:
         return self.power_w.reshape(n_frames, -1)[:, -1].copy()
 
 
-def _evaluate(x, inputs, topology, config, rng, in_transient=False):
+def _evaluate(x, inputs, kernel, gain, config, rng, in_transient=False):
     """One closed-loop evaluation of command list x on the input list.
 
-    Returns (physical output power, optimizer reading): phases wrapped into
-    [0, 2 pi), ratios sin^2 of their parameters, the power scaled by
-    wrap_residual_factor inside a wrap dead-time, and the reading perturbed
-    by relative detector noise.
+    kernel is the topology's _tree_kernel and gain its insertion-loss
+    amplitude factor 10 ** (-total_loss_db / 20).  Returns (physical output
+    power, optimizer reading): phases wrapped into [0, 2 pi), ratios sin^2
+    of their parameters, the power scaled by wrap_residual_factor inside a
+    wrap dead-time, and the reading perturbed by relative detector noise.
     """
-    n_el = topology.n_elements
-    phases = [p % TWO_PI for p in x[:n_el]]
-    ratios = [s * s for s in map(math.sin, x[n_el:])]
-    amp = _tree_output(topology, inputs, ratios, phases)
-    p_physical = abs(amp) ** 2
+    p_physical = abs(kernel(x, inputs) * gain) ** 2
     if in_transient:
         p_physical *= config.wrap_residual_factor
     measured = p_physical
@@ -357,6 +356,8 @@ def run_closed_loop(
     frames = _array(frames, "frames", (None, topology.n_inputs), dtype=np.complex128)
 
     n_el = topology.n_elements
+    kernel = _tree_kernel(topology.n_inputs)
+    gain = 10.0 ** (-topology.total_loss_db / 20.0)
     rng = substream(seed, "controller")
     n_frames = frames.shape[0]
     budget = config.evals_per_frame
@@ -374,7 +375,7 @@ def run_closed_loop(
         """Evaluate the command; record its power and the frame's best reading."""
         nonlocal e, best_p, best_x
         p_physical, measured = _evaluate(
-            command, inputs, topology, config, rng, e / config.loop_rate_hz < transient_until
+            command, inputs, kernel, gain, config, rng, e / config.loop_rate_hz < transient_until
         )
         power[e] = p_physical
         e += 1
@@ -450,6 +451,9 @@ def wrap_event_rate(trace: LoopTrace) -> tuple:
 # first phase edge is _REFRESH_EDGE_RAD, later ones follow the residual error
 _REFRESH_EVERY = 40
 _REFRESH_EDGE_RAD = 0.35
+# most evaluations one correction_bandwidth call may ask for (about an hour of
+# pure Python); a lower disturbance frequency is rejected before the first one
+_MAX_TRACKING_EVALS = 10**9
 
 
 def correction_bandwidth(
@@ -469,7 +473,8 @@ def correction_bandwidth(
     power over the 2.0 W ideal) is averaged over n_periods after a settling
     span, with floors on both spans so high frequencies still exercise a
     settled loop.  Evaluations go through the same evaluator as
-    run_closed_loop.
+    run_closed_loop.  A disturbance so slow that the two spans exceed
+    _MAX_TRACKING_EVALS evaluations raises ParameterError.
     """
     _num(disturbance_freq_hz, "disturbance_freq_hz", lo=0)
     _num(amplitude_rad, "amplitude_rad")
@@ -479,12 +484,21 @@ def correction_bandwidth(
         2, pic_insertion_loss_db=0.0, demux_insertion_loss_db=0.0
     )
     n_el = topology.n_elements
+    kernel = _tree_kernel(topology.n_inputs)
+    gain = 10.0 ** (-topology.total_loss_db / 20.0)
     rng = substream(seed, "bandwidth")
     dt = 1.0 / config.loop_rate_hz
 
     if disturbance_freq_hz > 0:
-        settle_evals = max(int(settle_periods / disturbance_freq_hz / dt), 400)
-        measure_evals = max(int(n_periods / disturbance_freq_hz / dt), 2000)
+        settle = settle_periods / disturbance_freq_hz / dt
+        measure = n_periods / disturbance_freq_hz / dt
+        if settle + measure > _MAX_TRACKING_EVALS:
+            raise ParameterError(
+                f"disturbance_freq_hz: {disturbance_freq_hz!r} Hz needs {settle + measure:.3g} "
+                f"evaluations at {config.loop_rate_hz!r} Hz, more than {_MAX_TRACKING_EVALS:.0e}"
+            )
+        settle_evals = max(int(settle), 400)
+        measure_evals = max(int(measure), 2000)
     else:
         settle_evals, measure_evals = 400, 2000
 
@@ -503,7 +517,7 @@ def correction_bandwidth(
             shift = [-TWO_PI * t for t in turns] + [0.0] * n_el
             nm.translate(shift)
             x = [a + b for a, b in zip(x, shift)]
-        _, measured = _evaluate(x, inputs, topology, config, rng)
+        _, measured = _evaluate(x, inputs, kernel, gain, config, rng)
         nm.tell(-measured)
         window_best = max(window_best, measured)
         if (e + 1) % _REFRESH_EVERY == 0:

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsolink.combiner import (
+    TWO_PI,
     CombinerState,
     CombinerTopology,
+    _tree_kernel,
+    _tree_output,
     align_state,
     combine,
     mm_coupling_efficiency,
@@ -210,6 +213,29 @@ class TestCompiledTree:
         ref_phases, ref_ratios = stage_walk_align(inputs, topo)
         assert _bits(state.phase_commands) == _bits(ref_phases)
         assert _bits(state.split_ratios) == _bits(ref_ratios)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_kernel_matches_tree_output(self, n):
+        # reference: phases p % 2 pi and ratios sin(q) ** 2 as lists, walked
+        # through the tree table by _tree_output
+        rng = np.random.default_rng(n)
+        kernel = _tree_kernel(n)
+        assert _tree_kernel(n) is kernel  # compiled once per input count
+        m = n - 1
+        edge_phases = [0.0, -0.0, TWO_PI, -TWO_PI, math.pi, -1e-300, 1e3, -1e3]
+        for case in range(200):
+            topo = CombinerTopology.balanced(n, *rng.uniform(0.1, 10.0, 2))
+            inputs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).tolist()
+            if case % 4 == 0:
+                inputs[rng.integers(n)] = 0j
+            phases = rng.uniform(-3 * TWO_PI, 4 * TWO_PI, m).tolist()
+            if m:
+                phases[case % m] = edge_phases[case % len(edge_phases)]
+            x = phases + rng.uniform(-10.0, 10.0, m).tolist()
+            reference = _tree_output(topo, inputs, [s * s for s in map(math.sin, x[m:])],
+                                     [p % TWO_PI for p in x[:m]])
+            gain = 10.0 ** (-topo.total_loss_db / 20.0)
+            assert _bits(kernel(x, inputs) * gain) == _bits(reference)
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_compiled_table_matches_stage_compile(self, n):

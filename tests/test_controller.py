@@ -714,6 +714,13 @@ class TestCorrectionBandwidth:
             correction_bandwidth(1000.0, 1.0, self.CAL, n_periods=n_periods,
                                  settle_periods=settle_periods)
 
+    @pytest.mark.parametrize("freq", [5e-324, 1e-9])
+    def test_too_slow_disturbance_fails_before_any_evaluation(self, freq, monkeypatch):
+        # 1 / f overflows at 5e-324 Hz; 1e-9 Hz would ask for ~1e17 evaluations
+        monkeypatch.setattr(controller, "_evaluate", lambda *a, **k: pytest.fail("evaluated"))
+        with pytest.raises(ParameterError, match="disturbance_freq_hz"):
+            correction_bandwidth(freq, 1.0, self.CAL)
+
 
 @st.composite
 def tracking_runs(draw):
