@@ -42,7 +42,6 @@ from .field import (
     angular_spectrum_propagate,
     apply_aperture,
     apply_phase_screen,
-    gaussian_field,
     plane_wave,
     read_field_bin,
     total_power,
@@ -55,10 +54,7 @@ from .modes import (
     ModeCoefficients,
     ModeStatistics,
     decompose,
-    fit_basis_waist,
-    hg_mode_field,
     mode_statistics,
-    modes_up_to_group,
     optimize_smf_waist,
     smf_coupling_efficiency,
 )
@@ -76,7 +72,6 @@ from .turbulence import (
 from .wdm import (
     OpticalSpectrum,
     VodlScan,
-    per_line_efficiency,
     two_path_efficiency,
     vodl_scan,
     wdm_link_run,

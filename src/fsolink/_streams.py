@@ -12,17 +12,7 @@ import numpy as np
 
 from .errors import _num
 
-__all__ = ["substream", "stream_words"]
-
-
-def stream_words(*labels) -> tuple[int, ...]:
-    """Map labels (strings or ints) to four stable 32-bit words."""
-    h = hashlib.sha256()
-    for label in labels:
-        h.update(repr(label).encode("utf-8"))
-        h.update(b"\x1f")
-    digest = h.digest()
-    return tuple(int.from_bytes(digest[4 * i : 4 * i + 4], "little") for i in range(4))
+__all__ = ["substream"]
 
 
 def substream(seed: int, *labels) -> np.random.Generator:
@@ -31,7 +21,14 @@ def substream(seed: int, *labels) -> np.random.Generator:
     The same (seed, labels) pair always yields an identical stream; distinct
     labels yield statistically independent streams.  The seed is a
     non-negative integer; every seeded call of the library checks it here.
+    The labels (strings or ints) map to the four 32-bit little-endian words
+    of the SHA-256 of their reprs, each followed by 0x1f.
     """
-    words = stream_words(*labels)
+    h = hashlib.sha256()
+    for label in labels:
+        h.update(repr(label).encode("utf-8"))
+        h.update(b"\x1f")
+    digest = h.digest()
+    words = tuple(int.from_bytes(digest[4 * i : 4 * i + 4], "little") for i in range(4))
     ss = np.random.SeedSequence(entropy=_num(seed, "seed", lo=0, integer=True), spawn_key=words)
     return np.random.Generator(np.random.Philox(ss))

@@ -42,7 +42,7 @@ from .errors import (
     ScanRangeError,
 )
 from .field import uniform_disc_field, write_field_bin
-from .modes import ModeBasis, decompose, modes_up_to_group, optimize_smf_waist, smf_coupling_efficiency
+from .modes import ModeBasis, decompose, optimize_smf_waist, smf_coupling_efficiency
 from .scenario import Scenario, load_scenario
 from .turbulence import build_time_series
 from .wdm import C_VACUUM, OpticalSpectrum, two_path_efficiency, vodl_scan, wdm_link_run
@@ -97,8 +97,8 @@ def run_synth(scenario: Scenario, out_dir) -> dict:
     opt = scenario["optics"]
     run = scenario["run"]
 
-    indices = modes_up_to_group(opt["max_mode_group"] + 1)
-    basis = ModeBasis.build(grid, aperture_diameter_m=opt["receive_aperture_m"], indices=indices)
+    basis = ModeBasis.build(grid, aperture_diameter_m=opt["receive_aperture_m"],
+                            max_group=opt["max_mode_group"])
     smf_waist, smf_disc_eff = optimize_smf_waist(
         uniform_disc_field(grid, opt["receive_aperture_m"])
     )

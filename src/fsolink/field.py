@@ -26,7 +26,6 @@ __all__ = [
     "apply_aperture",
     "total_power",
     "plane_wave",
-    "gaussian_field",
     "uniform_disc_field",
     "write_field_bin",
     "read_field_bin",
@@ -262,14 +261,6 @@ def _disc_mask(n: int, extent_m: float, diameter_m: float) -> np.ndarray:
 def plane_wave(grid: GridSpec) -> ComplexFieldGrid:
     """Uniform unit-amplitude, unit-phase field over the whole grid."""
     s = np.full((grid.n, grid.n), 1.0, dtype=np.complex128)
-    return ComplexFieldGrid(s, grid.extent_m, grid.wavelength_m)
-
-
-def gaussian_field(grid: GridSpec, waist_m: float, power_w: float = 1.0) -> ComplexFieldGrid:
-    """Collimated Gaussian beam, exp(-r^2/w^2) amplitude, normalized on the grid."""
-    g = _gaussian_profile(grid, waist_m)
-    _num(power_w, "power_w", lo=0)
-    s = np.outer(g, g * np.sqrt(power_w)).astype(np.complex128)
     return ComplexFieldGrid(s, grid.extent_m, grid.wavelength_m)
 
 

@@ -1,9 +1,10 @@
 """Hermite-Gauss mode basis, field decomposition and fiber coupling.
 
-The receiver basis is the 15 lowest HG modes (groups m+n <= 4) with a common
-waist sized so the highest-order group fits the collection aperture.  All
-inner products are grid quadratures; modes are unit-power on their grid, so
-squared projection magnitudes are watts directly.
+The receiver basis holds the HG modes of groups m+n <= max_group (the 15 of
+groups 0..4 by default) with a common waist sized so the highest-order group
+fits the collection aperture.  All inner products are grid quadratures;
+modes are unit-power on their grid, so squared projection magnitudes are
+watts directly.
 """
 
 import math
@@ -18,10 +19,6 @@ from .field import (ComplexFieldGrid, GridSpec, _gaussian_profile, _require_same
 
 __all__ = [
     "MODE_ORDER",
-    "mode_name",
-    "modes_up_to_group",
-    "hg_mode_field",
-    "fit_basis_waist",
     "ModeBasis",
     "ModeCoefficients",
     "decompose",
@@ -31,77 +28,23 @@ __all__ = [
     "mode_statistics",
 ]
 
+# the highest mode group a basis holds
+_MAX_GROUP = 4
+
 # Mode ordering by group m+n, ascending m inside a group: 00, 01, 10, 02, ...
 MODE_ORDER = tuple(
-    (m, g - m) for g in range(5) for m in range(g + 1)
+    (m, g - m) for g in range(_MAX_GROUP + 1) for m in range(g + 1)
 )
-
-
-def mode_name(index_pair) -> str:
-    m, n = index_pair
-    return f"HG{m}{n}"
-
-
-def modes_up_to_group(max_group_exclusive: int) -> tuple:
-    """Modes with m+n < max_group_exclusive; 2 -> 3 modes, 5 -> all 15."""
-    return tuple((m, n) for (m, n) in MODE_ORDER if m + n < max_group_exclusive)
-
-
-def _check_mode(m: int, n: int, waist_m: float, grid: GridSpec) -> None:
-    """Reject an HG_mn mode the grid cannot resolve or hold."""
-    _num(m, "m", lo=0, integer=True)
-    _num(n, "n", lo=0, integer=True)
-    _num(waist_m, "waist_m", gt=0)
-    if waist_m < 4 * grid.spacing_m:
-        raise ParameterError(
-            f"waist {waist_m} not resolvable on spacing {grid.spacing_m} (need >= 4 samples)"
-        )
-    radius = waist_m * math.sqrt(m + n + 1)
-    if 2 * radius > grid.extent_m:
-        raise ParameterError(
-            f"mode group {m + n} spills beyond the grid: 1/e^2 radius {radius} vs "
-            f"extent {grid.extent_m}"
-        )
-
-
-def _hg_profile(order: int, waist_m: float, grid: GridSpec) -> np.ndarray:
-    """1-D Hermite-Gauss factor of the given order, unnormalized."""
-    x = grid.coords()
-    return eval_hermite(order, np.sqrt(2.0) * x / waist_m) * np.exp(-(x**2) / waist_m**2)
-
-
-def hg_mode_field(m: int, n: int, waist_m: float, grid: GridSpec) -> ComplexFieldGrid:
-    """Sampled HG_mn mode (physicists' Hermite polynomials), unit grid power.
-
-    The mode is real up to a global phase; m indexes x (columns), n indexes
-    y (rows).
-    """
-    _check_mode(m, n, waist_m, grid)
-    gx = _hg_profile(m, waist_m, grid)
-    gy = _hg_profile(n, waist_m, grid)
-    s = np.outer(gy, gx).astype(np.complex128)
-    norm = math.sqrt(np.sum(np.abs(s) ** 2) * grid.spacing_m**2)
-    return ComplexFieldGrid(s / norm, grid.extent_m, grid.wavelength_m)
-
-
-def fit_basis_waist(aperture_diameter_m: float, max_group: int = 4) -> float:
-    """Common waist such that the highest group's 1/e^2 radius is D/2.
-
-    The intensity radius of group g scales as w sqrt(g+1), so
-    w = (D/2) / sqrt(max_group + 1).
-    """
-    _num(aperture_diameter_m, "aperture_diameter_m", gt=0)
-    _num(max_group, "max_group", lo=0, integer=True)
-    return (aperture_diameter_m / 2) / math.sqrt(max_group + 1)
 
 
 @dataclass(frozen=True)
 class ModeBasis:
     """Ordered HG basis with a common waist, held as its 1-D factors.
 
-    HG_mn is real and separable, outer(p_n, p_m) on the grid, so the basis
-    keeps only the (orders, N) table of 1-D profiles p_j, each normalized
-    to sum p_j^2 dx = 1; every mode then has unit grid power.
+    HG_mn is real and separable, outer(p_n, p_m) on the grid (m indexes x,
+    n indexes y), so the basis keeps only the (orders, N) table of 1-D
+    profiles p_j, each normalized to sum p_j^2 dx = 1; every mode then has
+    unit grid power.
     """
 
     indices: tuple
@@ -114,24 +57,38 @@ class ModeBasis:
 
     @classmethod
     def build(cls, grid: GridSpec, aperture_diameter_m: float,
-              indices=MODE_ORDER) -> "ModeBasis":
-        """Sample a basis with the aperture-fit waist for its highest group."""
-        indices = tuple(indices)
-        waist_m = fit_basis_waist(aperture_diameter_m, max(m + n for m, n in indices))
-        for m, n in indices:
-            _check_mode(m, n, waist_m, grid)
-        profiles = np.empty((max(max(mn) for mn in indices) + 1, grid.n))
-        for order in range(profiles.shape[0]):
-            p = _hg_profile(order, waist_m, grid)
+              max_group: int = _MAX_GROUP) -> "ModeBasis":
+        """The modes of groups m+n = 0..max_group, in MODE_ORDER.
+
+        The common waist puts the top group's 1/e^2 radius, which scales as
+        w sqrt(g+1), on the aperture radius: w = (D/2) / sqrt(max_group + 1).
+        The grid must resolve that waist with 4 samples and hold the top
+        group within its extent.
+        """
+        _num(aperture_diameter_m, "aperture_diameter_m", gt=0)
+        max_group = _num(max_group, "max_group", lo=0, hi=_MAX_GROUP, integer=True)
+        waist_m = (aperture_diameter_m / 2) / math.sqrt(max_group + 1)
+        if waist_m < 4 * grid.spacing_m:
+            raise ParameterError(
+                f"aperture_diameter_m: basis waist {waist_m} not resolvable on spacing "
+                f"{grid.spacing_m} (need >= 4 samples)"
+            )
+        radius = waist_m * math.sqrt(max_group + 1)
+        if 2 * radius > grid.extent_m:
+            raise ParameterError(
+                f"aperture_diameter_m: mode group {max_group} spills beyond the grid: "
+                f"1/e^2 radius {radius} vs extent {grid.extent_m}"
+            )
+        indices = MODE_ORDER[:(max_group + 1) * (max_group + 2) // 2]  # groups 0..max_group
+        x = grid.coords()
+        profiles = np.empty((max_group + 1, grid.n))
+        for order in range(max_group + 1):  # the 1-D Hermite-Gauss factor of each order
+            p = eval_hermite(order, np.sqrt(2.0) * x / waist_m) * np.exp(-(x**2) / waist_m**2)
             profiles[order] = p / math.sqrt(np.sum(p * p) * grid.spacing_m)
         return cls(indices=indices, waist_m=waist_m, grid=grid, profiles=profiles)
 
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
     def names(self) -> list:
-        return [mode_name(mn) for mn in self.indices]
+        return [f"HG{m}{n}" for m, n in self.indices]
 
     def gram(self) -> np.ndarray:
         """Grid-quadrature Gram matrix; identity for a well-sampled basis.

@@ -19,7 +19,7 @@ import numpy as np
 from .comms import ReceiverModel
 from .errors import ConfigError, _array, _num
 from .field import GridSpec
-from .modes import MODE_ORDER
+from .modes import _MAX_GROUP
 from .turbulence import AtmosphereProfile, default_profile
 
 __all__ = ["SCHEMA", "Scenario", "load_scenario", "scenario_from_dict"]
@@ -44,9 +44,6 @@ def _str(value, path, choices=None):
         raise ConfigError(path, f"must be one of {sorted(choices)}")
     return value
 
-
-# the highest mode group the receiver basis is built for
-_MAX_MODE_GROUP = max(m + n for m, n in MODE_ORDER)
 
 # default of a field that every scenario must set itself
 _REQUIRED = object()
@@ -89,7 +86,7 @@ SCHEMA = {
     },
     "optics": {
         "receive_aperture_m": (0.50, _number(lo=1e-3)),
-        "max_mode_group": (4, _number(lo=0, hi=_MAX_MODE_GROUP, integer=True)),
+        "max_mode_group": (4, _number(lo=0, hi=_MAX_GROUP, integer=True)),
         "absorb_edges": (False, _bool),
     },
     "topology": {

@@ -419,7 +419,7 @@ def build_time_series(
             profile.wind_speed_mps * t * math.cos(azimuths[i]),
             profile.wind_speed_mps * t * math.sin(azimuths[i]),
         )
-        phase = PhaseScreen(screens[i].phase_at(shift), tx.spacing_m).phase
+        phase = screens[i].phase_at(shift)  # finite: rendered from finite draws
         # exp(i phi) written as cos and sin into one complex array: the same
         # bits as np.exp(1j * phase), without its complex temporary
         factor = np.empty(phase.shape, dtype=np.complex128)

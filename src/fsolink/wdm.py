@@ -21,7 +21,6 @@ __all__ = [
     "C_VACUUM",
     "OpticalSpectrum",
     "two_path_efficiency",
-    "per_line_efficiency",
     "VodlScan",
     "vodl_scan",
     "WdmLinkResult",
@@ -93,15 +92,6 @@ def two_path_efficiency(spectrum: OpticalSpectrum, delay_s: float) -> float:
     return float(_efficiency(spectrum, np.float64(_num(delay_s, "delay_s"))))
 
 
-def per_line_efficiency(spectrum: OpticalSpectrum, delay_s: float) -> np.ndarray:
-    """Efficiency seen by each discrete line under a centroid-locked actuator."""
-    if spectrum.lines_hz is None:
-        raise ParameterError("per-line efficiency needs a discrete-line spectrum")
-    delay_s = _num(delay_s, "delay_s")
-    offsets = spectrum.lines_hz - spectrum.centroid_hz
-    return np.cos(np.pi * offsets * delay_s) ** 2
-
-
 @dataclass(frozen=True)
 class VodlScan:
     """Delay-line scan result in path-length units."""
@@ -169,12 +159,17 @@ def wdm_link_run(spectrum: OpticalSpectrum, delay_s: float) -> WdmLinkResult:
     against a single wavelength.
 
     Each demultiplexed line sees one constant efficiency eta from the delay
-    mismatch.  On the demodulator-input power axis the power split cancels,
-    so under any fading sequence a line's BER curve is the single-wavelength
-    curve shifted by the combining loss: the penalty is -10 log10(eta) at
-    every BER.
+    mismatch under the centroid-locked actuator, cos^2(pi dnu tau) for its
+    offset dnu from the centroid.  On the demodulator-input power axis the
+    power split cancels, so under any fading sequence a line's BER curve is
+    the single-wavelength curve shifted by the combining loss: the penalty
+    is -10 log10(eta) at every BER.
     """
-    line_eff = per_line_efficiency(spectrum, delay_s)
+    if spectrum.lines_hz is None:
+        raise ParameterError("per-line efficiency needs a discrete-line spectrum")
+    delay_s = _num(delay_s, "delay_s")
+    offsets = spectrum.lines_hz - spectrum.centroid_hz
+    line_eff = np.cos(np.pi * offsets * delay_s) ** 2
     # 0.0 - x, not -x: a lossless line reports 0.0, never -0.0
     penalties = [0.0 - 10.0 * math.log10(max(float(eff), 1e-300)) for eff in line_eff]
     return WdmLinkResult(

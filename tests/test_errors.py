@@ -21,9 +21,9 @@ from fsolink.comms import (PowerTrace, ReceiverModel, ber_curve, ber_instant, cu
                            frame_rate_invariance_check, monte_carlo_cumulated_ber, power_penalty,
                            select_windows)
 from fsolink.controller import ControllerConfig, NelderMead, run_closed_loop
-from fsolink.errors import FsolinkError, ZeroPowerError, _array
+from fsolink.errors import FsolinkError, ParameterError, ZeroPowerError, _array
 from fsolink.field import ComplexFieldGrid, GridSpec, apply_phase_screen, plane_wave
-from fsolink.modes import ModeCoefficients, mode_statistics
+from fsolink.modes import ModeBasis, ModeCoefficients, mode_statistics
 from fsolink.turbulence import (PhaseScreen, kolmogorov_structure_function,
                                 measure_structure_function)
 from fsolink.wdm import OpticalSpectrum
@@ -197,6 +197,25 @@ def test_misshapen_input_raises_naming_the_argument(call, name):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(FsolinkError, match=name):
             call()
+
+
+# name -> (call of one count argument, the argument, its faults): counts
+# are checked by the scalar check, whole and within their range
+COUNTS = {
+    "ModeBasis.build": (lambda max_group: ModeBasis.build(GRID, 0.5, max_group=max_group),
+                        "max_group", [-1, 5, 2.5, math.nan, True]),
+}
+
+
+@pytest.mark.parametrize("row, value", [
+    pytest.param(row, value, id=f"{row}-{value!r}")
+    for row, (_, _, faults) in COUNTS.items() for value in faults])
+def test_bad_count_raises_naming_the_argument(row, value):
+    call, name, _ = COUNTS[row]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterError, match=name):
+            call(value)
 
 
 def test_zero_power_frames_raise():

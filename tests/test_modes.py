@@ -8,20 +8,17 @@ import numpy as np
 import pytest
 
 from fsolink.errors import DimensionError, ParameterError, ZeroPowerError
-from fsolink.field import (ComplexFieldGrid, GridSpec, gaussian_field, total_power,
-                           uniform_disc_field)
+from fsolink.field import ComplexFieldGrid, GridSpec, total_power, uniform_disc_field
 from fsolink.modes import (
     MODE_ORDER,
     ModeBasis,
     ModeStatistics,
     decompose,
-    fit_basis_waist,
-    hg_mode_field,
     mode_statistics,
-    modes_up_to_group,
     optimize_smf_waist,
     smf_coupling_efficiency,
 )
+from oracles import gaussian_field, hg_mode_field
 
 LAM = 1.55e-6
 
@@ -53,66 +50,87 @@ def smooth_field(grid):
     return ComplexFieldGrid(samples, grid.extent_m, grid.wavelength_m)
 
 
+def basis_mode(basis, m, n):
+    """The basis' HG_mn mode on its grid, outer(p_n, p_m)."""
+    s = np.outer(basis.profiles[n], basis.profiles[m]).astype(np.complex128)
+    return ComplexFieldGrid(s, basis.grid.extent_m, basis.grid.wavelength_m)
+
+
 class TestModeOrder:
     def test_table_ordering(self):
         assert MODE_ORDER[:6] == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
         assert len(MODE_ORDER) == 15
         assert MODE_ORDER[-1] == (4, 0)
 
-    def test_group_prefixes(self):
-        assert len(modes_up_to_group(2)) == 3
-        assert len(modes_up_to_group(3)) == 6
-        assert len(modes_up_to_group(4)) == 10
-        assert len(modes_up_to_group(5)) == 15
+    def test_group_prefixes(self, grid):
+        # a basis of groups 0..g holds the MODE_ORDER prefix of those groups
+        for g, size in enumerate([1, 3, 6, 10, 15]):
+            basis = ModeBasis.build(grid, 0.5, max_group=g)
+            assert basis.indices == MODE_ORDER[:size]
+            assert {m + n for m, n in basis.indices} == set(range(g + 1))
+            assert basis.profiles.shape == (g + 1, grid.n)
+            assert basis.names() == [f"HG{m}{n}" for m, n in basis.indices]
+
+    @pytest.mark.parametrize("max_group", [-1, 5, 2.5, math.nan, True])
+    def test_bad_max_group_names_the_argument(self, grid, max_group):
+        with pytest.raises(ParameterError, match="max_group"):
+            ModeBasis.build(grid, 0.5, max_group=max_group)
+
+    def test_default_is_every_group(self, grid, basis):
+        assert basis.indices == MODE_ORDER
+        assert ModeBasis.build(grid, 0.5, max_group=4).waist_m == basis.waist_m
 
 
 class TestHgModeField:
-    def test_fundamental_is_centered_gaussian(self, grid):
-        mode = hg_mode_field(0, 0, 0.1, grid)
+    """The basis' sampled modes, against the HG closed form."""
+
+    def test_fundamental_is_centered_gaussian(self, grid, basis):
+        mode = basis_mode(basis, 0, 0)
         assert abs(total_power(mode) - 1.0) < 1e-12
         peak = np.unravel_index(np.argmax(np.abs(mode.samples)), mode.samples.shape)
         assert peak == (grid.n // 2, grid.n // 2)
 
-    def test_odd_mode_vanishes_on_axis(self, grid):
-        mode = hg_mode_field(1, 0, 0.1, grid)
+    def test_odd_mode_vanishes_on_axis(self, grid, basis):
+        mode = basis_mode(basis, 1, 0)
         # m indexes x: the x = 0 column is exactly zero
         np.testing.assert_array_equal(mode.samples[:, grid.n // 2], 0.0)
 
-    def test_cross_overlap_near_zero(self, grid):
-        a = hg_mode_field(2, 1, 0.1118, grid)
-        b = hg_mode_field(1, 2, 0.1118, grid)
+    def test_cross_overlap_near_zero(self, grid, basis):
+        a = basis_mode(basis, 2, 1)
+        b = basis_mode(basis, 1, 2)
         overlap = abs(np.vdot(a.samples, b.samples)) * grid.spacing_m**2
         assert overlap < 1e-3
 
-    def test_waist_resolution_errors(self, grid):
-        with pytest.raises(ParameterError):
-            hg_mode_field(0, 0, grid.spacing_m, grid)  # too small for the grid
-        with pytest.raises(ParameterError):
-            hg_mode_field(4, 4, 0.4, grid)  # group spills past the extent
+    def test_waist_resolution_errors(self):
+        grid = GridSpec(64, 1.0, LAM)  # 4 samples span 0.0625 m
+        ModeBasis.build(grid, 0.5, max_group=2)  # waist 0.144 m
+        with pytest.raises(ParameterError, match="resolvable"):
+            ModeBasis.build(grid, 0.2, max_group=4)  # waist 0.045 m
+        with pytest.raises(ParameterError, match="spills"):
+            ModeBasis.build(grid, 1.2, max_group=0)  # group 0 spans 1.2 m of 1.0 m
 
 
 class TestFitBasisWaist:
-    @pytest.mark.parametrize("call", [
-        lambda g: fit_basis_waist(math.nan),
-        lambda g: ModeBasis.build(g, math.nan),
-    ], ids=["fit", "build"])
-    def test_nan_aperture_names_the_argument(self, grid, call):
+    @pytest.mark.parametrize("max_group", [4, 0], ids=["build", "build-group-0"])
+    def test_nan_aperture_names_the_argument(self, grid, max_group):
         with pytest.raises(ParameterError, match="aperture_diameter_m"):
-            call(grid)
+            ModeBasis.build(grid, math.nan, max_group)
 
-    def test_reference_aperture(self):
-        w = fit_basis_waist(0.5, 4)
-        assert abs(w - 0.25 / math.sqrt(5.0)) < 1e-15
+    def test_reference_aperture(self, grid):
+        # the top group's 1/e^2 radius w sqrt(g + 1) is the aperture radius
+        for g in range(5):
+            assert abs(ModeBasis.build(grid, 0.5, g).waist_m - 0.25 / math.sqrt(g + 1)) < 1e-15
 
-    def test_group_zero(self):
-        assert fit_basis_waist(0.5, 0) == 0.25
+    def test_group_zero(self, grid):
+        assert ModeBasis.build(grid, 0.5, max_group=0).waist_m == 0.25
 
-    def test_linear_in_diameter(self):
-        assert abs(fit_basis_waist(1.0, 4) / fit_basis_waist(0.5, 4) - 2.0) < 1e-12
+    def test_linear_in_diameter(self, grid):
+        ratio = ModeBasis.build(grid, 1.0).waist_m / ModeBasis.build(grid, 0.5).waist_m
+        assert abs(ratio - 2.0) < 1e-12
 
 
 def stacked_modes(basis):
-    """(K, N, N) stack of the basis modes, sampled one by one by hg_mode_field."""
+    """(K, N, N) stack of the basis modes, each sampled by the hg_mode_field oracle."""
     return np.stack([hg_mode_field(m, n, basis.waist_m, basis.grid).samples
                      for m, n in basis.indices])
 
@@ -129,16 +147,13 @@ class TestBasis:
         assert np.max(np.abs(np.diag(gram) - 1)) < 1e-4
 
     def test_gram_matches_stacked_modes(self, grid, basis):
-        flat = stacked_modes(basis).reshape(basis.size, -1)
+        flat = stacked_modes(basis).reshape(len(basis.indices), -1)
         ref = (flat.conj() @ flat.T) * grid.spacing_m**2
         assert np.max(np.abs(basis.gram() - ref)) <= 1e-12
 
     @pytest.mark.parametrize("aperture_m", [0.05, 1.2])  # waist unresolved; group 4 spills
-    def test_build_rejects_what_hg_mode_field_rejects(self, grid, aperture_m):
-        waist = fit_basis_waist(aperture_m, 4)
-        with pytest.raises(ParameterError):
-            hg_mode_field(4, 0, waist, grid)
-        with pytest.raises(ParameterError):
+    def test_build_rejects_an_unresolvable_basis(self, grid, aperture_m):
+        with pytest.raises(ParameterError, match="aperture_diameter_m"):
             ModeBasis.build(grid, aperture_diameter_m=aperture_m)
 
 
@@ -187,7 +202,7 @@ class TestDecompose:
         assert np.max(np.abs(mc.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_matches_einsum_form_on_sub_basis(self, grid, smooth_field):
-        sub = ModeBasis.build(grid, aperture_diameter_m=0.5, indices=modes_up_to_group(3))
+        sub = ModeBasis.build(grid, aperture_diameter_m=0.5, max_group=2)
         ref = einsum_projection(sub, smooth_field)
         mc = decompose(smooth_field, sub)
         assert mc.coeffs.shape == (6,)
@@ -291,6 +306,13 @@ class TestModeStatistics:
     def test_empty_series_rejected(self):
         with pytest.raises(ParameterError):
             mode_statistics([])
+
+    def test_group_fractions_of_a_smaller_basis(self, grid, smooth_field):
+        sub = ModeBasis.build(grid, aperture_diameter_m=0.5, max_group=2)
+        stats = mode_statistics([decompose(smooth_field, sub)])
+        groups = stats.group_fractions()
+        assert groups.keys() == {0, 1, 2}
+        assert sum(groups.values()) == pytest.approx(stats.captured_fraction(), rel=1e-12)
 
     def test_captured_fraction_checks_the_mode_count(self):
         stats = ModeStatistics(mean_fraction=np.full(15, 1 / 20), residual_fraction=0.25)

@@ -460,15 +460,14 @@ class TestRenderingWorker:
         faulty_call = 1 * len(profile.layers) + 2  # layer 2 of frame 1
 
         def phase_at(self, shift_xy=(0.0, 0.0)):
-            phase = render(self, shift_xy)
             if next(calls) == faulty_call:
-                phase[0, 0] = np.nan
-            return phase
+                raise RuntimeError("render of layer 2, frame 1 failed")
+            return render(self, shift_xy)
 
         monkeypatch.setattr(_SpectralScreen, "phase_at", phase_at)
         before = threading.active_count()
         frames = build_time_series(profile, grid=grid128, n_frames=6, seed=4)
         assert np.all(np.isfinite(next(frames).samples))
-        with pytest.raises(ParameterError, match="non-finite"):
+        with pytest.raises(RuntimeError, match="layer 2, frame 1"):
             next(frames)
         assert threading.active_count() == before
