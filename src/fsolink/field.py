@@ -103,12 +103,23 @@ class ComplexFieldGrid:
     def grid(self) -> GridSpec:
         return GridSpec(self.n, self.extent_m, self.wavelength_m)
 
+    @functools.cached_property
+    def _power(self) -> float:
+        """total_power, summed on first use: the samples never change."""
+        dx = self.spacing_m
+        return float(np.sum(np.abs(self.samples) ** 2) * dx * dx)
+
     def _derive(self, samples: np.ndarray) -> "ComplexFieldGrid":
         """A field on this grid with complex128 samples derived from finite ones, unchecked."""
-        samples.setflags(write=False)
-        out = object.__new__(ComplexFieldGrid)
-        out.__dict__.update(samples=samples, extent_m=self.extent_m, wavelength_m=self.wavelength_m)
-        return out
+        return _unchecked_field(samples, self.extent_m, self.wavelength_m)
+
+
+def _unchecked_field(samples: np.ndarray, extent_m: float, wavelength_m: float) -> ComplexFieldGrid:
+    """A field of finite complex128 (N, N) samples on a checked geometry, not checked again."""
+    samples.setflags(write=False)
+    out = object.__new__(ComplexFieldGrid)
+    out.__dict__.update(samples=samples, extent_m=extent_m, wavelength_m=wavelength_m)
+    return out
 
 
 def _require_same_geometry(n_a, spacing_a, n_b, spacing_b, what: str) -> None:
@@ -119,9 +130,12 @@ def _require_same_geometry(n_a, spacing_a, n_b, spacing_b, what: str) -> None:
 
 
 def total_power(field: ComplexFieldGrid) -> float:
-    """Total optical power in watts: sum |samples|^2 * dx^2."""
-    dx = field.spacing_m
-    return float(np.sum(np.abs(field.samples) ** 2) * dx * dx)
+    """Total optical power in watts: sum |samples|^2 * dx^2.
+
+    Summed once per field and kept on it, so the analyses of one frame
+    (decompose, smf_coupling_efficiency, optimize_smf_waist) share one sum.
+    """
+    return field._power
 
 
 @functools.lru_cache(maxsize=4)
@@ -241,13 +255,16 @@ def _apply_phase_factor(field: ComplexFieldGrid, factor: np.ndarray) -> ComplexF
 
 def apply_aperture(field: ComplexFieldGrid, diameter_m: float) -> ComplexFieldGrid:
     """Zero all samples outside the centered circular aperture."""
-    _num(diameter_m, "diameter_m", gt=0)
-    if diameter_m > field.extent_m:
-        raise ParameterError(
-            f"aperture diameter {diameter_m} exceeds grid extent {field.extent_m}"
-        )
-    mask = _disc_mask(field.n, field.extent_m, diameter_m)
+    mask = _aperture_mask(field.n, field.extent_m, diameter_m)
     return field._derive(np.where(mask, field.samples, 0.0))
+
+
+def _aperture_mask(n: int, extent_m: float, diameter_m: float) -> np.ndarray:
+    """The disc mask of a checked aperture diameter: > 0, within the grid."""
+    _num(diameter_m, "diameter_m", gt=0)
+    if diameter_m > extent_m:
+        raise ParameterError(f"aperture diameter {diameter_m} exceeds grid extent {extent_m}")
+    return _disc_mask(n, extent_m, diameter_m)
 
 
 @functools.lru_cache(maxsize=8)
@@ -278,10 +295,19 @@ def _gaussian_profile(grid: GridSpec, waist_m: float) -> np.ndarray:
 
 
 def uniform_disc_field(grid: GridSpec, diameter_m: float) -> ComplexFieldGrid:
-    """Top-hat disc of the given diameter, normalized to 1 W on the grid."""
-    f = apply_aperture(plane_wave(grid), diameter_m)
-    p = total_power(f)
-    return f._derive(f.samples * np.sqrt(1.0 / p))
+    """Top-hat disc of the given diameter, normalized to 1 W on the grid.
+
+    Built in one pass from the cached disc mask: its power before
+    normalization is the pixel count times dx^2, so every pixel inside
+    holds sqrt(1 / (count dx^2)), the same bits as clipping a plane wave
+    by the aperture and scaling it to 1 W.
+    """
+    mask = _aperture_mask(grid.n, grid.extent_m, diameter_m)
+    dx = grid.spacing_m
+    p = np.count_nonzero(mask) * dx * dx
+    samples = np.zeros(mask.shape, dtype=np.complex128)
+    samples.real[mask] = np.sqrt(1.0 / p)
+    return _unchecked_field(samples, grid.extent_m, grid.wavelength_m)
 
 
 # --- on-disk snapshot formats -------------------------------------------------

@@ -172,13 +172,34 @@ def _smf_overlap(field: ComplexFieldGrid, smf_waist_m: float, power: float) -> f
 _N_COARSE = 48
 
 
+def _coarse_efficiencies(field: ComplexFieldGrid, waists: np.ndarray, power: float) -> np.ndarray:
+    """_smf_overlap at every waist, to round-off, in one pass over the field.
+
+    The unit-power profiles G (waists, N) multiply the field viewed as
+    interleaved (re, im) floats in one real GEMM, G F; row k dotted with
+    g_k is g_k F g_k.
+    """
+    g = np.stack([_gaussian_profile(field.grid, w) for w in waists])
+    f = np.ascontiguousarray(field.samples).view(np.float64)
+    rows = (g @ f).view(np.complex128)  # G F, (waists, N)
+    overlap = np.einsum("kj,kj->k", rows, g) * field.spacing_m**2
+    return np.abs(overlap) ** 2 / power
+
+
 def optimize_smf_waist(aperture_field: ComplexFieldGrid) -> tuple:
     """Waist maximizing the fiber coupling efficiency, with that efficiency.
 
-    Coarse log-spaced scan over feasible waists followed by golden-section
-    refinement of the best bracket.  Returns (waist_m, efficiency).
+    A coarse scan over 48 log-spaced feasible waists picks the bracket
+    around its best waist; golden-section search refines it.  The coarse
+    values come from one pass over the field (the 48 Gaussian profiles
+    stacked, times the field) and only pick the bracket; they may differ
+    from the per-waist overlap by round-off, so the bracket is the one a
+    per-waist scan picks whenever the best coarse value leads the next by
+    more than that.  Every refinement probe and the returned efficiency
+    are the per-waist overlap smf_coupling_efficiency computes.  Returns
+    (waist_m, efficiency).
     """
-    p = total_power(aperture_field)  # summed once; every probe reuses it
+    p = total_power(aperture_field)
     if p <= 0:
         raise ZeroPowerError("cannot optimize the fiber waist of a zero-power field")
 
@@ -188,8 +209,7 @@ def optimize_smf_waist(aperture_field: ComplexFieldGrid) -> tuple:
     lo = 4 * aperture_field.spacing_m
     hi = aperture_field.extent_m / 2
     waists = np.geomspace(lo, hi, _N_COARSE)
-    effs = [eff(w) for w in waists]
-    k = int(np.argmax(effs))
+    k = int(np.argmax(_coarse_efficiencies(aperture_field, waists, p)))
     a = waists[max(k - 1, 0)]
     b = waists[min(k + 1, _N_COARSE - 1)]
 
@@ -236,13 +256,17 @@ class ModeStatistics:
 
 def mode_statistics(series) -> ModeStatistics:
     """Average per-frame relative mode powers; sums to 1 with the residual.
-    A frame of zero total power raises ZeroPowerError."""
+    A frame of zero total power raises ZeroPowerError, a frame with another
+    mode count than frame 0 ParameterError."""
     fractions = []
     residuals = []
-    for mc in series:
+    for i, mc in enumerate(series):
         total = mc.total_power
         if total <= 0:
             raise ZeroPowerError("mode fractions undefined for a frame of zero power")
+        if fractions and mc.coeffs.size != fractions[0].size:
+            raise ParameterError(f"series: frame {i} has {mc.coeffs.size} modes, "
+                                 f"frame 0 has {fractions[0].size}")
         fractions.append(mc.mode_power / total)
         residuals.append(mc.residual_power / total)
     if not fractions:

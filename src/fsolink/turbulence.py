@@ -12,6 +12,7 @@ phase ramp (cyclic), the augmentation components translate analytically
 (non-periodic), so long wind-driven time series never wrap the large scales.
 """
 
+import functools
 import math
 import warnings
 from collections import deque
@@ -113,14 +114,15 @@ class PhaseScreen:
 
 
 class _SpectralTemplate:
-    """What every screen of one grid and one spectrum shares, built once.
+    """What every screen of one grid and one spectrum shares.
 
     The PSD amplitude sqrt(psd) of the DFT lattice (its 3x3 centre handed
     to the augmentation rings when they are on), the fftshift sign table of
     the Hermitian half, the lattice frequencies, and the augmentation cells:
     their frequencies, sqrt(power) and the x and y tables sampling them on
-    the grid.  Every array is read-only: all screens of a time series and
-    its rendering worker read them.
+    the grid.  Every array is read-only: _spectral_template hands one
+    template to every series and screen of its parameters in the process,
+    and their rendering workers read it.
     """
 
     def __init__(self, n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels=0):
@@ -161,6 +163,28 @@ class _SpectralTemplate:
         for table in (self.f1, self.amp, self.sign, self.sub_f, self.sub_amp, self.sub_cx,
                       self.sub_cy):
             table.setflags(write=False)
+
+
+def _spectral_template(n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels):
+    """The _SpectralTemplate of these six arguments, built once per process.
+
+    Its tables are read-only, so every series and screen of one parameter
+    set shares them, also across threads.  The cache is typed: True is not
+    1 and 3 is not 3.0, so an argument the constructor rejects never finds
+    the template of an equal valid one.  A rejected argument raises from
+    the constructor and caches nothing; an unhashable one, never valid,
+    goes to the constructor directly for the same error.
+    """
+    args = (n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels)
+    try:
+        hash(args)
+    except TypeError:
+        return _SpectralTemplate(*args)
+    return _cached_template(*args)
+
+
+# a series and a few single screens; at N=512 a template holds about 4 MB
+_cached_template = functools.lru_cache(maxsize=4, typed=True)(_SpectralTemplate)
 
 
 class _SpectralScreen:
@@ -256,9 +280,11 @@ def synth_phase_screen(
     emitted when the grid undersamples r0 (fewer than 4 samples per r0).
     subharmonic_levels adds that many nested low-frequency augmentation
     rings (0 disables; 3 is the usual choice, more for strict large-scale
-    statistics).
+    statistics).  The spectral template of the parameters (everything but
+    the seed) is built once per process and shared by every later call
+    with the same ones; only the draws are per screen.
     """
-    template = _SpectralTemplate(n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels)
+    template = _spectral_template(n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels)
     gen = _SpectralScreen(template, substream(seed, "phase-screen"))
     if not math.isinf(r0_m) and r0_m < 4 * spacing_m:
         warnings.warn(
@@ -392,11 +418,14 @@ def build_time_series(
     n_frames.
 
     All layers share one spectral template (PSD amplitude, sign table,
-    augmentation cells), built once per call.  Each layer's seeded draws
-    happen on the calling thread just before its first factor is queued,
-    so the worker renders layer 0 while the later layers are still being
-    drawn, and n_frames=0 draws nothing.  There is no setting for this and
-    the frames are the same bits as drawing every screen up front.
+    augmentation cells), built once per parameter set per process: a later
+    series, or one running beside it on another thread, with the same grid
+    and spectrum reuses it.  Screens and draws stay per series.  Each
+    layer's seeded draws happen on the calling thread just before its
+    first factor is queued, so the worker renders layer 0 while the later
+    layers are still being drawn, and n_frames=0 draws nothing.  There is
+    no setting for this and the frames are the same bits as drawing every
+    screen up front from a fresh template.
 
     A layer's phase factor exp(i phi) depends on the layer and the frame
     time only, never on the field, so one worker thread renders the
@@ -409,8 +438,8 @@ def build_time_series(
     _num(n_frames, "n_frames", lo=0, integer=True)
     _num(frame_rate_hz, "frame_rate_hz", gt=0)
 
-    template = _SpectralTemplate(tx.n, tx.spacing_m, profile.layer_r0_m, profile.outer_scale_m,
-                                 profile.inner_scale_m, profile.subharmonic_levels)
+    template = _spectral_template(tx.n, tx.spacing_m, profile.layer_r0_m, profile.outer_scale_m,
+                                  profile.inner_scale_m, profile.subharmonic_levels)
     screens = []
     azimuths = [math.radians(lay.wind_azimuth_deg) for lay in profile.layers]
 

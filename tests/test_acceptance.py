@@ -6,6 +6,7 @@ see the lines as they land).  The turbulent reference sequence is shared by
 the statistical criteria through a session fixture.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -52,6 +53,7 @@ from fsolink.wdm import (
     wdm_link_run,
 )
 
+import pins
 from test_combiner import dense_scan_max
 
 SEED = 1
@@ -74,6 +76,11 @@ def reference_sequence():
     handles it by clipping sub-centimeter scatter, which is documented
     behavior for the multi-step path.
     """
+    return reference_run()
+
+
+def reference_run():
+    """The reference sequence's fields: coefficients, residuals, SMF efficiencies."""
     basis = ModeBasis.build(GRID, aperture_diameter_m=APERTURE)
     smf_waist, _ = optimize_smf_waist(uniform_disc_field(GRID, APERTURE))
     coeffs = []
@@ -104,6 +111,16 @@ def reference_sequence():
             for c, r in zip(coeffs, residuals)
         ],
     }
+
+
+def coefficient_pins(seq) -> dict:
+    """The reference coefficients as one pinned artifact (pins.py): the
+    SHA-256 of their bytes, and decoded, the mean power of each mode and
+    the mean residual."""
+    digest = hashlib.sha256(seq["coeffs"].tobytes()).hexdigest()
+    summary = {"mean_mode_power": seq["mode_power"].mean(axis=0).tolist(),
+               "mean_residual": float(seq["residuals"].mean())}
+    return {"coeffs": (digest, summary)}
 
 
 def mm_fraction(seq, n_modes):
@@ -163,6 +180,12 @@ class TestCriterion03ModalStatistics:
         _verdict(3, f"HG00 {100 * hg00:.1f}%, first three {100 * sum3:.1f}%, "
                     f"15-mode capture {100 * cap15:.1f}%, group power non-increasing "
                     f"({seq['elapsed_s']:.0f}s for {N_FRAMES} frames)")
+
+    def test_coefficients_are_the_recorded_ones(self, reference_sequence):
+        # the 1000 frames every statistical criterion reads, pinned bit for
+        # bit where geo_downlink.json records this platform
+        pins.check(pins.load(pins.GEO_TABLE), pins.GEO_COEFFICIENTS,
+                   coefficient_pins(reference_sequence))
 
 
 class TestCriterion04Table3:

@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fsolink.cli import main, run_couple, run_report, run_synth
 from fsolink.comms import ReceiverModel, ber_instant
 from fsolink.errors import ConfigError
 from fsolink.scenario import SCHEMA, load_scenario, scenario_from_dict
+import pins
 
 SMALL = {
     "run": {"label": "test", "seed": 13, "n_frames": 24, "frame_rate_hz": 1500.0},
@@ -194,6 +196,13 @@ class TestSaveFields:
 GEO_DOWNLINK = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "geo_downlink.json")
 
 
+def run_geo_synth(out: Path) -> dict:
+    """synth of configs/geo_downlink.json at --frames 2 into out:
+    {artifact: (sha256, decoded)} of every file it wrote."""
+    assert main(["synth", "--config", GEO_DOWNLINK, "--out", str(out), "--frames", "2"]) == 0
+    return {path.name: pins.artifact(path) for path in sorted(out.iterdir())}
+
+
 class TestShippedGeoDownlinkConfig:
     def test_validates(self):
         scenario = load_scenario(GEO_DOWNLINK)
@@ -204,7 +213,9 @@ class TestShippedGeoDownlinkConfig:
         # the shipped 1 m / 512 geometry undersamples the longest layer step
         # for the angular-spectrum band limit, and says so
         with pytest.warns(RuntimeWarning, match="sampling bound violated"):
-            assert main(["synth", "--config", GEO_DOWNLINK, "--out", out, "--frames", "2"]) == 0
+            artifacts = run_geo_synth(Path(out))
+        # the 512 frame path, pinned as the demo chain is (pins.py)
+        pins.check(pins.load(pins.GEO_TABLE), pins.GEO_SYNTH, artifacts)
         stamp = load_scenario(GEO_DOWNLINK, {"run.n_frames": 2}).hash
         assert sorted(os.listdir(out)) == ["index.json", "modes.csv", "resolved_config.json",
                                            "smf.csv"]

@@ -240,6 +240,26 @@ class TestAperture:
             apply_aperture(plane_wave(grid128), 2 * grid128.extent_m)
 
 
+class TestUniformDisc:
+    @pytest.mark.parametrize("diameter_m", [0.37, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+    def test_disc_is_the_normalized_aperture_bit_for_bit(self, n, diameter_m):
+        grid = GridSpec(n, 1.0, LAM)
+        clipped = apply_aperture(plane_wave(grid), diameter_m)
+        dx = grid.spacing_m
+        power = float(np.sum(np.abs(clipped.samples) ** 2) * dx * dx)
+        reference = clipped.samples * np.sqrt(1.0 / power)
+        disc = uniform_disc_field(grid, diameter_m)
+        assert disc.samples.dtype == np.complex128 and not disc.samples.flags.writeable
+        assert disc.samples.tobytes() == reference.tobytes()
+        assert (disc.extent_m, disc.wavelength_m) == (grid.extent_m, grid.wavelength_m)
+
+    @pytest.mark.parametrize("diameter_m", [0.0, -0.5, math.nan, True, "0.5", 2.0])
+    def test_bad_diameters_rejected(self, grid128, diameter_m):
+        with pytest.raises(ParameterError, match="diameter"):
+            uniform_disc_field(grid128, diameter_m)
+
+
 class TestTotalPower:
     def test_zero_field(self, grid64):
         zero = ComplexFieldGrid(np.zeros((64, 64)), grid64.extent_m, grid64.wavelength_m)

@@ -7,17 +7,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fsolink import field as field_module
 from fsolink.errors import DimensionError, ParameterError, ZeroPowerError
 from fsolink.field import ComplexFieldGrid, GridSpec, total_power, uniform_disc_field
 from fsolink.modes import (
+    _N_COARSE,
     MODE_ORDER,
     ModeBasis,
+    ModeCoefficients,
     ModeStatistics,
+    _coarse_efficiencies,
+    _smf_overlap,
     decompose,
     mode_statistics,
     optimize_smf_waist,
     smf_coupling_efficiency,
 )
+from fsolink.turbulence import build_time_series, default_profile
 from oracles import gaussian_field, hg_mode_field
 
 LAM = 1.55e-6
@@ -291,6 +297,68 @@ class TestSmfCoupling:
         assert abs(w_large / w_small - 2.0) < 0.01
 
 
+def sequential_waist_search(field):
+    """optimize_smf_waist with its coarse scan one overlap per waist: the
+    reference the one-pass scan must reproduce bit for bit."""
+    p = total_power(field)
+
+    def eff(w):
+        return _smf_overlap(field, w, p)
+
+    waists = np.geomspace(4 * field.spacing_m, field.extent_m / 2, _N_COARSE)
+    k = int(np.argmax([eff(w) for w in waists]))
+    a = waists[max(k - 1, 0)]
+    b = waists[min(k + 1, _N_COARSE - 1)]
+    invphi = (math.sqrt(5.0) - 1) / 2
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = eff(c), eff(d)
+    for _ in range(60):
+        if b - a < 1e-6 * b:
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = eff(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = eff(d)
+    w_best = (a + b) / 2
+    return float(w_best), eff(w_best)
+
+
+def random_complex_field(n):
+    rng = np.random.default_rng(n)
+    samples = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return ComplexFieldGrid(samples, 1.0, LAM)
+
+
+class TestCoarseScan:
+    FIELDS = [("disc", 64), ("disc", 256), ("disc", 512), ("random", 128)]
+
+    @staticmethod
+    def make(kind, n):
+        grid = GridSpec(n, 1.0, LAM)
+        return uniform_disc_field(grid, 0.5) if kind == "disc" else random_complex_field(n)
+
+    @pytest.mark.parametrize("kind, n", FIELDS)
+    def test_one_pass_values_are_the_per_waist_overlaps(self, kind, n):
+        field = self.make(kind, n)
+        p = total_power(field)
+        waists = np.geomspace(4 * field.spacing_m, field.extent_m / 2, _N_COARSE)
+        batched = _coarse_efficiencies(field, waists, p)
+        single = np.array([_smf_overlap(field, w, p) for w in waists])
+        np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind, n", FIELDS)
+    def test_search_matches_the_sequential_scan_bit_for_bit(self, kind, n):
+        field = self.make(kind, n)
+        waist, eff = optimize_smf_waist(field)
+        ref_waist, ref_eff = sequential_waist_search(field)
+        assert (waist, eff) == (ref_waist, ref_eff)
+        assert type(waist) is float and type(eff) is float
+
+
 class TestModeStatistics:
     def test_single_frame_all_in_fundamental(self, grid, basis):
         mc = decompose(hg_mode_field(0, 0, basis.waist_m, grid), basis)
@@ -314,6 +382,12 @@ class TestModeStatistics:
         assert groups.keys() == {0, 1, 2}
         assert sum(groups.values()) == pytest.approx(stats.captured_fraction(), rel=1e-12)
 
+    def test_frames_of_another_mode_count_rejected(self):
+        series = [ModeCoefficients(np.ones(3), 0.0), ModeCoefficients(np.ones(3), 0.1),
+                  ModeCoefficients(np.ones(6), 0.0), ModeCoefficients(np.ones(1), 0.0)]
+        with pytest.raises(ParameterError, match="frame 2 has 6 modes, frame 0 has 3"):
+            mode_statistics(series)
+
     def test_captured_fraction_checks_the_mode_count(self):
         stats = ModeStatistics(mean_fraction=np.full(15, 1 / 20), residual_fraction=0.25)
         assert stats.captured_fraction() == stats.captured_fraction(15) == pytest.approx(0.75)
@@ -321,6 +395,33 @@ class TestModeStatistics:
         for bad in (-1, True, 16, 1.5, math.nan):
             with pytest.raises(ParameterError, match="n_modes"):
                 stats.captured_fraction(bad)
+
+
+def test_power_is_summed_once_per_analysed_frame(monkeypatch):
+    grid = GridSpec(128, 1.0, LAM)
+    basis = ModeBasis.build(grid, aperture_diameter_m=0.5)
+    frames = list(build_time_series(default_profile(), grid, n_frames=3, seed=4))
+    dx = grid.spacing_m
+    summed = [float(np.sum(np.abs(f.samples) ** 2) * dx * dx) for f in frames]
+    sums = []
+
+    class CountingNumpy:  # numpy as the field module sees it, counting full-grid sums
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sum(self, values, *args, **kwargs):
+            if np.ndim(values) == 2:
+                sums.append(values.shape)
+            return np.sum(values, *args, **kwargs)
+
+    monkeypatch.setattr(field_module, "np", CountingNumpy())
+    for frame, power in zip(frames, summed):
+        mc = decompose(frame, basis)
+        eta = smf_coupling_efficiency(frame, 0.2)
+        assert total_power(frame) == power
+        assert mc.residual_power == power - float(np.sum(np.abs(mc.coeffs) ** 2))
+        assert eta == _smf_overlap(frame, 0.2, power)
+    assert sums == [(grid.n, grid.n)] * len(frames)
 
 
 # one analysed frame: the first of a 256-grid default series, seed 3

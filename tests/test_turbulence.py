@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import threading
 import warnings
@@ -20,6 +21,7 @@ from fsolink.turbulence import (
     _psd_cyclic,
     _SpectralScreen,
     _SpectralTemplate,
+    _spectral_template,
     build_time_series,
     default_profile,
     kolmogorov_structure_function,
@@ -186,6 +188,47 @@ class TestSpectralTemplate:
                     assert a.tobytes() == b.tobytes(), name
             for shift in [(0.0, 0.0), (0.0137, -0.402), (3.3, 1.9)]:
                 assert screen.phase_at(shift).tobytes() == reference.phase_at(shift).tobytes()
+
+    GOOD = (64, 1.0 / 64, 0.1, 25.0, 5e-3, 1)
+
+    def test_cache_returns_one_template_per_parameter_set(self):
+        template = _spectral_template(*self.GOOD)
+        assert _spectral_template(*self.GOOD) is template
+        assert _spectral_template(64, 1.0 / 64, 0.1, 25.0, 5e-3, 2) is not template
+
+    @pytest.mark.parametrize("position, bad, name", [
+        (5, True, "subharmonic_levels"), (5, 1.0, "subharmonic_levels"),
+        (0, True, "n"), (0, 64.0, "n")])
+    def test_cache_does_not_confuse_equal_keys_of_another_type(self, position, bad, name):
+        # True == 1 and 1.0 == 1 hash alike; the typed cache keeps them apart,
+        # so the constructor still rejects what it rejects
+        _spectral_template(*self.GOOD)
+        args = list(self.GOOD)
+        args[position] = bad
+        with pytest.raises(ParameterError, match=f"^{name}: expected a"):
+            _spectral_template(*args)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, "1", None, [1], np.array(1.0)])
+    @pytest.mark.parametrize("position", range(6))
+    def test_cache_keeps_every_argument_error(self, position, bad):
+        _spectral_template(*self.GOOD)  # a warm cache answers no bad argument
+        size = turbulence._cached_template.cache_info().currsize
+        args = list(self.GOOD)
+        args[position] = bad
+        with pytest.raises(Exception) as direct:
+            _SpectralTemplate(*args)
+        with pytest.raises(type(direct.value), match=re.escape(str(direct.value))):
+            _spectral_template(*args)
+        assert turbulence._cached_template.cache_info().currsize == size
+
+    def test_screens_and_series_share_the_cached_template(self, grid64):
+        turbulence._cached_template.cache_clear()
+        for seed in (1, 2):
+            synth_phase_screen(64, 1.0 / 64, 0.1, seed=seed, subharmonic_levels=3)
+        list(build_time_series(default_profile(), grid64, n_frames=1, seed=1))
+        list(build_time_series(default_profile(), grid64, n_frames=1, seed=2))
+        info = turbulence._cached_template.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
 
     def test_cells_whose_power_underflows_sit_at_their_centres(self):
         # r0^(-5/3) underflows to zero: no cell carries power, none divides by it
@@ -377,6 +420,26 @@ class TestRenderingWorker:
         reference = sequential_time_series(*args, absorb_edges=absorb_edges)
         for a, b in itertools.zip_longest(threaded, reference):
             assert a.samples.tobytes() == b.samples.tobytes()
+
+    def test_two_series_at_once_give_the_frames_of_two_sequential_runs(self, grid64):
+        # from a cold cache, so both threads may build the template at once
+        turbulence._cached_template.cache_clear()
+        barrier = threading.Barrier(2)
+        frames = {}
+
+        def run(seed):
+            barrier.wait()
+            frames[seed] = [f.samples.tobytes() for f in
+                            build_time_series(default_profile(), grid64, 4, 1500.0, seed)]
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in (4, 5)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for seed in (4, 5):
+            alone = sequential_time_series(default_profile(), grid64, 4, 1500.0, seed)
+            assert frames[seed] == [f.samples.tobytes() for f in alone]
 
     def test_no_frames_draw_no_screen_and_start_no_thread(self, grid64, monkeypatch):
         drawn = []
