@@ -202,35 +202,54 @@ def angular_spectrum_propagate(
     Returns:
         The propagated field on the same grid.
     """
-    _num(distance_m, "distance_m", lo=0)
-    if distance_m == 0 and not absorb_edges:
-        return field
-
     n = field.n
     dx = field.spacing_m
     lam = field.wavelength_m
-
-    if distance_m > 0 and dx * dx < lam * distance_m / n:
-        warnings.warn(
-            f"angular-spectrum sampling bound violated: dx^2={dx * dx:.3e} < "
-            f"lambda*d/N={lam * distance_m / n:.3e}; band limit will clip "
-            "in-band frequencies",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _check_step(distance_m, n, dx, lam, stacklevel=3)
+    if distance_m == 0 and not absorb_edges:
+        return field
 
     u = field.samples
     if absorb_edges:
         u = u * _edge_absorber(n)
     if distance_m == 0:
         return field._derive(u)
+    return field._derive(_diffract(u, dx, lam, distance_m))
 
+
+def _check_step(distance_m, n: int, dx: float, lam: float, stacklevel: int) -> None:
+    """Reject a negative or non-finite step and warn when it violates the
+    sampling bound, attributing the warning to the frame stacklevel up."""
+    _num(distance_m, "distance_m", lo=0)
+    if distance_m > 0 and dx * dx < lam * distance_m / n:
+        warnings.warn(
+            f"angular-spectrum sampling bound violated: dx^2={dx * dx:.3e} < "
+            f"lambda*d/N={lam * distance_m / n:.3e}; band limit will clip "
+            "in-band frequencies",
+            RuntimeWarning,
+            stacklevel=stacklevel,
+        )
+
+
+def _diffract(u: np.ndarray, dx: float, lam: float, distance_m: float,
+              overwrite: bool = False) -> np.ndarray:
+    """The angular-spectrum step of samples u over distance_m > 0; with
+    overwrite, computed in u's memory (the same bits)."""
     # Circular convolution commutes with the half-grid roll, so the
     # centered samples go through the FFTs without fftshift/ifftshift.
-    spectrum = _fft.fft2(u)
-    spectrum *= _transfer_function(n, dx, lam, distance_m)
-    out = _fft.ifft2(spectrum, overwrite_x=True)
-    return field._derive(out)
+    spectrum = _fft.fft2(u, overwrite_x=overwrite)
+    spectrum *= _transfer_function(u.shape[0], dx, lam, distance_m)
+    return _fft.ifft2(spectrum, overwrite_x=True)
+
+
+def _propagate_in_place(u: np.ndarray, dx: float, lam: float, distance_m: float,
+                        absorb_edges: bool) -> np.ndarray:
+    """The samples angular_spectrum_propagate gives for samples u and a
+    distance _check_step passed, computed in u's memory and without the
+    warning: for a thread that owns u while another checks the step."""
+    if absorb_edges:
+        u *= _edge_absorber(u.shape[0])
+    return _diffract(u, dx, lam, distance_m, overwrite=True) if distance_m else u
 
 
 def apply_phase_screen(field: ComplexFieldGrid, screen) -> ComplexFieldGrid:

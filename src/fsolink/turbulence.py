@@ -10,6 +10,11 @@ within a few percent of theory out to a quarter of the grid extent.
 Frozen-flow evolution is exact: the DFT part translates through a spectral
 phase ramp (cyclic), the augmentation components translate analytically
 (non-periodic), so long wind-driven time series never wrap the large scales.
+
+A time series renders its phase factors on one worker thread, each with
+one tan in the half-angle form of exp(i phi), and the worker also takes
+each frame's first propagation step, which depends on the top layer's
+factor alone; the calling thread takes the later steps and the aperture.
 """
 
 import functools
@@ -26,12 +31,16 @@ from ._streams import substream
 from .errors import ParameterError, _array, _num
 # apply_phase_screen is unused here: perfbench/tracing.py patches it by this name
 from .field import (  # noqa: F401
+    ComplexFieldGrid,
     GridSpec,
     _apply_phase_factor,
+    _check_geometry,
+    _check_step,
+    _propagate_in_place,
+    _unchecked_field,
     angular_spectrum_propagate,
     apply_aperture,
     apply_phase_screen,
-    plane_wave,
 )
 
 __all__ = [
@@ -391,6 +400,27 @@ def default_profile(
     )
 
 
+def _phase_factor(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) in the half-angle form (1 - t^2 + 2it) / (1 + t^2),
+    t = tan(phase / 2), written into the real and imaginary parts of one
+    complex array; phase, a writable float64 array, is overwritten.
+
+    One tan costs a fraction of a cos and a sin, and the factor stays
+    within about one ulp of 1 of them.  Its real part is never -0; at a
+    phase of +-0 the imaginary part keeps the sign.
+    """
+    factor = np.empty(phase.shape, dtype=np.complex128)
+    re, im = factor.real, factor.imag
+    t = np.tan(np.multiply(phase, 0.5, out=phase), out=phase)
+    np.multiply(t, t, out=re)
+    np.add(re, 1.0, out=im)
+    np.subtract(1.0, re, out=re)
+    re /= im
+    t += t
+    np.divide(t, im, out=im)
+    return factor
+
+
 # phase factors the worker may hold rendered beyond the one the field needs
 _FACTORS_AHEAD = 2
 
@@ -406,10 +436,11 @@ def build_time_series(
 ):
     """Yield receiver-plane, post-aperture fields for successive frames.
 
-    The field entering the top screen is a uniform plane wave over the
-    grid: the vacuum segment from the satellite is collapsed into a
+    The field entering the top screen is a uniform unit plane wave over
+    the grid: the vacuum segment from the satellite is collapsed into a
     far-field collimation assumption, so at receiver scale the incident
-    illumination is locally flat.
+    illumination is locally flat.  The field after the top screen is
+    therefore that screen's phase factor itself.
 
     Every frame advances each layer rigidly by wind * t along its azimuth,
     applies the screen, propagates to the next layer (band-limited angular
@@ -428,32 +459,38 @@ def build_time_series(
     screen up front from a fresh template.
 
     A layer's phase factor exp(i phi) depends on the layer and the frame
-    time only, never on the field, so one worker thread renders the
-    factors in (frame, layer) order, up to two ahead of the field chain on
-    the calling thread; the frames do not depend on it.  A worker error is
-    raised from next() of the frame that needs that factor; closing the
-    generator cancels the rendering not yet started and joins the thread.
+    time only, never on the field, and neither does the first propagation
+    step, whose input is the top layer's factor.  So one worker thread
+    renders the factors in (frame, layer) order, up to two ahead of the
+    field chain, and takes each frame's first step on the top layer's
+    factor in place; the calling thread checks that step's distance and
+    warns of its sampling each frame, takes the later steps and applies
+    the aperture.  The frames do not depend on the thread split.  A worker
+    error is raised from next() of the frame that needs that factor;
+    closing the generator cancels the rendering not yet started and joins
+    the thread.
     """
-    tx = plane_wave(grid)
+    n, extent_m, wavelength_m = grid.n, grid.extent_m, grid.wavelength_m
+    _check_geometry(n, extent_m, wavelength_m)
     _num(n_frames, "n_frames", lo=0, integer=True)
     _num(frame_rate_hz, "frame_rate_hz", gt=0)
 
-    template = _spectral_template(tx.n, tx.spacing_m, profile.layer_r0_m, profile.outer_scale_m,
+    dx = extent_m / n
+    template = _spectral_template(n, dx, profile.layer_r0_m, profile.outer_scale_m,
                                   profile.inner_scale_m, profile.subharmonic_levels)
     screens = []
     azimuths = [math.radians(lay.wind_azimuth_deg) for lay in profile.layers]
+    top, *below = profile.layers
 
     def render(i, t):
         shift = (
             profile.wind_speed_mps * t * math.cos(azimuths[i]),
             profile.wind_speed_mps * t * math.sin(azimuths[i]),
         )
-        phase = screens[i].phase_at(shift)  # finite: rendered from finite draws
-        # exp(i phi) written as cos and sin into one complex array: the same
-        # bits as np.exp(1j * phase), without its complex temporary
-        factor = np.empty(phase.shape, dtype=np.complex128)
-        np.cos(phase, out=factor.real)
-        np.sin(phase, out=factor.imag)
+        factor = _phase_factor(screens[i].phase_at(shift))  # finite: from finite draws
+        if i == 0:  # run only once the calling thread has checked the step
+            return _propagate_in_place(factor, dx, wavelength_m, top.distance_to_next_m,
+                                       absorb_edges)
         return factor
 
     def factor_jobs():
@@ -466,14 +503,20 @@ def build_time_series(
     jobs = factor_jobs()
     worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fsolink-phase-factors")
     pending = deque()
+
+    def rendered():
+        while len(pending) <= _FACTORS_AHEAD and (job := next(jobs, None)) is not None:
+            pending.append(worker.submit(render, *job))
+        return pending.popleft().result()
+
     try:
-        for _ in range(n_frames):
-            u = tx
-            for layer in profile.layers:
-                while len(pending) <= _FACTORS_AHEAD and (job := next(jobs, None)) is not None:
-                    pending.append(worker.submit(render, *job))
-                factor = pending.popleft().result()
-                u = _apply_phase_factor(u, factor)
+        for k in range(n_frames):
+            _check_step(top.distance_to_next_m, n, dx, wavelength_m, stacklevel=2)
+            # the series' first field is checked where it enters, as the
+            # plane wave was; every later field derives from checked ones
+            u = (_unchecked_field if k else ComplexFieldGrid)(rendered(), extent_m, wavelength_m)
+            for layer in below:
+                u = _apply_phase_factor(u, rendered())
                 u = angular_spectrum_propagate(u, layer.distance_to_next_m, absorb_edges=absorb_edges)
             yield apply_aperture(u, rx_aperture_m)
     finally:

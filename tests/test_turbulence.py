@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 from fsolink import turbulence
 from fsolink._streams import substream
 from fsolink.errors import ParameterError
-from fsolink.field import (ComplexFieldGrid, angular_spectrum_propagate, apply_aperture,
-                           plane_wave, total_power)
+from fsolink.field import (ComplexFieldGrid, GridSpec, angular_spectrum_propagate,
+                           apply_aperture, plane_wave, total_power)
 from fsolink.modes import ModeBasis, decompose, smf_coupling_efficiency
 from fsolink.turbulence import (
     AtmosphereProfile,
@@ -21,6 +22,7 @@ from fsolink.turbulence import (
     _psd_cyclic,
     _SpectralScreen,
     _SpectralTemplate,
+    _phase_factor,
     _spectral_template,
     build_time_series,
     default_profile,
@@ -289,6 +291,34 @@ class TestFrozenFlow:
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
 
 
+class TestPhaseFactor:
+    """The half-angle form of exp(i phi) against numpy's complex exp."""
+
+    @staticmethod
+    def check(phi):
+        phi = np.asarray(phi, dtype=np.float64)
+        factor = _phase_factor(phi.copy())
+        assert np.abs(factor - np.exp(1j * phi)).max() <= 4.5e-16
+        assert np.abs(np.abs(factor) - 1.0).max() <= 4.5e-16
+        return factor
+
+    def test_signed_zero_keeps_the_sign_of_the_imaginary_part(self):
+        factor = self.check([0.0, -0.0])
+        assert factor.real.tolist() == [1.0, 1.0] and not np.signbit(factor.real).any()
+        assert np.signbit(factor.imag).tolist() == [False, True]
+
+    def test_multiples_of_pi_where_the_tangent_is_largest(self):
+        self.check(np.pi * np.arange(-41.0, 42.0))
+
+    @pytest.mark.parametrize("phi", [1e-300, -1e-300, 1e5, -1e5])
+    def test_tiny_and_large_phases(self, phi):
+        self.check([phi])
+
+    @pytest.mark.parametrize("rms", [1.0, 10.0, 100.0])
+    def test_random_phases(self, rms):
+        self.check(np.random.default_rng(int(rms)).standard_normal((256, 256)) * rms)
+
+
 class TestAtmosphereProfile:
     def test_layer_r0_composition(self):
         profile = default_profile(total_r0_m=0.077)
@@ -384,8 +414,9 @@ class TestTimeSeries:
 def sequential_time_series(profile, grid, n_frames, frame_rate_hz, seed,
                            rx_aperture_m=0.5, absorb_edges=False):
     """Reference: the series rendered and applied on the calling thread,
-    layer by layer, with the product written as exp(i phase) * samples, and
-    every screen drawn up front over a template of its own."""
+    layer by layer from the plane wave, with the product written as the
+    half-angle form of exp(i phase) times the samples, and every screen
+    drawn up front over a template of its own."""
     tx = plane_wave(grid)
     gens = [
         _SpectralScreen(
@@ -405,7 +436,11 @@ def sequential_time_series(profile, grid, n_frames, frame_rate_hz, seed,
                 profile.wind_speed_mps * t * math.sin(azimuths[i]),
             )
             screen = PhaseScreen(gens[i].phase_at(shift), tx.spacing_m)
-            u = ComplexFieldGrid(np.exp(1j * screen.phase) * u.samples, u.extent_m, u.wavelength_m)
+            tan = np.tan(screen.phase / 2)
+            factor = np.empty(tan.shape, dtype=np.complex128)
+            factor.real = (1 - tan * tan) / (1 + tan * tan)
+            factor.imag = 2 * tan / (1 + tan * tan)
+            u = ComplexFieldGrid(factor * u.samples, u.extent_m, u.wavelength_m)
             u = angular_spectrum_propagate(u, layer.distance_to_next_m, absorb_edges=absorb_edges)
         yield apply_aperture(u, rx_aperture_m)
 
@@ -420,6 +455,43 @@ class TestRenderingWorker:
         reference = sequential_time_series(*args, absorb_edges=absorb_edges)
         for a, b in itertools.zip_longest(threaded, reference):
             assert a.samples.tobytes() == b.samples.tobytes()
+
+    @pytest.mark.parametrize("absorb_edges", [False, True])
+    @pytest.mark.parametrize("layers", ["one layer", "zero first step"])
+    def test_worker_step_edge_profiles_match_sequential_loop(self, grid64, layers, absorb_edges):
+        # the worker takes each frame's first step; with one layer it is the
+        # only step, and a zero step only absorbs the edges, or does nothing
+        if layers == "one layer":
+            profile = default_profile(n_layers=1)
+        else:
+            profile = AtmosphereProfile((TurbulenceLayer(0.0, 30.0), TurbulenceLayer(800.0, 120.0)),
+                                        total_r0_m=0.22)
+        args = (profile, grid64, 4, 1500.0, 4)
+        threaded = list(build_time_series(*args, absorb_edges=absorb_edges))
+        reference = list(sequential_time_series(*args, absorb_edges=absorb_edges))
+        assert [f.samples.tobytes() for f in threaded] == [f.samples.tobytes() for f in reference]
+
+    def test_each_over_long_step_warns_once_per_frame(self):
+        # the first step, taken on the worker, warns from the calling thread
+        grid = GridSpec(64, 0.2, 1.55e-6)
+        profile = default_profile()
+        bound = grid.n * grid.spacing_m**2 / grid.wavelength_m
+        over_long = sum(layer.distance_to_next_m > bound for layer in profile.layers)
+        assert profile.layers[0].distance_to_next_m > bound and over_long < len(profile.layers)
+        counts = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in build_time_series(profile, grid, n_frames=3, seed=4, rx_aperture_m=0.1):
+                counts.append(sum("sampling bound violated" in str(w.message) for w in caught))
+                caught.clear()
+        assert counts == [over_long] * 3
+
+    @pytest.mark.parametrize("n, extent_m, wavelength_m", [
+        (48, 1.0, 1.55e-6), (64, 0.0, 1.55e-6), (64, 1.0, -1.0)])
+    def test_bad_grid_geometry_raises_parameter_error(self, n, extent_m, wavelength_m):
+        grid = types.SimpleNamespace(n=n, extent_m=extent_m, wavelength_m=wavelength_m)
+        with pytest.raises(ParameterError):
+            next(build_time_series(default_profile(), grid, n_frames=1))
 
     def test_two_series_at_once_give_the_frames_of_two_sequential_runs(self, grid64):
         # from a cold cache, so both threads may build the template at once
@@ -501,7 +573,7 @@ class TestRenderingWorker:
         assert {ident for _, ident in callers} == {threading.get_ident()}
 
     def test_fields_are_checked_once_where_they_enter(self, grid64, monkeypatch):
-        # the plane wave is checked; every frame and analysis derives from it
+        # a series' first field is checked; every frame and analysis derives from it
         basis = ModeBasis.build(grid64, 0.5)
         checks = []
         check = ComplexFieldGrid.__post_init__
