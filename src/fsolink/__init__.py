@@ -42,7 +42,6 @@ from .field import (
     angular_spectrum_propagate,
     apply_aperture,
     apply_phase_screen,
-    plane_wave,
     read_field_bin,
     total_power,
     uniform_disc_field,

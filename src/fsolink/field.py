@@ -25,7 +25,6 @@ __all__ = [
     "apply_phase_screen",
     "apply_aperture",
     "total_power",
-    "plane_wave",
     "uniform_disc_field",
     "write_field_bin",
     "read_field_bin",
@@ -292,12 +291,6 @@ def _disc_mask(n: int, extent_m: float, diameter_m: float) -> np.ndarray:
     mask = GridSpec(n, extent_m).radius_grid() <= diameter_m / 2
     mask.setflags(write=False)
     return mask
-
-
-def plane_wave(grid: GridSpec) -> ComplexFieldGrid:
-    """Uniform unit-amplitude, unit-phase field over the whole grid."""
-    s = np.full((grid.n, grid.n), 1.0, dtype=np.complex128)
-    return ComplexFieldGrid(s, grid.extent_m, grid.wavelength_m)
 
 
 def _gaussian_profile(grid: GridSpec, waist_m: float) -> np.ndarray:

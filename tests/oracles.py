@@ -19,6 +19,12 @@ def _xy(grid):
     return c[None, :], c[:, None], dx
 
 
+def plane_wave(grid):
+    """Uniform unit-amplitude, unit-phase field over the whole grid."""
+    s = np.full((grid.n, grid.n), 1.0, dtype=np.complex128)
+    return ComplexFieldGrid(s, grid.extent_m, grid.wavelength_m)
+
+
 def gaussian_field(grid, waist_m, power_w=1.0):
     """Collimated Gaussian beam exp(-r^2/w^2) carrying power_w on the grid."""
     x, y, dx = _xy(grid)

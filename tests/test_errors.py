@@ -22,11 +22,12 @@ from fsolink.comms import (PowerTrace, ReceiverModel, ber_curve, ber_instant, cu
                            select_windows)
 from fsolink.controller import ControllerConfig, NelderMead, run_closed_loop
 from fsolink.errors import FsolinkError, ParameterError, ZeroPowerError, _array
-from fsolink.field import ComplexFieldGrid, GridSpec, apply_phase_screen, plane_wave
+from fsolink.field import ComplexFieldGrid, GridSpec, apply_phase_screen
 from fsolink.modes import ModeBasis, ModeCoefficients, mode_statistics
 from fsolink.turbulence import (PhaseScreen, kolmogorov_structure_function,
                                 measure_structure_function)
 from fsolink.wdm import OpticalSpectrum
+from oracles import plane_wave
 
 GRID = GridSpec(64, 1.0)
 OOK = ReceiverModel()

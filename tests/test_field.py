@@ -15,7 +15,6 @@ from fsolink.field import (
     angular_spectrum_propagate,
     apply_aperture,
     apply_phase_screen,
-    plane_wave,
     read_field_bin,
     total_power,
     uniform_disc_field,
@@ -23,7 +22,7 @@ from fsolink.field import (
 )
 from fsolink.modes import smf_coupling_efficiency
 from fsolink.turbulence import PhaseScreen
-from oracles import gaussian_field
+from oracles import gaussian_field, plane_wave
 
 LAM = 1.55e-6
 

@@ -42,9 +42,6 @@ KEPT = {
     "apply_phase_screen": "perfbench/tracing.py patches it by name; goes with the stage "
                           "instrumentation (ROADMAP item 3)",
     "read_field_bin": "reads the fields run.save_fields writes",
-    "plane_wave": "the unit field build_time_series takes as entering the top screen, which "
-                  "it no longer builds (the top factor is that field); a layer chain built "
-                  "by hand starts from it",
     "ModeBasis.gram": "the basis' orthonormality, which diagnostics.json reports "
                       "(ROADMAP item 4)",
 }
