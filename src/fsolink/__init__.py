@@ -31,7 +31,6 @@ from .comms import (
 from .controller import (
     ControllerConfig,
     LoopTrace,
-    NelderMead,
     correction_bandwidth,
     run_closed_loop,
     wrap_event_rate,

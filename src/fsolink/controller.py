@@ -38,7 +38,6 @@ command vectors as lists, so no evaluation dispatches to numpy.
 import math
 from dataclasses import dataclass
 from functools import reduce
-from numbers import Real
 from operator import add
 
 import numpy as np
@@ -50,7 +49,6 @@ from .errors import ControllerFault, ParameterError, _array, _num
 
 __all__ = [
     "ControllerConfig",
-    "NelderMead",
     "LoopTrace",
     "run_closed_loop",
     "wrap_event_rate",
@@ -180,7 +178,7 @@ class _ArrayVertices:
         return point.tolist()
 
 
-class NelderMead:
+class _NelderMead:
     """Nelder-Mead minimizer: one sequential search, a generator suspended
     at every point it needs measured.  ``ask()`` returns the pending point
     as a fresh list and ``tell(value)`` sends its measurement in, so the
@@ -192,19 +190,13 @@ class NelderMead:
     """
 
     def __init__(self, x0, edges):
-        self.dim = _array(x0, "x0", (None,)).size
+        self.dim = len(x0)
         self._v = _FloatVertices if self.dim <= _FLOAT_SIMPLEX_MAX_DIM else _ArrayVertices
         self.reinit(x0, edges)
 
     def reinit(self, x0, edges):
-        """Start a new search on a fresh simplex around x0 (initial or restart)."""
-        if isinstance(edges, Real):
-            edges = [edges] * self.dim
-        self._restart(_array(x0, "x0", (self.dim,)).tolist(),
-                      _array(edges, "edges", (self.dim,)).tolist())
-
-    def _restart(self, x0, edges):
-        """reinit from two lists of dim finite floats, unchecked."""
+        """Start a new search on a fresh simplex around x0 (initial or
+        restart); x0 and edges are lists of dim finite floats, unchecked."""
         self.simplex = self._v.simplex(x0, edges)
         self.values = self._v.nan_values(self.dim + 1)
         self._centroid = self._xr = self._xe = self._xc = None
@@ -401,7 +393,8 @@ def run_closed_loop(
             command = x.copy()
             if part == "phases":
                 command[n_el:] = neutral
-            nm = NelderMead(x[parts[part]], edge)
+            start = x[parts[part]]
+            nm = _NelderMead(start, [edge] * len(start))
             for _ in range(n):
                 command[parts[part]] = nm.ask()
                 nm.tell(-measure(command))
@@ -475,17 +468,19 @@ def correction_bandwidth(
     settled loop.  Evaluations go through the same evaluator as
     run_closed_loop.  A disturbance so slow that the two spans exceed
     _MAX_TRACKING_EVALS evaluations raises ParameterError.
+
+    Of config it reads loop_rate_hz and detector_noise_rel only: the
+    tracking loop has no frames, so evals_per_frame does not apply, and it
+    opens no wrap dead-time, so wrap_transient_s and wrap_residual_factor
+    do not either.
     """
     _num(disturbance_freq_hz, "disturbance_freq_hz", lo=0)
     _num(amplitude_rad, "amplitude_rad")
     _num(n_periods, "n_periods", gt=0)
     _num(settle_periods, "settle_periods", lo=0)
-    topology = CombinerTopology.balanced(
-        2, pic_insertion_loss_db=0.0, demux_insertion_loss_db=0.0
-    )
-    n_el = topology.n_elements
-    kernel = _tree_kernel(topology.n_inputs)
-    gain = 10.0 ** (-topology.total_loss_db / 20.0)
+    # the lossless 2-input tree: one element, an insertion-loss gain of 1
+    n_el = 1
+    kernel = _tree_kernel(2)
     rng = substream(seed, "bandwidth")
     dt = 1.0 / config.loop_rate_hz
 
@@ -502,8 +497,8 @@ def correction_bandwidth(
     else:
         settle_evals, measure_evals = 400, 2000
 
-    nm = NelderMead([math.pi] * n_el + [math.pi / 4] * n_el,
-                    [_REFRESH_EDGE_RAD] * n_el + [0.1] * n_el)
+    nm = _NelderMead([math.pi] * n_el + [math.pi / 4] * n_el,
+                     [_REFRESH_EDGE_RAD] * n_el + [0.1] * n_el)
 
     acc = 0.0
     window_best = 0.0
@@ -517,7 +512,7 @@ def correction_bandwidth(
             shift = [-TWO_PI * t for t in turns] + [0.0] * n_el
             nm.translate(shift)
             x = [a + b for a, b in zip(x, shift)]
-        _, measured = _evaluate(x, inputs, kernel, gain, config, rng)
+        _, measured = _evaluate(x, inputs, kernel, 1.0, config, rng)
         nm.tell(-measured)
         window_best = max(window_best, measured)
         if (e + 1) % _REFRESH_EVERY == 0:
@@ -525,7 +520,7 @@ def correction_bandwidth(
             # so a settled loop dithers gently and a lagging one leaps
             eff = min(1.0, window_best / 2.0)
             edge = min(1.2, max(0.04, 2.0 * math.acos(math.sqrt(eff))))
-            nm._restart(nm.current_best, [edge] * n_el + [edge / 3] * n_el)
+            nm.reinit(nm.current_best, [edge] * n_el + [edge / 3] * n_el)
             window_best = 0.0
         if e >= settle_evals:
             acc += measured / 2.0

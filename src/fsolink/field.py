@@ -207,13 +207,7 @@ def angular_spectrum_propagate(
     _check_step(distance_m, n, dx, lam, stacklevel=3)
     if distance_m == 0 and not absorb_edges:
         return field
-
-    u = field.samples
-    if absorb_edges:
-        u = u * _edge_absorber(n)
-    if distance_m == 0:
-        return field._derive(u)
-    return field._derive(_diffract(u, dx, lam, distance_m))
+    return field._derive(_propagation_step(field.samples, dx, lam, distance_m, absorb_edges))
 
 
 def _check_step(distance_m, n: int, dx: float, lam: float, stacklevel: int) -> None:
@@ -230,25 +224,20 @@ def _check_step(distance_m, n: int, dx: float, lam: float, stacklevel: int) -> N
         )
 
 
-def _diffract(u: np.ndarray, dx: float, lam: float, distance_m: float,
-              overwrite: bool = False) -> np.ndarray:
-    """The angular-spectrum step of samples u over distance_m > 0; with
-    overwrite, computed in u's memory (the same bits)."""
+def _propagation_step(u: np.ndarray, dx: float, lam: float, distance_m: float,
+                      absorb_edges: bool, in_place: bool = False) -> np.ndarray:
+    """The samples angular_spectrum_propagate gives for samples u and a
+    distance _check_step passed; with in_place, computed in u's memory (the
+    same bits), for a thread that owns u while another checks the step."""
+    if absorb_edges:
+        u = np.multiply(u, _edge_absorber(u.shape[0]), out=u if in_place else None)
+    if distance_m == 0:
+        return u
     # Circular convolution commutes with the half-grid roll, so the
     # centered samples go through the FFTs without fftshift/ifftshift.
-    spectrum = _fft.fft2(u, overwrite_x=overwrite)
+    spectrum = _fft.fft2(u, overwrite_x=in_place)
     spectrum *= _transfer_function(u.shape[0], dx, lam, distance_m)
     return _fft.ifft2(spectrum, overwrite_x=True)
-
-
-def _propagate_in_place(u: np.ndarray, dx: float, lam: float, distance_m: float,
-                        absorb_edges: bool) -> np.ndarray:
-    """The samples angular_spectrum_propagate gives for samples u and a
-    distance _check_step passed, computed in u's memory and without the
-    warning: for a thread that owns u while another checks the step."""
-    if absorb_edges:
-        u *= _edge_absorber(u.shape[0])
-    return _diffract(u, dx, lam, distance_m, overwrite=True) if distance_m else u
 
 
 def apply_phase_screen(field: ComplexFieldGrid, screen) -> ComplexFieldGrid:

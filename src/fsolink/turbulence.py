@@ -37,7 +37,7 @@ from .field import (  # noqa: F401
     _apply_phase_factor,
     _check_geometry,
     _check_step,
-    _propagate_in_place,
+    _propagation_step,
     _unchecked_field,
     angular_spectrum_propagate,
     apply_aperture,
@@ -64,12 +64,24 @@ def _psd_cyclic(fx, fy, r0_m, L0_m, l0_m):
     return 0.023 * r0_m ** (-5.0 / 3.0) * (f2 + f0 * f0) ** (-11.0 / 6.0) * np.exp(-f2 / fm**2)
 
 
-def _check_scales(outer, inner, outer_name, inner_name) -> None:
-    """The von Karman outer and inner scales: both > 0, outer above inner."""
-    _num(outer, outer_name, gt=0)
-    _num(inner, inner_name, gt=0)
+def _check_fried(r0_m) -> float:
+    """A Fried parameter as a float: > 0 (inf: no turbulence), and not so
+    small that r0^(-5/3), the scale of the PSD, overflows."""
+    r0_m = _num(r0_m, "r0_m", gt=0, inf_ok=True)
+    try:
+        r0_m ** (-5.0 / 3.0)
+    except OverflowError:
+        raise ParameterError(f"r0_m: {r0_m!r} m is so small that r0^(-5/3) overflows") from None
+    return r0_m
+
+
+def _check_scales(outer, inner, outer_name, inner_name) -> tuple:
+    """The von Karman outer and inner scales as floats: both > 0, outer above inner."""
+    outer = _num(outer, outer_name, gt=0)
+    inner = _num(inner, inner_name, gt=0)
     if not outer > inner:
         raise ParameterError(f"need {outer_name} > {inner_name}")
+    return outer, inner
 
 
 # midpoint-rule points per side of an augmentation cell
@@ -132,17 +144,11 @@ class _SpectralTemplate:
     their frequencies, sqrt(power) and the x and y tables sampling them on
     the grid.  Every array is read-only: _spectral_template hands one
     template to every series and screen of its parameters in the process,
-    and their rendering workers read it.
+    and their rendering workers read it.  Its arguments are the values
+    _spectral_template checked, not checked again.
     """
 
-    def __init__(self, n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels=0):
-        n = _num(n, "n", lo=2, integer=True)
-        if n & (n - 1):
-            raise ParameterError("screen size must be a power of two")
-        spacing_m = _num(spacing_m, "spacing_m", gt=0)
-        _num(r0_m, "r0_m", gt=0, inf_ok=True)
-        _check_scales(L0_m, l0_m, "L0_m", "l0_m")
-        levels = _num(subharmonic_levels, "subharmonic_levels", lo=0, integer=True)
+    def __init__(self, n, spacing_m, r0_m, L0_m, l0_m, levels):
         self.n = n
         self.spacing_m = spacing_m
         self.df = 1.0 / (n * spacing_m)
@@ -176,25 +182,24 @@ class _SpectralTemplate:
 
 
 def _spectral_template(n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels):
-    """The _SpectralTemplate of these six arguments, built once per process.
+    """The _SpectralTemplate of these six arguments, checked here and built
+    once per process for each set of checked values.
 
     Its tables are read-only, so every series and screen of one parameter
-    set shares them, also across threads.  The cache is typed: True is not
-    1 and 3 is not 3.0, so an argument the constructor rejects never finds
-    the template of an equal valid one.  A rejected argument raises from
-    the constructor and caches nothing; an unhashable one, never valid,
-    goes to the constructor directly for the same error.
+    set shares them, also across threads.  A rejected argument raises a
+    ParameterError naming it before the cache is consulted.
     """
-    args = (n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels)
-    try:
-        hash(args)
-    except TypeError:
-        return _SpectralTemplate(*args)
-    return _cached_template(*args)
+    n = _num(n, "n", lo=2, integer=True)
+    if n & (n - 1):
+        raise ParameterError("screen size must be a power of two")
+    return _cached_template(n, _num(spacing_m, "spacing_m", gt=0),
+                            _check_fried(r0_m),
+                            *_check_scales(L0_m, l0_m, "L0_m", "l0_m"),
+                            _num(subharmonic_levels, "subharmonic_levels", lo=0, integer=True))
 
 
 # a series and a few single screens; at N=512 a template holds about 4 MB
-_cached_template = functools.lru_cache(maxsize=4, typed=True)(_SpectralTemplate)
+_cached_template = functools.lru_cache(maxsize=4)(_SpectralTemplate)
 
 
 class _SpectralScreen:
@@ -320,6 +325,10 @@ class TurbulenceLayer:
     distance_to_next_m: float
     wind_azimuth_deg: float = 0.0
 
+    def __post_init__(self):
+        _num(self.distance_to_next_m, "distance_to_next_m", lo=0)
+        _num(self.wind_azimuth_deg, "wind_azimuth_deg")
+
 
 @dataclass(frozen=True)
 class AtmosphereProfile:
@@ -346,6 +355,10 @@ class AtmosphereProfile:
         layers = tuple(self.layers)
         if not layers:
             raise ParameterError("profile needs at least one layer")
+        for layer in layers:
+            if not isinstance(layer, TurbulenceLayer):
+                raise ParameterError(
+                    f"layers: expected TurbulenceLayer items, got {type(layer).__name__}")
         object.__setattr__(self, "layers", layers)
 
     @property
@@ -507,8 +520,8 @@ def build_time_series(
         )
         factor = _phase_factor(screens[i].phase_at(shift))  # finite: from finite draws
         if i == 0 and step_on_worker:  # run only once the calling thread has checked the step
-            return _propagate_in_place(factor, dx, wavelength_m, top.distance_to_next_m,
-                                       absorb_edges)
+            return _propagation_step(factor, dx, wavelength_m, top.distance_to_next_m,
+                                     absorb_edges, in_place=True)
         return factor
 
     def factor_jobs():
@@ -547,7 +560,7 @@ def build_time_series(
 def kolmogorov_structure_function(r, r0_m: float):
     """The inertial-range phase structure function 6.88 (r/r0)^(5/3)."""
     r = _array(r, "r", None, lo=0)
-    return 6.88 * (r / _num(r0_m, "r0_m", gt=0, inf_ok=True)) ** (5.0 / 3.0)
+    return 6.88 * (r / _check_fried(r0_m)) ** (5.0 / 3.0)
 
 
 def measure_structure_function(phases, spacing_m: float, lags_px) -> tuple:

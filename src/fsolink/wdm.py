@@ -52,12 +52,16 @@ class OpticalSpectrum:
     @classmethod
     def two_lines(cls, center_hz: float, spacing_hz: float) -> "OpticalSpectrum":
         """Two equal-weight lines spaced spacing_hz about center_hz."""
+        center_hz = _num(center_hz, "center_hz", gt=0)
+        spacing_hz = _num(spacing_hz, "spacing_hz", lo=0)
         lines = np.array([center_hz - spacing_hz / 2, center_hz + spacing_hz / 2])
         return cls(lines_hz=lines)
 
     @classmethod
     def rectangular_wavelength(cls, center_m: float, width_m: float) -> "OpticalSpectrum":
         """Rectangular band given as wavelength center/width (e.g. 16 nm at 1560 nm)."""
+        center_m = _num(center_m, "center_m", gt=0)
+        width_m = _num(width_m, "width_m", lo=0)
         center_hz = C_VACUUM / center_m
         width_hz = C_VACUUM * width_m / center_m**2
         return cls(band_center_hz=center_hz, band_width_hz=width_hz)

@@ -17,7 +17,7 @@ from fsolink.controller import (
     _REFRESH_EVERY,
     TWO_PI,
     ControllerConfig,
-    NelderMead,
+    _NelderMead,
     correction_bandwidth,
     run_closed_loop,
     wrap_event_rate,
@@ -30,7 +30,7 @@ ALPHA, GAMMA, BETA, DELTA = 1.0, 2.0, 0.5, 0.5
 
 class StateMachineNelderMead:
     """Reference: the former ask/tell state machine (``_phase`` in
-    init/start/reflect/expand/contract/shrink) that NelderMead must match
+    init/start/reflect/expand/contract/shrink) that _NelderMead must match
     bit for bit.  ``best_x``/``best_f`` track the best measurement ever
     seen."""
 
@@ -350,13 +350,13 @@ class TestNelderMeadStep:
         oracle = scan[np.argmin((scan - 1.0) ** 2)]
         assert abs(oracle - 1.0) < 1e-4
 
-        nm = NelderMead(np.array([0.0]), np.array([0.5]))
+        nm = _NelderMead([0.0], [0.5])
         assert nm.current_best == [0.0]  # nothing measured yet: the start point
         run_ask_tell(nm, objective, 60)
         assert abs(nm.current_best[0] - 1.0) < 1e-3
 
     def test_flat_objective_shrinks_simplex(self):
-        nm = NelderMead(np.zeros(2), np.ones(2))
+        nm = _NelderMead([0.0, 0.0], [1.0, 1.0])
         simplex = np.asarray(nm.simplex)
         size_before = np.max(np.abs(simplex - simplex[0]))
         run_ask_tell(nm, lambda x: 1.0, 24)
@@ -368,13 +368,13 @@ class TestNelderMeadStep:
     def test_best_never_worsens_noiseless(self):
         rng = np.random.default_rng(0)
         objective = lambda x: float(np.sum((np.asarray(x) - 2.0) ** 2))
-        nm = NelderMead(rng.standard_normal(3), rng.uniform(0.5, 1.5, 3))
+        nm = _NelderMead(rng.standard_normal(3).tolist(), rng.uniform(0.5, 1.5, 3).tolist())
         history = run_ask_tell(nm, objective, 120)
         assert all(b2 <= b1 for b1, b2 in zip(history, history[1:]))
         assert history[-1] < history[0]
 
     def test_non_finite_objective_faults(self):
-        nm = NelderMead(np.zeros(2), np.ones(2))
+        nm = _NelderMead([0.0, 0.0], [1.0, 1.0])
         nm.ask()
         with pytest.raises(ControllerFault):
             nm.tell(float("nan"))
@@ -412,7 +412,7 @@ class TestSequentialSearch:
         dim = run["dim"]
         x0, edges = rng.standard_normal(dim), rng.uniform(0.05, 1.5, dim)
         target, weights = 2.0 * rng.standard_normal(dim), rng.uniform(0.2, 5.0, dim)
-        nm, ref = NelderMead(x0, edges), StateMachineNelderMead(x0, edges)
+        nm, ref = _NelderMead(x0.tolist(), edges.tolist()), StateMachineNelderMead(x0, edges)
         for step in range(run["n_steps"]):
             x = nm.ask()
             assert _bits(x) == _bits(ref.ask()), step
@@ -428,7 +428,7 @@ class TestSequentialSearch:
             assert _bits(nm.current_best) == _bits(ref.current_best), step
             if step in run["reinit_at"]:
                 new_edges = rng.uniform(0.05, 1.5, dim)
-                nm.reinit(nm.current_best, new_edges)
+                nm.reinit(nm.current_best, new_edges.tolist())
                 ref.reinit(ref.current_best, new_edges)
 
 
@@ -568,6 +568,15 @@ class TestControllerConfig:
             not np.array_equal(getattr(default, a), getattr(changed, a))
             for a in ("power_w", "wrap_flag")
         ), f"{name}={NON_DEFAULT[name]!r} left the trace unchanged"
+
+    @pytest.mark.parametrize("name", NUMERIC_FIELDS)
+    def test_correction_bandwidth_reads_the_rate_and_the_noise_only(self, name):
+        # the tracking loop has no frames and opens no wrap dead-time
+        args = (1000.0, 1.0)
+        kw = {"seed": 0, "n_periods": 1, "settle_periods": 0}
+        default = correction_bandwidth(*args, ControllerConfig(), **kw)
+        changed = correction_bandwidth(*args, ControllerConfig(**{name: NON_DEFAULT[name]}), **kw)
+        assert (changed != default) == (name in {"loop_rate_hz", "detector_noise_rel"})
 
 
 class TestWrapModel:

@@ -20,7 +20,7 @@ from fsolink.combiner import (CombinerState, CombinerTopology, align_state, comb
 from fsolink.comms import (PowerTrace, ReceiverModel, ber_curve, ber_instant, cumulated_ber,
                            frame_rate_invariance_check, monte_carlo_cumulated_ber, power_penalty,
                            select_windows)
-from fsolink.controller import ControllerConfig, NelderMead, run_closed_loop
+from fsolink.controller import ControllerConfig, run_closed_loop
 from fsolink.errors import FsolinkError, ParameterError, ZeroPowerError, _array
 from fsolink.field import ComplexFieldGrid, GridSpec, apply_phase_screen
 from fsolink.modes import ModeBasis, ModeCoefficients, mode_statistics
@@ -111,7 +111,6 @@ TABLE = {
     "run_closed_loop": (
         lambda frames: run_closed_loop(frames, TOPO3, ControllerConfig(evals_per_frame=5)),
         {"frames": np.ones((2, 3), dtype=complex)}, {}),
-    "NelderMead": (NelderMead, {"x0": np.zeros(2), "edges": np.ones(2)}, {}),
     "ModeCoefficients": (
         lambda coeffs: ModeCoefficients(coeffs, 0.0), {"coeffs": np.ones(3, dtype=complex)}, {}),
     "measure_structure_function": (
@@ -137,7 +136,6 @@ LENGTH = {
     ("align_state", "inputs"): -1,
     ("mm_coupling_efficiency", "residual_power"): -1,
     ("run_closed_loop", "frames"): -1,
-    ("NelderMead", "edges"): -1,
     ("measure_structure_function", "phases"): -1,
 }
 

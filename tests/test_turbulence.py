@@ -206,13 +206,15 @@ class TestSpectralTemplate:
         (5, True, "subharmonic_levels"), (5, 1.0, "subharmonic_levels"),
         (0, True, "n"), (0, 64.0, "n")])
     def test_cache_does_not_confuse_equal_keys_of_another_type(self, position, bad, name):
-        # True == 1 and 1.0 == 1 hash alike; the typed cache keeps them apart,
-        # so the constructor still rejects what it rejects
+        # True == 1 and 1.0 == 1 hash alike; the arguments are checked before
+        # the cache is consulted, so neither finds the template of a valid one
         _spectral_template(*self.GOOD)
         args = list(self.GOOD)
         args[position] = bad
         with pytest.raises(ParameterError, match=f"^{name}: expected a"):
             _spectral_template(*args)
+
+    NAMES = ("n", "spacing_m", "r0_m", "L0_m", "l0_m", "subharmonic_levels")
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, "1", None, [1], np.array(1.0)])
     @pytest.mark.parametrize("position", range(6))
@@ -221,9 +223,7 @@ class TestSpectralTemplate:
         size = turbulence._cached_template.cache_info().currsize
         args = list(self.GOOD)
         args[position] = bad
-        with pytest.raises(Exception) as direct:
-            _SpectralTemplate(*args)
-        with pytest.raises(type(direct.value), match=re.escape(str(direct.value))):
+        with pytest.raises(ParameterError, match=f"^{self.NAMES[position]}: "):
             _spectral_template(*args)
         assert turbulence._cached_template.cache_info().currsize == size
 
@@ -281,7 +281,7 @@ class TestFrozenFlow:
         # mirror; fractional-pixel shifts on a 16 grid
         n, dx = 16, 0.05
         args = (0.1, 25.0, 5e-3)
-        gen = _SpectralScreen(_SpectralTemplate(n, dx, *args), substream(3, "phase-screen"))
+        gen = _SpectralScreen(_SpectralTemplate(n, dx, *args, 0), substream(3, "phase-screen"))
         coeff, f = drawn_coefficients(n, dx, *args, rng=substream(3, "phase-screen"))
         x = (np.arange(n) - n // 2) * dx
         sx, sy = shift
@@ -371,6 +371,35 @@ class TestAtmosphereProfile:
     def test_nan_default_profile_argument_named(self, call, name):
         with pytest.raises(ParameterError, match=name):
             call()
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: TurbulenceLayer(-1.0), "distance_to_next_m"),
+        (lambda: TurbulenceLayer(math.inf), "distance_to_next_m"),
+        (lambda: TurbulenceLayer(50.0, math.nan), "wind_azimuth_deg"),
+        (lambda: TurbulenceLayer(50.0, math.inf), "wind_azimuth_deg"),
+        (lambda: TurbulenceLayer(50.0, "10"), "wind_azimuth_deg"),
+        (lambda: TurbulenceLayer(50.0, True), "wind_azimuth_deg"),
+        (lambda: AtmosphereProfile(layers=[1, 2], total_r0_m=0.1), "layers"),
+        (lambda: AtmosphereProfile(layers=[TurbulenceLayer(50.0), {"distance_to_next_m": 1.0}],
+                                   total_r0_m=0.1), "layers"),
+    ], ids=["negative-distance", "infinite-distance", "nan-azimuth", "infinite-azimuth",
+            "string-azimuth", "bool-azimuth", "int-layers", "dict-layer"])
+    def test_layer_fault_named_where_it_is_built(self, call, name):
+        with pytest.raises(ParameterError, match=f"^{name}: "):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: synth_phase_screen(64, 0.01, 1e-200),
+        lambda: next(build_time_series(default_profile(total_r0_m=1e-200), GridSpec(64, 0.64))),
+        lambda: kolmogorov_structure_function([0.1], 1e-200),
+    ], ids=["screen", "series", "structure-function"])
+    def test_fried_parameter_whose_psd_scale_overflows_named(self, call):
+        # r0^(-5/3) overflows below about 1.1e-185 m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterError, match="^r0_m: "):
+                call()
+        assert np.isfinite(kolmogorov_structure_function([0.1], 1e-180)).all()
 
 
 class TestTimeSeries:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,26 @@ class TestSpectrumValidation:
     def test_nan_scalar_names_the_argument(self, call, name):
         with pytest.raises(ParameterError, match=name):
             call()
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: OpticalSpectrum.rectangular_wavelength(0.0, 16e-9), "center_m"),
+        (lambda: OpticalSpectrum.rectangular_wavelength("1", 16e-9), "center_m"),
+        (lambda: OpticalSpectrum.rectangular_wavelength(True, 16e-9), "center_m"),
+        (lambda: OpticalSpectrum.rectangular_wavelength(1560e-9, math.nan), "width_m"),
+        (lambda: OpticalSpectrum.rectangular_wavelength(1560e-9, -1e-9), "width_m"),
+        (lambda: OpticalSpectrum.two_lines(-CENTER, 1e11), "center_hz"),
+        (lambda: OpticalSpectrum.two_lines(math.inf, 1e11), "center_hz"),
+        (lambda: OpticalSpectrum.two_lines(CENTER, "1"), "spacing_hz"),
+        (lambda: OpticalSpectrum.two_lines(CENTER, True), "spacing_hz"),
+        (lambda: OpticalSpectrum.two_lines(CENTER, -1e11), "spacing_hz"),
+    ], ids=["zero-center", "string-center", "bool-center", "nan-width", "negative-width",
+            "negative-center", "infinite-center", "string-spacing", "bool-spacing",
+            "negative-spacing"])
+    def test_named_constructor_argument_checked_first(self, call, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterError, match=f"^{name}: "):
+                call()
 
     def test_per_line_needs_lines(self):
         band = OpticalSpectrum(band_center_hz=CENTER, band_width_hz=1e12)
