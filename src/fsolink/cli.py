@@ -54,21 +54,27 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path, scenario_hash, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# scenario={scenario_hash}\n")
+def _write_csv(scenario, out_dir, name, header, rows):
+    """Write out_dir/name: the scenario stamp, the header, one line per row."""
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
+        fh.write(f"# scenario={scenario.hash}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
+def _write_json(scenario, out_dir, name, payload) -> dict:
+    """Write out_dir/name: payload stamped with the scenario hash and the
+    tool version.  Returns the stamped payload."""
+    payload = {"scenario_hash": scenario.hash, "version": __version__, **payload}
+    with open(os.path.join(out_dir, name), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return payload
 
 
 def _read_json(path):
+    """A JSON artifact: an object that carries a scenario stamp."""
     if not os.path.exists(path):
         raise MissingArtifactError(f"missing artifact: {path}")
     try:
@@ -78,15 +84,9 @@ def _read_json(path):
         raise NumericalContractError(f"{path}: not a JSON artifact ({exc})")
     if not isinstance(payload, dict):
         raise NumericalContractError(f"{path}: not a JSON object")
+    if not isinstance(payload.get("scenario_hash"), str):
+        raise NumericalContractError(f"{path}: missing scenario stamp")
     return payload
-
-
-def _check_stamp(stamp, scenario, what):
-    if stamp != scenario.hash:
-        raise NumericalContractError(
-            f"{what} was produced by scenario {stamp}, not the configured {scenario.hash}; "
-            "artifacts from different scenarios cannot be mixed"
-        )
 
 
 def run_synth(scenario: Scenario, out_dir) -> dict:
@@ -123,7 +123,7 @@ def run_synth(scenario: Scenario, out_dir) -> dict:
     ):
         t = k / run["frame_rate_hz"]
         mc = decompose(field, basis)
-        mode_rows.append([k, t, *[float(p) for p in mc.mode_power], float(mc.residual_power)])
+        mode_rows.append([k, t, *mc.mode_power, mc.residual_power])
         smf_rows.append([k, t, smf_coupling_efficiency(field, smf_waist)])
         file_name = None
         if run["save_fields"]:
@@ -131,22 +131,13 @@ def run_synth(scenario: Scenario, out_dir) -> dict:
             write_field_bin(field, os.path.join(out_dir, file_name))
         frame_entries.append({"frame": k, "time_s": t, "file": file_name})
 
-    _write_json(os.path.join(out_dir, "resolved_config.json"),
-                {"scenario_hash": scenario.hash, "version": __version__,
-                 "config": scenario.resolved})
-    _write_csv(
-        os.path.join(out_dir, "modes.csv"),
-        scenario.hash,
-        ["frame", "time_s", *basis.names(), "residual"],
-        mode_rows,
-    )
-    _write_csv(os.path.join(out_dir, "smf.csv"), scenario.hash,
-               ["frame", "time_s", "efficiency"], smf_rows)
+    _write_json(scenario, out_dir, "resolved_config.json", {"config": scenario.resolved})
+    _write_csv(scenario, out_dir, "modes.csv",
+               ["frame", "time_s", *basis.names(), "residual"], mode_rows)
+    _write_csv(scenario, out_dir, "smf.csv", ["frame", "time_s", "efficiency"], smf_rows)
     _write_json(
-        os.path.join(out_dir, "index.json"),
+        scenario, out_dir, "index.json",
         {
-            "scenario_hash": scenario.hash,
-            "version": __version__,
             "n_frames": run["n_frames"],
             "frame_rate_hz": run["frame_rate_hz"],
             "seed": run["seed"],
@@ -177,7 +168,12 @@ def _read_table(scenario: Scenario, out_dir, name):
         raise NumericalContractError(f"{path}: not a text artifact ({exc.reason})")
     if not first.startswith("# scenario="):
         raise NumericalContractError(f"{path}: missing scenario stamp")
-    _check_stamp(first.split("=", 1)[1], scenario, name)
+    stamp = first.split("=", 1)[1]
+    if stamp != scenario.hash:
+        raise NumericalContractError(
+            f"{name} was produced by scenario {stamp}, not the configured {scenario.hash}; "
+            "artifacts from different scenarios cannot be mixed"
+        )
     if not rows:
         raise NumericalContractError(f"{path}: no data rows")
     table = []
@@ -226,12 +222,9 @@ def run_couple(scenario: Scenario, out_dir, mode_counts=(3, 6, 10, 15), lossless
     summary = {}
     for name, eff in traces.items():
         eff_db = 10.0 * np.log10(np.maximum(eff, 1e-300))
-        _write_csv(
-            os.path.join(out_dir, f"couple_{name}.csv"),
-            scenario.hash,
-            ["frame", "time_s", "efficiency", "efficiency_db"],
-            [[k, float(time_s[k]), float(eff[k]), float(eff_db[k])] for k in range(eff.size)],
-        )
+        _write_csv(scenario, out_dir, f"couple_{name}.csv",
+                   ["frame", "time_s", "efficiency", "efficiency_db"],
+                   zip(range(eff.size), time_s, eff, eff_db))
         counts, edges = np.histogram(eff_db, bins=40)
         summary[name] = {
             "mean_efficiency": float(eff.mean()),
@@ -242,15 +235,11 @@ def run_couple(scenario: Scenario, out_dir, mode_counts=(3, 6, 10, 15), lossless
                 "counts": [int(c) for c in counts],
             },
         }
-    payload = {
-        "scenario_hash": scenario.hash,
-        "version": __version__,
+    return _write_json(scenario, out_dir, "couple_summary.json", {
         "lossless": lossless,
         "normalization": "post-aperture power",
         "receivers": summary,
-    }
-    _write_json(os.path.join(out_dir, "couple_summary.json"), payload)
-    return payload
+    })
 
 
 def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
@@ -276,8 +265,6 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
     btb = ber_instant(rop, model)
 
     report = {
-        "scenario_hash": scenario.hash,
-        "version": __version__,
         "model": {
             "format": model.format,
             "sensitivity_dbm": model.sensitivity_dbm,
@@ -286,8 +273,7 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
         "rop_grid_dbm": [float(x) for x in rop],
         "windows": {},
     }
-    _write_csv(os.path.join(out_dir, "ber_btb.csv"), scenario.hash,
-               ["rop_dbm", "ber"], [[float(r), float(b)] for r, b in zip(rop, btb)])
+    _write_csv(scenario, out_dir, "ber_btb.csv", ["rop_dbm", "ber"], zip(rop, btb))
 
     for wname, (start, end) in windows.items():
         wrep = {"start": start, "end": end, "receivers": {}}
@@ -310,12 +296,8 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
                 ber_threshold=bercfg["sync_threshold"],
                 reacquire_s=bercfg["reacquire_s"],
             )
-            _write_csv(
-                os.path.join(out_dir, f"ber_{rx}_{wname}.csv"),
-                scenario.hash,
-                ["rop_dbm", "ber"],
-                [[float(r), float(b)] for r, b in zip(rop, curve)],
-            )
+            _write_csv(scenario, out_dir, f"ber_{rx}_{wname}.csv", ["rop_dbm", "ber"],
+                       zip(rop, curve))
             wrep["receivers"][rx] = {
                 "curve_csv": f"ber_{rx}_{wname}.csv",
                 "penalty_db": penalties,
@@ -323,8 +305,7 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
                 "ber_at_top_of_sweep": float(curve[-1]),
             }
         report["windows"][wname] = wrep
-    _write_json(os.path.join(out_dir, "ber_report.json"), report)
-    return report
+    return _write_json(scenario, out_dir, "ber_report.json", report)
 
 
 def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
@@ -336,10 +317,10 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
     center_hz = C_VACUUM / (w["center_wavelength_nm"] * 1e-9)
     mismatch_s = w["mismatch_mm"] * 1e-3 / C_VACUUM
     path = os.path.join(out_dir, "wdm_report.json")
-    payload = {"scenario_hash": scenario.hash, "version": __version__}
+    payload = {}
     if os.path.exists(path):
         previous = _read_json(path)
-        if previous.get("scenario_hash") == scenario.hash:
+        if previous["scenario_hash"] == scenario.hash:
             payload.update((k, previous[k]) for k in ("scan", "link") if k in previous)
 
     if mode == "scan":
@@ -352,12 +333,8 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
         scan = vodl_scan(
             spectrum, mismatch_s, w["scan_range_mm"] * 1e-3, w["scan_step_mm"] * 1e-3
         )
-        _write_csv(
-            os.path.join(out_dir, "wdm_scan.csv"),
-            scenario.hash,
-            ["delay_mm", "efficiency"],
-            [[float(d * 1e3), float(e)] for d, e in zip(scan.delay_m, scan.efficiency)],
-        )
+        _write_csv(scenario, out_dir, "wdm_scan.csv", ["delay_mm", "efficiency"],
+                   zip(scan.delay_m * 1e3, scan.efficiency))
         payload["scan"] = {
             "peak_delay_mm": scan.peak_delay_m * 1e3,
             "half_width_mm": (None if math.isinf(scan.half_width_m)
@@ -375,8 +352,7 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
         }
     else:
         raise ConfigError("wdm.mode", f"expected scan or link, got {mode!r}")
-    _write_json(path, payload)
-    return payload
+    return _write_json(scenario, out_dir, "wdm_report.json", payload)
 
 
 def _scenario_section(rc):
@@ -465,8 +441,6 @@ def run_report(out_dir) -> str:
         path = os.path.join(out_dir, name)
         if os.path.exists(path):
             artifacts[name] = _read_json(path)
-            if not isinstance(artifacts[name].get("scenario_hash"), str):
-                raise NumericalContractError(f"{path}: missing scenario stamp")
     if not artifacts:
         raise MissingArtifactError(f"no artifacts found in {out_dir}")
     hashes = {a["scenario_hash"] for a in artifacts.values()}
