@@ -7,11 +7,15 @@ power into cumulated-BER curves, penalties and sync-loss statistics; wdm
 runs the delay-mismatch scan or the two-wavelength link; report renders a
 markdown summary of everything in the run directory.
 
-All artifacts are stamped with the scenario hash and are byte-identical on
-reruns.  Exit codes: 0 ok, 2 configuration error (including a value the
-run cannot use, such as a run too short for the BER window), 3 missing
-prerequisite artifact, 4 numerical-contract violation (including mixed
-scenario hashes and a corrupted artifact) or any other numerical failure.
+All artifacts are stamped with the scenario hash by the writers
+(_write_csv, _write_json), checked by the readers (_read_table,
+_read_json), and byte-identical on reruns.  Exit codes: 0 ok, 2
+configuration error (including a value the run cannot use, such as a run
+too short for the BER window, and a run-directory file that cannot be read
+or written), 3 missing prerequisite artifact, 4 numerical-contract
+violation (including mixed scenario hashes, a corrupted or unstamped
+artifact, and a modes.csv whose row count differs from index.json's
+n_frames) or any other numerical failure.
 """
 
 import argparse
@@ -195,6 +199,12 @@ def _read_table(scenario: Scenario, out_dir, name):
 def _load_dataset(scenario: Scenario, out_dir):
     """Modal powers, residuals and SMF efficiencies from a synth dataset."""
     rows = _read_table(scenario, out_dir, "modes.csv")  # frame, time_s, modes..., residual
+    n_frames = _read_json(os.path.join(out_dir, "index.json")).get("n_frames")
+    if len(rows) != n_frames:
+        raise NumericalContractError(
+            f"{os.path.join(out_dir, 'modes.csv')}: {len(rows)} data rows, "
+            f"index.json records {n_frames!r} frames"
+        )
     time_s = np.array([r[1] for r in rows])
     powers = np.array([r[2:-1] for r in rows])
     residual = np.array([r[-1] for r in rows])
@@ -554,6 +564,12 @@ def main(argv=None) -> int:
     except FsolinkError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # a run-directory file that cannot be read or written, e.g. a
+        # directory in its place; after MissingArtifactError, which is one
+        print(f"configuration error: {exc.filename or args.out}: cannot read or write it: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -187,15 +187,24 @@ def _spectral_template(n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels):
 
     Its tables are read-only, so every series and screen of one parameter
     set shares them, also across threads.  A rejected argument raises a
-    ParameterError naming it before the cache is consulted.
+    ParameterError naming it before the cache is consulted; so do an r0 and
+    an L0 whose PSD peak, 0.023 r0^(-5/3) L0^(11/3) at f = 0, overflows.
     """
     n = _num(n, "n", lo=2, integer=True)
     if n & (n - 1):
         raise ParameterError("screen size must be a power of two")
-    return _cached_template(n, _num(spacing_m, "spacing_m", gt=0),
-                            _check_fried(r0_m),
-                            *_check_scales(L0_m, l0_m, "L0_m", "l0_m"),
-                            _num(subharmonic_levels, "subharmonic_levels", lo=0, integer=True))
+    spacing_m = _num(spacing_m, "spacing_m", gt=0)
+    r0_m = _check_fried(r0_m)
+    L0_m, l0_m = _check_scales(L0_m, l0_m, "L0_m", "l0_m")
+    subharmonic_levels = _num(subharmonic_levels, "subharmonic_levels", lo=0, integer=True)
+    try:
+        peak = 0.023 * r0_m ** (-5.0 / 3.0) * L0_m ** (11.0 / 3.0)
+    except OverflowError:
+        peak = math.inf
+    if not math.isfinite(peak):
+        raise ParameterError(f"r0_m, L0_m: the PSD peak 0.023 r0^(-5/3) L0^(11/3) overflows "
+                             f"at r0 {r0_m!r} m and L0 {L0_m!r} m")
+    return _cached_template(n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels)
 
 
 # a series and a few single screens; at N=512 a template holds about 4 MB
@@ -352,7 +361,12 @@ class AtmosphereProfile:
         _check_scales(self.outer_scale_m, self.inner_scale_m, "outer_scale_m", "inner_scale_m")
         _num(self.wind_speed_mps, "wind_speed_mps", lo=0)
         _num(self.subharmonic_levels, "subharmonic_levels", lo=0, integer=True)
-        layers = tuple(self.layers)
+        try:
+            layers = tuple(self.layers)
+        except TypeError:
+            raise ParameterError(
+                f"layers: expected TurbulenceLayer items, got {type(self.layers).__name__}"
+            ) from None
         if not layers:
             raise ParameterError("profile needs at least one layer")
         for layer in layers:

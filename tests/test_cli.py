@@ -284,14 +284,36 @@ class TestExitCodes:
         not_utf8.write_bytes(b'{"run": {"label": "caf\xe9", "seed": 5}}')
         a_file = tmp_path / "taken"
         a_file.write_text("")
+        a_dir = tmp_path / "o3" / "modes.csv"  # in place of a file synth writes
+        a_dir.mkdir(parents=True)
         for config, out, named in ((not_utf8, tmp_path / "o1", not_utf8),
                                    (tmp_path, tmp_path / "o2", tmp_path),
-                                   (good, a_file, a_file)):
+                                   (good, a_file, a_file),
+                                   (good, a_dir.parent, a_dir)):
             assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("configuration error: ") and str(named) in err
             assert "Traceback" not in err
         assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
+
+    def test_psd_peak_overflow_exits_2(self, tmp_path, capsys):
+        cfg = dict(TINY, atmosphere={"outer_scale_m": 1e90})
+        assert self._run(tmp_path, cfg, "synth") == [2]
+        err = capsys.readouterr().err
+        assert "r0_m, L0_m:" in err and "Traceback" not in err
+
+    def test_truncated_dataset_exits_4_naming_modes_csv(self, tmp_path, capsys):
+        cfg = dict(TINY, run=dict(TINY["run"], n_frames=8), ber={"window_len": 3})
+        assert self._run(tmp_path, cfg, "synth") == [0]
+        run = tmp_path / "run"
+        for name in ("modes.csv", "smf.csv"):  # the stamp, the header and 5 data rows
+            lines = (run / name).read_text().splitlines(keepends=True)
+            (run / name).write_text("".join(lines[:7]))
+        assert self._run(tmp_path, cfg, "couple", "ber") == [4, 4]
+        err = capsys.readouterr().err
+        assert err.count(f"contract violation: {run / 'modes.csv'}: 5 data rows") == 2
+        assert "Traceback" not in err
+        assert not (run / "couple_summary.json").exists()
 
     def test_dpsk_link_penalties_are_numeric(self, tmp_path):
         cfg = dict(TINY, run=dict(TINY["run"], n_frames=12), receiver={"format": "dpsk"},
@@ -357,6 +379,14 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("contract violation: ") and str(clone / name) in err
             assert "Traceback" not in err
+
+    def test_unstamped_wdm_report_exits_4(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "wdm_report.json").write_text('{"scan": {}}\n')
+        assert self._run(tmp_path, TINY, "wdm") == [4]
+        err = capsys.readouterr().err
+        assert err == f"contract violation: {run / 'wdm_report.json'}: missing scenario stamp\n"
 
     def test_manual_ber_window(self, tmp_path, capsys):
         assert self._run(tmp_path, dict(TINY, run=dict(TINY["run"], n_frames=12)), "synth") == [0]
@@ -503,14 +533,18 @@ class TestCorruptedArtifactProperty:
     def test_commands_exit_with_documented_codes(self, chain_run, data):
         config, base = chain_run
         name = data.draw(st.sampled_from(CORRUPTIBLE), label="artifact")
-        kind = data.draw(st.sampled_from(["abc", "truncate", "0xff", "drop field"]), label="kind")
+        kind = data.draw(st.sampled_from(["abc", "truncate", "0xff", "drop field", "directory"]),
+                         label="kind")
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "run")
             shutil.copytree(base, out)
             path = os.path.join(out, name)
             with open(path, "rb") as fh:
                 raw = fh.read()
-            if kind == "abc":
+            if kind == "directory":
+                os.remove(path)
+                os.mkdir(path)
+            elif kind == "abc":
                 value = data.draw(st.sampled_from(list(NUMBER.finditer(raw))), label="value")
                 raw = raw[: value.start()] + b"abc" + raw[value.end() :]
             elif kind == "truncate":
@@ -525,8 +559,9 @@ class TestCorruptedArtifactProperty:
                 del row[data.draw(st.integers(0, len(row) - 1), label="field")]
                 lines[k] = b",".join(row)
                 raw = b"\n".join(lines)
-            with open(path, "wb") as fh:
-                fh.write(raw)
+            if kind != "directory":
+                with open(path, "wb") as fh:
+                    fh.write(raw)
             common = ["--config", config, "--out", out]
             err = io.StringIO()
             with contextlib.redirect_stderr(err):

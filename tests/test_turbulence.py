@@ -382,8 +382,9 @@ class TestAtmosphereProfile:
         (lambda: AtmosphereProfile(layers=[1, 2], total_r0_m=0.1), "layers"),
         (lambda: AtmosphereProfile(layers=[TurbulenceLayer(50.0), {"distance_to_next_m": 1.0}],
                                    total_r0_m=0.1), "layers"),
+        (lambda: AtmosphereProfile(layers=5, total_r0_m=0.1), "layers"),
     ], ids=["negative-distance", "infinite-distance", "nan-azimuth", "infinite-azimuth",
-            "string-azimuth", "bool-azimuth", "int-layers", "dict-layer"])
+            "string-azimuth", "bool-azimuth", "int-layers", "dict-layer", "non-iterable-layers"])
     def test_layer_fault_named_where_it_is_built(self, call, name):
         with pytest.raises(ParameterError, match=f"^{name}: "):
             call()
@@ -400,6 +401,19 @@ class TestAtmosphereProfile:
             with pytest.raises(ParameterError, match="^r0_m: "):
                 call()
         assert np.isfinite(kolmogorov_structure_function([0.1], 1e-180)).all()
+
+    @pytest.mark.parametrize("call", [
+        lambda: synth_phase_screen(64, 0.01, 1e-184),
+        lambda: synth_phase_screen(64, 0.01, 0.1, L0_m=1e90),
+        lambda: next(build_time_series(default_profile(outer_scale_m=1e90), GridSpec(64, 0.64))),
+    ], ids=["screen-r0", "screen-L0", "series-L0"])
+    def test_psd_peak_that_overflows_named(self, call):
+        # r0^(-5/3) alone is finite here; 0.023 r0^(-5/3) L0^(11/3) is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterError, match="^r0_m, L0_m: "):
+                call()
+            synth_phase_screen(64, 0.01, 0.1, L0_m=1e83)
 
 
 class TestTimeSeries:
