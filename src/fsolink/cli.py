@@ -8,14 +8,16 @@ runs the delay-mismatch scan or the two-wavelength link; report renders a
 markdown summary of everything in the run directory.
 
 All artifacts are stamped with the scenario hash by the writers
-(_write_csv, _write_json), checked by the readers (_read_table,
-_read_json), and byte-identical on reruns.  Exit codes: 0 ok, 2
-configuration error (including a value the run cannot use, such as a run
-too short for the BER window, and a run-directory file that cannot be read
-or written), 3 missing prerequisite artifact, 4 numerical-contract
-violation (including mixed scenario hashes, a corrupted or unstamped
-artifact, and a modes.csv whose row count differs from index.json's
-n_frames) or any other numerical failure.
+(_write_csv, _write_json) and byte-identical on reruns.  The readers
+(_read_table, _read_json) reject a file without a stamp; couple and ber
+also reject a dataset file stamped by another scenario, and report a run
+directory whose JSON stamps differ.  Exit codes: 0 ok, 2 configuration
+error (including a value the run cannot use, such as a run too short for
+the BER window, and a run directory that cannot be created or a file in it
+that cannot be read or written), 3 missing prerequisite artifact, 4
+numerical-contract violation (including mixed scenario hashes, a corrupted
+or unstamped artifact, and a modes.csv whose row count differs from
+index.json's n_frames) or any other numerical failure.
 """
 
 import argparse
@@ -77,8 +79,18 @@ def _write_json(scenario, out_dir, name, payload) -> dict:
     return payload
 
 
-def _read_json(path):
-    """A JSON artifact: an object that carries a scenario stamp."""
+def _check_scenario(scenario, name, stamp):
+    """Reject an artifact stamped by another scenario than the configured one."""
+    if stamp != scenario.hash:
+        raise NumericalContractError(
+            f"{name} was produced by scenario {stamp}, not the configured {scenario.hash}; "
+            "artifacts from different scenarios cannot be mixed"
+        )
+
+
+def _read_json(path, scenario=None):
+    """A JSON artifact: an object that carries a scenario stamp, which must
+    be scenario's hash when a scenario is given."""
     if not os.path.exists(path):
         raise MissingArtifactError(f"missing artifact: {path}")
     try:
@@ -90,6 +102,8 @@ def _read_json(path):
         raise NumericalContractError(f"{path}: not a JSON object")
     if not isinstance(payload.get("scenario_hash"), str):
         raise NumericalContractError(f"{path}: missing scenario stamp")
+    if scenario is not None:
+        _check_scenario(scenario, os.path.basename(path), payload["scenario_hash"])
     return payload
 
 
@@ -172,12 +186,7 @@ def _read_table(scenario: Scenario, out_dir, name):
         raise NumericalContractError(f"{path}: not a text artifact ({exc.reason})")
     if not first.startswith("# scenario="):
         raise NumericalContractError(f"{path}: missing scenario stamp")
-    stamp = first.split("=", 1)[1]
-    if stamp != scenario.hash:
-        raise NumericalContractError(
-            f"{name} was produced by scenario {stamp}, not the configured {scenario.hash}; "
-            "artifacts from different scenarios cannot be mixed"
-        )
+    _check_scenario(scenario, name, first.split("=", 1)[1])
     if not rows:
         raise NumericalContractError(f"{path}: no data rows")
     table = []
@@ -199,7 +208,7 @@ def _read_table(scenario: Scenario, out_dir, name):
 def _load_dataset(scenario: Scenario, out_dir):
     """Modal powers, residuals and SMF efficiencies from a synth dataset."""
     rows = _read_table(scenario, out_dir, "modes.csv")  # frame, time_s, modes..., residual
-    n_frames = _read_json(os.path.join(out_dir, "index.json")).get("n_frames")
+    n_frames = _read_json(os.path.join(out_dir, "index.json"), scenario).get("n_frames")
     if len(rows) != n_frames:
         raise NumericalContractError(
             f"{os.path.join(out_dir, 'modes.csv')}: {len(rows)} data rows, "
@@ -534,10 +543,7 @@ def main(argv=None) -> int:
         if args.frames is not None:
             overrides["run.n_frames"] = args.frames
         scenario = load_scenario(args.config, overrides)
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(args.out, f"cannot create the run directory: {exc.strerror}")
+        os.makedirs(args.out, exist_ok=True)
         if args.command == "synth":
             run_synth(scenario, args.out)
         elif args.command == "couple":
@@ -565,8 +571,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
-        # a run-directory file that cannot be read or written, e.g. a
-        # directory in its place; after MissingArtifactError, which is one
+        # a run directory that cannot be created, or a file in it that cannot
+        # be read or written, e.g. a directory in its place; after
+        # MissingArtifactError, which is one
         print(f"configuration error: {exc.filename or args.out}: cannot read or write it: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ the other steps and the aperture.
 
 import functools
 import math
+import sys
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -86,6 +87,8 @@ def _check_scales(outer, inner, outer_name, inner_name) -> tuple:
 
 # midpoint-rule points per side of an augmentation cell
 _CELL_POINTS = 17
+# the largest PSD peak whose cell sums of _CELL_POINTS**2 samples stay finite
+_PSD_PEAK_MAX = sys.float_info.max / _CELL_POINTS**2
 
 # the eight cells of an augmentation ring as (ix, iy) offsets, in drawing order
 _RING = [(ix, iy) for iy in (-1, 0, 1) for ix in (-1, 0, 1) if ix or iy]
@@ -187,8 +190,12 @@ def _spectral_template(n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels):
 
     Its tables are read-only, so every series and screen of one parameter
     set shares them, also across threads.  A rejected argument raises a
-    ParameterError naming it before the cache is consulted; so do an r0 and
-    an L0 whose PSD peak, 0.023 r0^(-5/3) L0^(11/3) at f = 0, overflows.
+    ParameterError naming it before the cache is consulted; so do a finite
+    r0 and an L0 whose PSD peak, 0.023 r0^(-5/3) L0^(11/3) at f = 0, is so
+    large that the sum of an augmentation cell's 17 x 17 PSD samples could
+    overflow.  (f^2 times the PSD, the cell's other sum, peaks below 0.3
+    r0^(-5/3) L0^(5/3), which stays under that bound wherever the peak does
+    for an r0 that _check_fried accepts.)
     """
     n = _num(n, "n", lo=2, integer=True)
     if n & (n - 1):
@@ -197,13 +204,14 @@ def _spectral_template(n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels):
     r0_m = _check_fried(r0_m)
     L0_m, l0_m = _check_scales(L0_m, l0_m, "L0_m", "l0_m")
     subharmonic_levels = _num(subharmonic_levels, "subharmonic_levels", lo=0, integer=True)
-    try:
-        peak = 0.023 * r0_m ** (-5.0 / 3.0) * L0_m ** (11.0 / 3.0)
-    except OverflowError:
-        peak = math.inf
-    if not math.isfinite(peak):
-        raise ParameterError(f"r0_m, L0_m: the PSD peak 0.023 r0^(-5/3) L0^(11/3) overflows "
-                             f"at r0 {r0_m!r} m and L0 {L0_m!r} m")
+    if not math.isinf(r0_m):  # inf: no turbulence, no PSD
+        try:
+            peak = 0.023 * r0_m ** (-5.0 / 3.0) * L0_m ** (11.0 / 3.0)
+        except OverflowError:
+            peak = math.inf
+        if not peak <= _PSD_PEAK_MAX:
+            raise ParameterError(f"r0_m, L0_m: the PSD peak 0.023 r0^(-5/3) L0^(11/3) at r0 "
+                                 f"{r0_m!r} m and L0 {L0_m!r} m exceeds {_PSD_PEAK_MAX:.3g}")
     return _cached_template(n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels)
 
 

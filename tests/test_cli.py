@@ -158,17 +158,23 @@ class TestPipelineArtifacts:
                    for out in (empty, synth_run)]
         assert reports[0]["link"] == reports[1]["link"]
 
-    def test_mixed_hash_exit_code(self, small_config, synth_run, tmp_path):
+    def test_mixed_hash_exit_code(self, small_config, synth_run, tmp_path, capsys):
         # corrupt a stamped artifact with a different scenario hash
         import shutil
 
-        clone = str(tmp_path / "clone")
-        shutil.copytree(synth_run, clone)
-        path = os.path.join(clone, "modes.csv")
-        content = open(path).read().splitlines()
-        content[0] = "# scenario=deadbeefdeadbeef"
-        open(path, "w").write("\n".join(content) + "\n")
-        assert main(["couple", "--config", small_config, "--out", clone]) == 4
+        for name in ("modes.csv", "index.json"):
+            clone = str(tmp_path / name)
+            shutil.copytree(synth_run, clone)
+            path = os.path.join(clone, name)
+            if name == "index.json":  # the same n_frames, another scenario
+                index = dict(json.load(open(path)), scenario_hash="deadbeefdeadbeef")
+                open(path, "w").write(json.dumps(index))
+            else:
+                content = open(path).read().splitlines()
+                content[0] = "# scenario=deadbeefdeadbeef"
+                open(path, "w").write("\n".join(content) + "\n")
+            assert main(["couple", "--config", small_config, "--out", clone]) == 4
+            assert f"{name} was produced by scenario deadbeef" in capsys.readouterr().err
 
     def test_seed_override_changes_hash(self, small_config, tmp_path):
         out = str(tmp_path / "seeded")

@@ -406,14 +406,19 @@ class TestAtmosphereProfile:
         lambda: synth_phase_screen(64, 0.01, 1e-184),
         lambda: synth_phase_screen(64, 0.01, 0.1, L0_m=1e90),
         lambda: next(build_time_series(default_profile(outer_scale_m=1e90), GridSpec(64, 0.64))),
-    ], ids=["screen-r0", "screen-L0", "series-L0"])
+        # a finite peak of about 1.3e306 whose 17 x 17 cell sums overflow
+        lambda: synth_phase_screen(64, 0.01, 1e-184, L0_m=2.0, subharmonic_levels=3),
+    ], ids=["screen-r0", "screen-L0", "series-L0", "screen-cell-sum"])
     def test_psd_peak_that_overflows_named(self, call):
-        # r0^(-5/3) alone is finite here; 0.023 r0^(-5/3) L0^(11/3) is not
+        # r0^(-5/3) alone is finite here; 0.023 r0^(-5/3) L0^(11/3) is not,
+        # or is too large to sum over an augmentation cell
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ParameterError, match="^r0_m, L0_m: "):
                 call()
             synth_phase_screen(64, 0.01, 0.1, L0_m=1e83)
+            # no turbulence has no PSD, so any outer scale is accepted
+            assert not synth_phase_screen(64, 0.01, math.inf, L0_m=1e90).phase.any()
 
 
 class TestTimeSeries:
