@@ -8,7 +8,11 @@ runs the delay-mismatch scan or the two-wavelength link; report renders a
 markdown summary of everything in the run directory.
 
 All artifacts are stamped with the scenario hash by the writers
-(_write_csv, _write_json) and byte-identical on reruns.  The readers
+(_write_csv, _write_json) and byte-identical on reruns.  Each writer builds
+the file's text in memory and writes it at once; _write_csv takes one 1-D
+array per column and formats a column in one pass.  main builds its
+argparse parser on its first call and reuses it for every later call in
+the process.  The readers
 (_read_table, _read_json) reject a file without a stamp; couple and ber
 also reject a dataset file stamped by another scenario, and report a run
 directory whose JSON stamps differ.  Exit codes: 0 ok, 2 configuration
@@ -21,6 +25,7 @@ index.json's n_frames) or any other numerical failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -56,17 +61,23 @@ from .wdm import C_VACUUM, OpticalSpectrum, two_path_efficiency, vodl_scan, wdm_
 __all__ = ["main", "run_synth", "run_couple", "run_ber", "run_wdm", "run_report"]
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _column_text(column):
+    """A 1-D column's values as text: the repr of each float for a float
+    dtype, the str of each integer for an integer dtype."""
+    values = np.asarray(column)
+    if values.ndim != 1 or values.dtype.kind not in "fiu":
+        raise TypeError(f"a CSV column is 1-D float or integer, got {values.ndim}-D "
+                        f"{values.dtype}")
+    return map(repr if values.dtype.kind == "f" else str, values.tolist())
 
 
-def _write_csv(scenario, out_dir, name, header, rows):
-    """Write out_dir/name: the scenario stamp, the header, one line per row."""
+def _write_csv(scenario, out_dir, name, header, columns):
+    """Write out_dir/name: the scenario stamp, the header, then one line per
+    row of the columns, one 1-D array or sequence per header name."""
+    rows = zip(*(_column_text(c) for c in columns))
+    lines = [f"# scenario={scenario.hash}", ",".join(header), *map(",".join, rows)]
     with open(os.path.join(out_dir, name), "w", newline="") as fh:
-        fh.write(f"# scenario={scenario.hash}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(scenario, out_dir, name, payload) -> dict:
@@ -74,8 +85,7 @@ def _write_json(scenario, out_dir, name, payload) -> dict:
     tool version.  Returns the stamped payload."""
     payload = {"scenario_hash": scenario.hash, "version": __version__, **payload}
     with open(os.path.join(out_dir, name), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
 
@@ -125,8 +135,10 @@ def run_synth(scenario: Scenario, out_dir) -> dict:
     if run["save_fields"]:
         os.makedirs(fields_dir, exist_ok=True)
 
-    mode_rows = []
-    smf_rows = []
+    times = []
+    mode_powers = []
+    residuals = []
+    smf_effs = []
     frame_entries = []
     for k, field in enumerate(
         build_time_series(
@@ -141,8 +153,10 @@ def run_synth(scenario: Scenario, out_dir) -> dict:
     ):
         t = k / run["frame_rate_hz"]
         mc = decompose(field, basis)
-        mode_rows.append([k, t, *mc.mode_power, mc.residual_power])
-        smf_rows.append([k, t, smf_coupling_efficiency(field, smf_waist)])
+        times.append(t)
+        mode_powers.append(mc.mode_power)
+        residuals.append(mc.residual_power)
+        smf_effs.append(smf_coupling_efficiency(field, smf_waist))
         file_name = None
         if run["save_fields"]:
             file_name = f"fields/frame_{k:06d}.bin"
@@ -150,9 +164,11 @@ def run_synth(scenario: Scenario, out_dir) -> dict:
         frame_entries.append({"frame": k, "time_s": t, "file": file_name})
 
     _write_json(scenario, out_dir, "resolved_config.json", {"config": scenario.resolved})
-    _write_csv(scenario, out_dir, "modes.csv",
-               ["frame", "time_s", *basis.names(), "residual"], mode_rows)
-    _write_csv(scenario, out_dir, "smf.csv", ["frame", "time_s", "efficiency"], smf_rows)
+    frames = np.arange(run["n_frames"])
+    _write_csv(scenario, out_dir, "modes.csv", ["frame", "time_s", *basis.names(), "residual"],
+               [frames, times, *np.array(mode_powers).T, residuals])
+    _write_csv(scenario, out_dir, "smf.csv", ["frame", "time_s", "efficiency"],
+               [frames, times, smf_effs])
     _write_json(
         scenario, out_dir, "index.json",
         {
@@ -243,7 +259,7 @@ def run_couple(scenario: Scenario, out_dir, mode_counts=(3, 6, 10, 15), lossless
         eff_db = 10.0 * np.log10(np.maximum(eff, 1e-300))
         _write_csv(scenario, out_dir, f"couple_{name}.csv",
                    ["frame", "time_s", "efficiency", "efficiency_db"],
-                   zip(range(eff.size), time_s, eff, eff_db))
+                   [np.arange(eff.size), time_s, eff, eff_db])
         counts, edges = np.histogram(eff_db, bins=40)
         summary[name] = {
             "mean_efficiency": float(eff.mean()),
@@ -292,7 +308,7 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
         "rop_grid_dbm": [float(x) for x in rop],
         "windows": {},
     }
-    _write_csv(scenario, out_dir, "ber_btb.csv", ["rop_dbm", "ber"], zip(rop, btb))
+    _write_csv(scenario, out_dir, "ber_btb.csv", ["rop_dbm", "ber"], [rop, btb])
 
     for wname, (start, end) in windows.items():
         wrep = {"start": start, "end": end, "receivers": {}}
@@ -316,7 +332,7 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
                 reacquire_s=bercfg["reacquire_s"],
             )
             _write_csv(scenario, out_dir, f"ber_{rx}_{wname}.csv", ["rop_dbm", "ber"],
-                       zip(rop, curve))
+                       [rop, curve])
             wrep["receivers"][rx] = {
                 "curve_csv": f"ber_{rx}_{wname}.csv",
                 "penalty_db": penalties,
@@ -353,7 +369,7 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
             spectrum, mismatch_s, w["scan_range_mm"] * 1e-3, w["scan_step_mm"] * 1e-3
         )
         _write_csv(scenario, out_dir, "wdm_scan.csv", ["delay_mm", "efficiency"],
-                   zip(scan.delay_m * 1e3, scan.efficiency))
+                   [scan.delay_m * 1e3, scan.efficiency])
         payload["scan"] = {
             "peak_delay_mm": scan.peak_delay_m * 1e3,
             "half_width_mm": (None if math.isinf(scan.half_width_m)
@@ -492,7 +508,10 @@ def _parse_modes(arg):
         raise ConfigError("modes", f"expected a comma-separated list of counts, got {arg!r}")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argparse parser, built on main's first call and reused: parse_args
+    keeps no state between calls."""
     p = argparse.ArgumentParser(
         prog="fsolink",
         description="Seeded simulator of a GEO-to-ground optical link with a "

@@ -12,7 +12,7 @@ mixed.
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -20,7 +20,13 @@ from .comms import ReceiverModel
 from .errors import ConfigError, _array, _num
 from .field import GridSpec
 from .modes import _MAX_GROUP
-from .turbulence import AtmosphereProfile, default_profile
+from .turbulence import (
+    _PSD_PEAK_MAX,
+    AtmosphereProfile,
+    _layer_r0_m,
+    _psd_peak_bounded,
+    default_profile,
+)
 
 __all__ = ["SCHEMA", "Scenario", "load_scenario", "scenario_from_dict"]
 
@@ -131,6 +137,11 @@ _RULES = (
      lambda r: r["grid"]["n"] & (r["grid"]["n"] - 1) == 0),
     ("atmosphere.inner_scale_m", "must be smaller than outer_scale_m",
      lambda r: r["atmosphere"]["inner_scale_m"] < r["atmosphere"]["outer_scale_m"]),
+    ("atmosphere.outer_scale_m",
+     f"must keep each layer's PSD peak 0.023 r0^(-5/3) L0^(11/3) under {_PSD_PEAK_MAX:.3g}",
+     lambda r: _psd_peak_bounded(
+         _layer_r0_m(r["atmosphere"]["total_r0_m"], r["atmosphere"]["n_layers"]),
+         r["atmosphere"]["outer_scale_m"])),
     ("optics.receive_aperture_m", "must fit inside grid.extent_m",
      lambda r: r["optics"]["receive_aperture_m"] <= r["grid"]["extent_m"]),
     ("ber.rop_stop_dbm", "must exceed ber.rop_start_dbm",
@@ -145,12 +156,13 @@ class Scenario:
     """Fully resolved, validated scenario configuration.
 
     The builders hand a whole section to its consumer by keyword, so every
-    field of the section reaches the object it configures.
+    field of the section reaches the object it configures.  resolved is not
+    mutated after validation, so the hash is computed once, on first access.
     """
 
     resolved: dict
 
-    @property
+    @cached_property
     def hash(self) -> str:
         canon = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]

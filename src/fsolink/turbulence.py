@@ -90,6 +90,21 @@ _CELL_POINTS = 17
 # the largest PSD peak whose cell sums of _CELL_POINTS**2 samples stay finite
 _PSD_PEAK_MAX = sys.float_info.max / _CELL_POINTS**2
 
+
+def _psd_peak_bounded(r0_m, L0_m):
+    """Whether the PSD peak at a finite r0, 0.023 r0^(-5/3) L0^(11/3) at
+    f = 0, is at most _PSD_PEAK_MAX."""
+    try:
+        return 0.023 * r0_m ** (-5.0 / 3.0) * L0_m ** (11.0 / 3.0) <= _PSD_PEAK_MAX
+    except OverflowError:
+        return False
+
+
+def _layer_r0_m(total_r0_m, n_layers):
+    """Fried parameter of each of n_layers equal-Cn^2 layers."""
+    return total_r0_m * (1.0 / n_layers) ** (-3.0 / 5.0)
+
+
 # the eight cells of an augmentation ring as (ix, iy) offsets, in drawing order
 _RING = [(ix, iy) for iy in (-1, 0, 1) for ix in (-1, 0, 1) if ix or iy]
 # the unit vector from the ring's centre towards each cell
@@ -204,14 +219,9 @@ def _spectral_template(n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels):
     r0_m = _check_fried(r0_m)
     L0_m, l0_m = _check_scales(L0_m, l0_m, "L0_m", "l0_m")
     subharmonic_levels = _num(subharmonic_levels, "subharmonic_levels", lo=0, integer=True)
-    if not math.isinf(r0_m):  # inf: no turbulence, no PSD
-        try:
-            peak = 0.023 * r0_m ** (-5.0 / 3.0) * L0_m ** (11.0 / 3.0)
-        except OverflowError:
-            peak = math.inf
-        if not peak <= _PSD_PEAK_MAX:
-            raise ParameterError(f"r0_m, L0_m: the PSD peak 0.023 r0^(-5/3) L0^(11/3) at r0 "
-                                 f"{r0_m!r} m and L0 {L0_m!r} m exceeds {_PSD_PEAK_MAX:.3g}")
+    if not (math.isinf(r0_m) or _psd_peak_bounded(r0_m, L0_m)):  # inf: no turbulence, no PSD
+        raise ParameterError(f"r0_m, L0_m: the PSD peak 0.023 r0^(-5/3) L0^(11/3) at r0 "
+                             f"{r0_m!r} m and L0 {L0_m!r} m exceeds {_PSD_PEAK_MAX:.3g}")
     return _cached_template(n, spacing_m, r0_m, L0_m, l0_m, subharmonic_levels)
 
 
@@ -386,7 +396,7 @@ class AtmosphereProfile:
     @property
     def layer_r0_m(self) -> float:
         """Fried parameter of each layer; n r0_i^(-5/3) equals total_r0^(-5/3)."""
-        return self.total_r0_m * (1.0 / len(self.layers)) ** (-3.0 / 5.0)
+        return _layer_r0_m(self.total_r0_m, len(self.layers))
 
 
 _GOLDEN_ANGLE_DEG = 137.50776405003785

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fsolink.cli import main, run_couple, run_report, run_synth
+from fsolink.cli import _build_parser, _write_csv, main, run_couple, run_report, run_synth
 from fsolink.comms import ReceiverModel, ber_instant
 from fsolink.errors import ConfigError
+from fsolink.modes import ModeBasis
 from fsolink.scenario import SCHEMA, load_scenario, scenario_from_dict
 import pins
 
@@ -302,11 +303,18 @@ class TestExitCodes:
             assert "Traceback" not in err
         assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
 
-    def test_psd_peak_overflow_exits_2(self, tmp_path, capsys):
+    def test_psd_peak_overflow_exits_2(self, tmp_path, capsys, monkeypatch):
+        # rejected by the validator, before the run directory or the basis
+        def no_basis(*args, **kwargs):
+            raise AssertionError("ModeBasis.build called")
+
+        monkeypatch.setattr(ModeBasis, "build", no_basis)
         cfg = dict(TINY, atmosphere={"outer_scale_m": 1e90})
         assert self._run(tmp_path, cfg, "synth") == [2]
         err = capsys.readouterr().err
-        assert "r0_m, L0_m:" in err and "Traceback" not in err
+        assert err.startswith("configuration error: atmosphere.outer_scale_m: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_truncated_dataset_exits_4_naming_modes_csv(self, tmp_path, capsys):
         cfg = dict(TINY, run=dict(TINY["run"], n_frames=8), ber={"window_len": 3})
@@ -464,6 +472,103 @@ class TestLossyFlag:
     def test_lossless_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["couple", "--config", "x.json", "--out", str(tmp_path), "--lossless"])
+
+
+def _row_writer_text(stamp, header, rows):
+    """A CSV artifact as the row writer wrote it: repr(float(v)) for a
+    float, str(v) for any other value."""
+    lines = [f"# scenario={stamp}", ",".join(header)]
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    """_write_csv writes columns with the text the row writer gave each value."""
+
+    def test_columns_written_as_the_row_writer_did(self, tmp_path):
+        scenario = scenario_from_dict({"run": {"seed": 1}})
+        columns = {
+            "py_int": [0, 1, 2, 3, 7],
+            "arange": np.arange(5),
+            "py_float": [0.5, 1.0, -2.25, 1e-7, 123456789.125],
+            "float64": np.array([0.1 + 0.2, -0.0, 5e-324, 1e-300, 1e308]),
+            "zeros": np.zeros(5, dtype=np.int64),
+        }
+        _write_csv(scenario, str(tmp_path), "t.csv", list(columns), list(columns.values()))
+        # iterating an array gives numpy scalars, as the row writer was passed
+        rows = list(zip(*columns.values()))
+        assert isinstance(rows[0][3], np.float64) and isinstance(rows[0][4], np.int64)
+        text = (tmp_path / "t.csv").read_text()
+        assert text == _row_writer_text(scenario.hash, list(columns), rows)
+        data = [line.split(",") for line in text.splitlines()[2:]]
+        assert [r[3] for r in data] == ["0.30000000000000004", "-0.0", "5e-324", "1e-300",
+                                        "1e+308"]
+        assert {r[4] for r in data} == {"0"}
+
+    def test_header_and_stamp_without_rows(self, tmp_path):
+        scenario = scenario_from_dict({"run": {"seed": 1}})
+        _write_csv(scenario, str(tmp_path), "t.csv", ["a", "b"], [[], np.arange(0)])
+        assert (tmp_path / "t.csv").read_text() == _row_writer_text(scenario.hash, ["a", "b"], [])
+
+    @pytest.mark.parametrize("column", [np.array([True, False]), np.array(["a", "b"]),
+                                        np.array([1 + 2j, 0j]), [None, None],
+                                        np.zeros((2, 1))],
+                             ids=["bool", "str", "complex", "object", "2-D"])
+    def test_other_columns_are_a_type_error(self, tmp_path, column):
+        scenario = scenario_from_dict({"run": {"seed": 1}})
+        with pytest.raises(TypeError, match="CSV column"):
+            _write_csv(scenario, str(tmp_path), "t.csv", ["a", "b"], [np.arange(2), column])
+        assert not (tmp_path / "t.csv").exists()
+
+
+class TestParserReuse:
+    """main reuses one parser, and no call's options reach the next call."""
+
+    @staticmethod
+    def _dataset(synth_run, out):
+        os.makedirs(out)
+        for name in ("modes.csv", "smf.csv", "index.json", "resolved_config.json"):
+            shutil.copy(os.path.join(synth_run, name), out)
+        return out
+
+    def test_options_do_not_carry_over(self, small_config, synth_run, tmp_path):
+        assert _build_parser() is _build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        common = ["--config", small_config]
+        out = self._dataset(synth_run, str(tmp_path / "run"))
+        plain = self._dataset(synth_run, str(tmp_path / "plain"))
+
+        assert main(["couple", *common, "--out", out, "--modes", "2"]) == 0
+        assert main(["couple", *common, "--out", out]) == 0
+        summary = json.load(open(os.path.join(out, "couple_summary.json")))
+        assert sorted(summary["receivers"]) == ["mm10", "mm15", "mm3", "mm6", "smf"]
+        assert summary["lossless"]
+        for n in (3, 6, 10, 15):
+            assert os.path.exists(os.path.join(out, f"couple_mm{n}.csv"))
+
+        def ber_files(run):
+            return {name: open(os.path.join(run, name)).read()
+                    for name in os.listdir(run) if name.startswith("ber_")}
+
+        assert main(["ber", *common, "--out", plain]) == 0
+        lossless = ber_files(plain)
+        assert main(["ber", *common, "--out", out, "--lossy"]) == 0
+        assert ber_files(out) != lossless
+        assert main(["ber", *common, "--out", out]) == 0
+        assert ber_files(out) == lossless
+
+        assert main(["wdm", *common, "--out", out, "--link"]) == 0
+        assert main(["wdm", *common, "--out", out]) == 0
+        assert sorted(json.load(open(os.path.join(out, "wdm_report.json")))) == [
+            "link", "scan", "scenario_hash", "version"]
+        assert os.path.exists(os.path.join(out, "wdm_scan.csv"))
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
 
 
 def _field_values(section, field):

@@ -5,6 +5,7 @@ its bounds, as an override path, for reaching the object it configures, and
 for changing at least one artifact of the command chain.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -13,8 +14,9 @@ import pytest
 
 from fsolink.cli import main
 from fsolink.combiner import CombinerTopology
-from fsolink.errors import ConfigError
+from fsolink.errors import ConfigError, ParameterError
 from fsolink.scenario import SCHEMA, scenario_from_dict
+from fsolink.turbulence import _psd_peak_bounded, _spectral_template
 
 BASE = {"run": {"seed": 1}}
 
@@ -87,6 +89,38 @@ def test_receiver_format_outside_its_choices():
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict(_with("receiver", "format", "qpsk"))
     assert exc.value.path == "receiver.format"
+
+
+@pytest.mark.parametrize("atmosphere", [{}, {"total_r0_m": 1e-6, "n_layers": 64}],
+                         ids=["default", "thinnest-layers"])
+def test_outer_scale_bound_is_the_spectral_template_bound(atmosphere):
+    # the largest L0 the validator accepts is the largest the template does
+    # for the profile's layer r0; the next float is rejected by both
+    r0_m = scenario_from_dict({**BASE, "atmosphere": atmosphere}).profile().layer_r0_m
+    lo, hi = 1.0, 1e300
+    while math.nextafter(lo, math.inf) < hi:
+        mid = math.sqrt(lo * hi) if hi > 2 * lo else (lo + hi) / 2
+        lo, hi = (mid, hi) if _psd_peak_bounded(r0_m, mid) else (lo, mid)
+    sc = scenario_from_dict({**BASE, "atmosphere": dict(atmosphere, outer_scale_m=lo)})
+    _spectral_template(64, 0.01, r0_m, lo, 5e-3, 0)
+    assert sc.profile().layer_r0_m == r0_m
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_dict({**BASE, "atmosphere": dict(atmosphere, outer_scale_m=hi)})
+    assert exc.value.path == "atmosphere.outer_scale_m"
+    with pytest.raises(ParameterError, match="r0_m, L0_m"):
+        _spectral_template(64, 0.01, r0_m, hi, 5e-3, 0)
+
+
+def test_hash_is_computed_once(monkeypatch):
+    calls = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+    sc = scenario_from_dict(BASE)
+    first = sc.hash
+    assert "hash" in sc.__dict__ and len(calls) == 1
+    assert sc.hash == first and len(calls) == 1
+    canon = json.dumps(sc.resolved, sort_keys=True, separators=(",", ":"))
+    assert first == sha256(canon.encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("section,field", FIELDS)
