@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ZeroPowerError, _array, _num
+from .errors import InvalidFieldError, ParameterError, ZeroPowerError, _array, _num
 
 __all__ = [
     "CombinerTopology",
@@ -133,18 +133,55 @@ def _tree_kernel(n_inputs: int):
     output is _tree_output's to the bit.  Every slot of the signal buffer is
     a local variable, b0, b1, ...: no list is built and no table walked.
     """
+    return _compile_tree(n_inputs, None)
+
+
+@functools.lru_cache(maxsize=64)
+def _phase_kernel(n_inputs: int):
+    """_tree_kernel(n_inputs) for commands whose ratio parameters are all
+    pi / 4 (50/50 splits), as the closed loop's phase searches hold them.
+
+    It reads the phases x[:n_inputs - 1] only.  The split amplitudes
+    sqrt(r) and sqrt(1 - r) of r = sin(pi / 4) ** 2 are computed once, with
+    the float operations of _tree_kernel, and written into the code by
+    repr, which round-trips: the output is _tree_kernel's to the bit.
+    """
+    s = math.sin(math.pi / 4)
+    r = s * s
+    return _compile_tree(n_inputs, (math.sqrt(r), math.sqrt(1.0 - r)))
+
+
+def _compile_tree(n_inputs: int, split):
+    """Code of _tree_kernel, with every element's split amplitudes
+    (sqrt(r), sqrt(1 - r)) the constants split, or computed from x if None."""
     elements, output = _tree_slots(n_inputs)
     n_el = len(elements)
     lines = ["def kernel(x, inputs):",
              "    " + "".join(f"b{i}, " for i in range(n_inputs)) + "= inputs"]
     for k, (i, j) in enumerate(elements):
-        lines.append(f"    s = sin(x[{n_el + k}]); r = s * s")
-        lines.append(f"    b{n_inputs + k} = sqrt(r) * b{i}"
-                     f" + (rect(sqrt(1.0 - r), x[{k}] % {TWO_PI!r}) * b{j})")
+        if split is None:
+            lines.append(f"    s = sin(x[{n_el + k}]); r = s * s")
+            through, across = "sqrt(r)", "sqrt(1.0 - r)"
+        else:
+            through, across = map(repr, split)
+        lines.append(f"    b{n_inputs + k} = {through} * b{i}"
+                     f" + (rect({across}, x[{k}] % {TWO_PI!r}) * b{j})")
     lines.append(f"    return b{output}")
+    kind = "combiner tree" if split is None else "phase search"
     namespace = {"sin": math.sin, "sqrt": math.sqrt, "rect": cmath.rect}
-    exec(compile("\n".join(lines), f"<combiner tree of {n_inputs} inputs>", "exec"), namespace)
+    exec(compile("\n".join(lines), f"<{kind} of {n_inputs} inputs>", "exec"), namespace)
     return namespace["kernel"]
+
+
+def _summed_power(amplitudes, name, axis=None):
+    """Summed power |a|^2 of finite amplitudes (over axis); a sum beyond
+    the float range raises InvalidFieldError naming the argument, with no
+    RuntimeWarning."""
+    with np.errstate(over="ignore"):  # an overflow is raised below, not warned about
+        power = np.sum(np.abs(amplitudes) ** 2, axis=axis)
+    if not np.isfinite(power).all():
+        raise InvalidFieldError(f"{name}: summed power beyond the float range")
+    return power
 
 
 def align_state(inputs, topology: CombinerTopology) -> CombinerState:
@@ -152,8 +189,11 @@ def align_state(inputs, topology: CombinerTopology) -> CombinerState:
 
     Per element: ratio matched to the input powers, phase equal to the
     inter-arm phase difference; the output then carries |a|^2 + |b|^2.
+    Inputs whose summed power is not finite raise InvalidFieldError.
     """
-    buf = list(_array(inputs, "inputs", (topology.n_inputs,), dtype=np.complex128))
+    inputs = _array(inputs, "inputs", (topology.n_inputs,), dtype=np.complex128)
+    _summed_power(inputs, "inputs")  # the element powers below are partial sums of it
+    buf = list(inputs)
     phases = []
     ratios = []
     for i, j in topology._elements:

@@ -19,10 +19,14 @@ error-rate floor on an otherwise clean link.
 
 Each simplex search is one sequential Nelder-Mead procedure, suspended at
 every point it needs measured.  Its vertices are Python floats up to
-_FLOAT_SIMPLEX_MAX_DIM dimensions and numpy rows above, the measured
-crossover of the two: on a few coordinates numpy's per-call dispatch costs
-more than the arithmetic, while the float centroid grows as d^2 in Python.
-Both round every step alike, so the choice never changes a result.
+_FLOAT_SIMPLEX_MAX_DIM dimensions and numpy rows above, the crossover of
+the two measured on whole loops: on a few coordinates numpy's per-call
+dispatch costs more than the arithmetic, while the float centroid grows as
+d^2 in Python.  Both round every step alike, so the choice never changes a
+result.  The vertex values are one list of floats, kept sorted with the
+vertices: in full after the vertices are measured (at the start and after
+a shrink), and otherwise by moving the one new vertex, which replaces the
+worst, to its bisect_right place, the order a stable sort gives.
 
 One evaluator serves both loops, the framed acquisition of run_closed_loop
 and the continuous tracking of correction_bandwidth.  It takes the command
@@ -30,12 +34,17 @@ as a list of Python floats and runs it through the combiner tree compiled
 into straight-line code (combiner._tree_kernel, fetched once per loop
 call), which wraps the phase commands, maps the ratio parameters to split
 ratios and combines the inputs (checked once, on entry) without building
-a list; the evaluator then applies the insertion loss, the wrap-residual
-gain inside a dead-time and the detector noise.  Both loops keep their
-command vectors as lists, so no evaluation dispatches to numpy.
+a list.  The phase searches, which hold every ratio at 50/50, use
+combiner._phase_kernel instead: the same code with the split amplitudes
+of pi / 4 written in as constants, so their sines and square roots are
+not recomputed on every evaluation.  The evaluator then applies the
+insertion loss, the wrap-residual gain inside a dead-time and the
+detector noise.  Both loops keep their command vectors as lists, so no
+evaluation dispatches to numpy.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -44,7 +53,9 @@ import numpy as np
 
 from ._streams import substream
 # combine and CombinerState are unused here: perfbench/tracing.py patches both by these names
-from .combiner import CombinerState, CombinerTopology, _tree_kernel, combine  # noqa: F401
+# combine and CombinerState are unused here: perfbench/tracing.py patches both by these names
+from .combiner import CombinerState, CombinerTopology, combine  # noqa: F401
+from .combiner import _phase_kernel, _summed_power, _tree_kernel
 from .errors import ControllerFault, ParameterError, _array, _num
 
 __all__ = [
@@ -57,8 +68,9 @@ __all__ = [
 
 TWO_PI = 2 * math.pi
 
-# standard simplex coefficients: reflect, expand, contract, shrink
-ALPHA, GAMMA, BETA, DELTA = 1.0, 2.0, 0.5, 0.5
+# standard simplex coefficients: expand, contract, shrink (reflect is 1,
+# the step c + (c - w) with no product)
+GAMMA, BETA, DELTA = 2.0, 0.5, 0.5
 
 # joint-polish simplex edge (halved for the fine polish)
 _POLISH_EDGE_RAD = 0.07
@@ -80,9 +92,12 @@ _SCHEDULE = (
 # Simplices of at most this many dimensions do their vertex arithmetic on
 # Python floats, larger ones on numpy rows.  On a few coordinates numpy's
 # per-call dispatch dominates a step; the float centroid is O(d^2) Python.
-# Per ask/tell step on a quadratic (2 vCPUs, numpy 2.4.6) floats are faster
-# up to 10 dimensions, even at 11 and slower from 12.
-_FLOAT_SIMPLEX_MAX_DIM = 10
+# Measured on whole run_closed_loop calls (4 frames of 600 evaluations,
+# median of 15, 2 vCPUs, numpy 2.4.6), with the phase and ratio searches of
+# n - 1 dimensions on floats and then on rows, the time per evaluation on
+# floats is 0.69 of that on rows at 1 dimension, 0.86 at 4, 0.95 at 6,
+# 0.99 at 7, 1.03 at 8 and 1.12 at 10.
+_FLOAT_SIMPLEX_MAX_DIM = 7
 
 
 class _FloatVertices:
@@ -94,20 +109,25 @@ class _FloatVertices:
         return [x0] + [x0[:i] + [v + e] + x0[i + 1:] for i, (v, e) in enumerate(zip(x0, edges))]
 
     @staticmethod
-    def nan_values(n):
-        return [math.nan] * n
+    def take(simplex, order):
+        return [simplex[k] for k in order]
 
     @staticmethod
-    def order(simplex, values):
-        """Simplex and values sorted by value, ties in vertex order."""
-        order = sorted(range(len(values)), key=values.__getitem__)
-        return [simplex[k] for k in order], [values[k] for k in order]
+    def insert(simplex, k, point):
+        """Drop the last vertex and put point at index k."""
+        simplex.pop()
+        simplex.insert(k, point)
 
     @staticmethod
     def centroid(simplex, dim):
         """Mean of all vertices but the worst, each coordinate a left-to-right
         fold as numpy's row reduction (sum() compensates from Python 3.12 on)."""
         return [reduce(add, column) / dim for column in zip(*simplex[:-1])]
+
+    @staticmethod
+    def reflect(c, w):
+        """c + (c - w), the step of coefficient 1."""
+        return [ci + (ci - wi) for ci, wi in zip(c, w)]
 
     @staticmethod
     def step(a, coef, p, q):
@@ -143,18 +163,26 @@ class _ArrayVertices:
         return simplex
 
     @staticmethod
-    def nan_values(n):
-        return np.full(n, np.nan)
+    def take(simplex, order):
+        return simplex[order]
 
     @staticmethod
-    def order(simplex, values):
-        order = values.argsort(kind="stable")
-        return simplex[order], values[order]
+    def insert(simplex, k, point):
+        """Drop the last row and put point at row k (numpy copies
+        overlapping slices as if through a buffer)."""
+        simplex[k + 1:] = simplex[k:-1]
+        simplex[k] = point
 
     @staticmethod
     def centroid(simplex, dim):
         # the arithmetic of .mean(axis=0), without its dispatch
-        return np.add.reduce(simplex[:-1], axis=0) / dim
+        centroid = np.add.reduce(simplex[:-1], axis=0)
+        centroid /= dim
+        return centroid
+
+    @staticmethod
+    def reflect(c, w):
+        return c + (c - w)
 
     @staticmethod
     def step(a, coef, p, q):
@@ -186,7 +214,8 @@ class _NelderMead:
     effects between evaluations.  The points in flight live on the
     instance, so ``translate`` moves them with the simplex.  The vertices
     are Python floats up to _FLOAT_SIMPLEX_MAX_DIM dimensions and numpy
-    rows above; both round every step alike.
+    rows above; both round every step alike.  The values are one list of
+    floats, kept sorted with the vertices as the module docstring says.
     """
 
     def __init__(self, x0, edges):
@@ -198,7 +227,7 @@ class _NelderMead:
         """Start a new search on a fresh simplex around x0 (initial or
         restart); x0 and edges are lists of dim finite floats, unchecked."""
         self.simplex = self._v.simplex(x0, edges)
-        self.values = self._v.nan_values(self.dim + 1)
+        self.values = [math.nan] * (self.dim + 1)
         self._centroid = self._xr = self._xe = self._xc = None
         self._search = self._run()
         self._x = next(self._search)
@@ -222,38 +251,53 @@ class _NelderMead:
             raise ControllerFault("objective returned a non-finite value")
         self._x = self._search.send(value)
 
+    def _sort(self):
+        """Sort the simplex and its values by value, ties in vertex order."""
+        values = self.values
+        order = sorted(range(self.dim + 1), key=values.__getitem__)
+        values[:] = [values[k] for k in order]
+        self.simplex = self._v.take(self.simplex, order)
+
     def _run(self):
-        """The search; each yield hands out a point and receives its value."""
-        dim = self.dim
-        order, centroid, step, shrink = self._v.order, self._v.centroid, self._v.step, self._v.shrink
+        """The search; each yield hands out a point and receives its value.
+        The simplex is re-read after every yield, as translate rebinds it;
+        so is its worst vertex, which is why c - w is never carried across
+        one: (c + o) - (w + o) need not be c - w to the bit."""
+        dim, values = self.dim, self.values
+        v = self._v
+        centroid, reflect, step, insert = v.centroid, v.reflect, v.step, v.insert
         for k in range(dim + 1):
-            self.values[k] = yield self.simplex[k]
+            values[k] = yield self.simplex[k]
+        self._sort()
         while True:
-            self.simplex, self.values = order(self.simplex, self.values)
             self._centroid = centroid(self.simplex, dim)
-            self._xr = step(self._centroid, ALPHA, self._centroid, self.simplex[-1])
+            self._xr = reflect(self._centroid, self.simplex[-1])
             fr = yield self._xr
-            if fr < self.values[0]:
+            if fr < values[0]:
                 self._xe = step(self._centroid, GAMMA, self._centroid, self.simplex[-1])
                 fe = yield self._xe
-                if fe < fr:
-                    self.simplex[-1], self.values[-1] = self._xe, fe
-                else:
-                    self.simplex[-1], self.values[-1] = self._xr, fr
-            elif fr < self.values[-2]:
-                self.simplex[-1], self.values[-1] = self._xr, fr
+                new, f = (self._xe, fe) if fe < fr else (self._xr, fr)
+            elif fr < values[-2]:
+                new, f = self._xr, fr
             else:
-                if fr < self.values[-1]:
+                if fr < values[-1]:
                     self._xc = step(self._centroid, BETA, self._xr, self._centroid)
                 else:
                     self._xc = step(self._centroid, BETA, self.simplex[-1], self._centroid)
                 fc = yield self._xc
-                if fc < min(fr, self.values[-1]):
-                    self.simplex[-1], self.values[-1] = self._xc, fc
+                if fc < min(fr, values[-1]):
+                    new, f = self._xc, fc
                 else:  # shrink towards the best vertex and measure the others
-                    self.simplex = shrink(self.simplex)
+                    self.simplex = v.shrink(self.simplex)
                     for k in range(1, dim + 1):
-                        self.values[k] = yield self.simplex[k]
+                        values[k] = yield self.simplex[k]
+                    self._sort()
+                    continue
+            # the new vertex replaces the worst, after any it ties with, as a stable sort puts it
+            k = bisect_right(values, f, 0, dim)
+            values.pop()
+            values.insert(k, f)
+            insert(self.simplex, k, new)
 
     @property
     def current_best(self) -> list:
@@ -305,10 +349,17 @@ class LoopTrace:
         return self.power_w.reshape(n_frames, -1)[:, -1].copy()
 
 
+# the trace holds 9 bytes per evaluation (a float64 power and a bool wrap
+# flag), so 2**30 // 9 evaluations, about 1.2e8, fill 1 GiB: half an hour of
+# the 15-input loop.  A longer run is refused before anything is allocated.
+_MAX_LOOP_EVALS = 2**30 // 9
+
+
 def _evaluate(x, inputs, kernel, gain, config, rng, in_transient=False):
     """One closed-loop evaluation of command list x on the input list.
 
-    kernel is the topology's _tree_kernel and gain its insertion-loss
+    kernel is the topology's _tree_kernel (or _phase_kernel, where x holds
+    every ratio parameter at pi / 4) and gain its insertion-loss
     amplitude factor 10 ** (-total_loss_db / 20).  Returns (physical output
     power, optimizer reading): phases wrapped into [0, 2 pi), ratios sin^2
     of their parameters, the power scaled by wrap_residual_factor inside a
@@ -342,17 +393,28 @@ def run_closed_loop(
     opening a dead-time of wrap_transient_s during which the output power
     is multiplied by wrap_residual_factor.  Fully deterministic for fixed
     (frames, config, seed).
+
+    Before the first evaluation, a frame whose summed power is not finite
+    raises InvalidFieldError naming frames, and a trace of more than
+    _MAX_LOOP_EVALS evaluations ParameterError naming evals_per_frame.
     """
     if topology.n_elements == 0:
         raise ParameterError("a 1-input tree has no actuator to search")
     frames = _array(frames, "frames", (None, topology.n_inputs), dtype=np.complex128)
-
-    n_el = topology.n_elements
-    kernel = _tree_kernel(topology.n_inputs)
-    gain = 10.0 ** (-topology.total_loss_db / 20.0)
-    rng = substream(seed, "controller")
+    ideal = _summed_power(frames, "frames", axis=1)
     n_frames = frames.shape[0]
     budget = config.evals_per_frame
+    if n_frames * budget > _MAX_LOOP_EVALS:
+        raise ParameterError(
+            f"evals_per_frame: {budget!r} evaluations in each of {n_frames} frames need "
+            f"a trace of {9 * n_frames * budget:.3g} bytes, more than {9 * _MAX_LOOP_EVALS:.3g}"
+        )
+
+    n_el = topology.n_elements
+    tree, phase_tree = _tree_kernel(topology.n_inputs), _phase_kernel(topology.n_inputs)
+    gain = 10.0 ** (-topology.total_loss_db / 20.0)
+    rng = substream(seed, "controller")
+    rate = config.loop_rate_hz
     power = np.empty(n_frames * budget)
     wrap_flag = np.zeros(n_frames * budget, dtype=bool)
     parts = {"phases": slice(None, n_el), "ratios": slice(n_el, None), "joint": slice(None)}
@@ -363,11 +425,11 @@ def run_closed_loop(
     e = 0
     transient_until = -math.inf
 
-    def measure(command):
+    def measure(command, kernel):
         """Evaluate the command; record its power and the frame's best reading."""
         nonlocal e, best_p, best_x
         p_physical, measured = _evaluate(
-            command, inputs, kernel, gain, config, rng, e / config.loop_rate_hz < transient_until
+            command, inputs, kernel, gain, config, rng, e / rate < transient_until
         )
         power[e] = p_physical
         e += 1
@@ -380,7 +442,7 @@ def run_closed_loop(
         best_p, best_x = 0.0, None
         remaining = budget
         if k > 0:
-            measure(x)  # the carried command, at the frame change
+            measure(x, tree)  # the carried command, at the frame change
             remaining -= 1
         x[n_el:] = neutral  # the ratios are re-acquired from 50/50 every frame
         for part, share, edge in _SCHEDULE:
@@ -389,31 +451,34 @@ def run_closed_loop(
                 continue
             remaining -= n
             # each search moves x[part] and holds the rest of x; phase
-            # searches hold the ratios at 50/50
+            # searches hold the ratios at 50/50, which phase_tree has built in
             command = x.copy()
+            kernel = tree
             if part == "phases":
                 command[n_el:] = neutral
-            start = x[parts[part]]
+                kernel = phase_tree
+            moved = parts[part]
+            start = x[moved]
             nm = _NelderMead(start, [edge] * len(start))
             for _ in range(n):
-                command[parts[part]] = nm.ask()
-                nm.tell(-measure(command))
+                command[moved] = nm.ask()
+                nm.tell(-measure(command, kernel))
             if part != "joint":
-                x[parts[part]] = nm.current_best
+                x[moved] = nm.current_best
             elif best_x is not None:  # joint searches carry the frame's best measurement
                 x[:] = best_x
         # carried command leaving the actuator range: slip it back (wrap event)
         turns = [math.floor(p / TWO_PI) for p in x[:n_el]]
         if any(turns):
             x[:n_el] = [p - TWO_PI * t for p, t in zip(x, turns)]
-            transient_until = e / config.loop_rate_hz + config.wrap_transient_s
+            transient_until = e / rate + config.wrap_transient_s
             if e < wrap_flag.shape[0]:
                 wrap_flag[e] = True  # flagged on the next evaluation
 
     return LoopTrace(
         power_w=power,
         wrap_flag=wrap_flag,
-        frame_ideal_power_w=np.sum(np.abs(frames) ** 2, axis=1),
+        frame_ideal_power_w=ideal,
         loop_rate_hz=config.loop_rate_hz,
         wrap_transient_s=config.wrap_transient_s,
     )

@@ -1,20 +1,24 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsolink import combiner
 from fsolink.combiner import (
     TWO_PI,
     CombinerState,
     CombinerTopology,
+    _phase_kernel,
     _tree_kernel,
     _tree_output,
     align_state,
     combine,
     mm_coupling_efficiency,
 )
+from fsolink.controller import ControllerConfig, run_closed_loop
 from fsolink.errors import InvalidFieldError, ParameterError
 from fsolink.modes import ModeCoefficients
 
@@ -194,6 +198,24 @@ def tree_cases(draw):
     return topo, inputs, CombinerState(phases, ratios)
 
 
+@st.composite
+def phase_search_cases(draw):
+    """A phase-search command of a 2-16 input tree, every ratio parameter at
+    pi / 4, with phases among +-0.0, multiples of 2 pi, moderate and large
+    values, and inputs as tree_cases draws them."""
+    n = draw(st.integers(2, 16))
+    m = n - 1
+    phase = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.integers(-10**6, 10**6).map(lambda k: k * TWO_PI),
+        st.floats(-20.0, 20.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    phases = draw(st.lists(phase, min_size=m, max_size=m))
+    inputs = [complex(draw(_parts), draw(_parts)) for _ in range(n)]
+    return n, phases + [math.pi / 4] * m, inputs
+
+
 def _bits(x):
     return np.asarray(x, dtype=np.float64 if np.isrealobj(x) else np.complex128).tobytes()
 
@@ -236,6 +258,32 @@ class TestCompiledTree:
                                      [p % TWO_PI for p in x[:m]])
             gain = 10.0 ** (-topo.total_loss_db / 20.0)
             assert _bits(kernel(x, inputs) * gain) == _bits(reference)
+
+    @given(phase_search_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_phase_kernel_matches_tree_kernel(self, case):
+        # the phase-search kernel folds the 50/50 splits in; it reads the phases only
+        n, x, inputs = case
+        expected = _bits(_tree_kernel(n)(x, inputs))
+        assert _bits(_phase_kernel(n)(x, inputs)) == expected
+        assert _bits(_phase_kernel(n)(x[:n - 1], inputs)) == expected
+
+    def test_kernels_compiled_once_per_input_count(self, monkeypatch):
+        compiled = []
+        compile_tree = combiner._compile_tree
+
+        def counted(n_inputs, split):
+            compiled.append((n_inputs, "tree" if split is None else "phase"))
+            return compile_tree(n_inputs, split)
+
+        monkeypatch.setattr(combiner, "_compile_tree", counted)
+        _tree_kernel.cache_clear()
+        _phase_kernel.cache_clear()
+        for _ in range(2):
+            run_closed_loop(np.ones((2, 3)), CombinerTopology.balanced(3, 0.0, 0.0),
+                            ControllerConfig(evals_per_frame=40), seed=0)
+            assert _phase_kernel(5) is _phase_kernel(5)
+        assert sorted(compiled) == [(3, "phase"), (3, "tree"), (5, "phase")]
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_compiled_table_matches_stage_compile(self, n):
@@ -412,6 +460,24 @@ class TestTopologyValidation:
         # the inputs combine() rejects
         with pytest.raises(InvalidFieldError):
             align_state([1.0, bad], CombinerTopology(2, 0.0, 0.0))
+
+    @pytest.mark.parametrize("inputs", [
+        np.full(3, 1e200),             # each |a|^2 overflows
+        np.full(3, 1.1e154),           # only their sum does
+        [1e308 + 1e308j, 0.0, 0.0],    # |a| does
+    ], ids=["square", "sum", "modulus"])
+    def test_align_state_rejects_overflowing_inputs(self, inputs):
+        # finite amplitudes whose summed power is not: a named error, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidFieldError, match="^inputs: "):
+                align_state(inputs, CombinerTopology(3, 0.0, 0.0))
+
+    def test_align_state_takes_large_finite_inputs(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = align_state(np.full(3, 1e153), CombinerTopology(3, 0.0, 0.0))
+        assert state.phase_commands.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("kw, name", [
         ({"n_modes": True}, "n_modes"),

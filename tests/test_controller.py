@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -11,7 +12,6 @@ from fsolink import controller
 from fsolink._streams import substream
 from fsolink.combiner import CombinerTopology, _tree_output
 from fsolink.controller import (
-    _FLOAT_SIMPLEX_MAX_DIM,
     _POLISH_EDGE_RAD,
     _REFRESH_EDGE_RAD,
     _REFRESH_EVERY,
@@ -386,12 +386,14 @@ def _bits(x):
 
 @st.composite
 def search_runs(draw):
-    """A search on a noiseless or noisy quadratic, in 1 to twice
-    _FLOAT_SIMPLEX_MAX_DIM dims so that both vertex representations run,
-    with the steps after which the space is translated (between ask and
-    tell, as correction_bandwidth does) and the steps after which it is
-    re-seeded around the current best."""
-    dim = draw(st.integers(1, 2 * _FLOAT_SIMPLEX_MAX_DIM))
+    """A search on a noiseless or noisy quadratic, in 1 to 30 dims (above
+    _FLOAT_SIMPLEX_MAX_DIM the vertices are numpy rows, and the closed
+    loop's joint searches reach 28), with the steps after which the space is
+    translated (between ask and tell, as correction_bandwidth does) and the
+    steps after which it is re-seeded around the current best.  A quantum
+    rounds each value to its multiples, so that many values tie and the
+    simplex must keep tied vertices in the order a stable sort gives."""
+    dim = draw(st.integers(1, 30))
     n_steps = draw(st.integers(1, 40 * min(dim, 8)))
     steps = st.integers(0, n_steps - 1)
     return {
@@ -399,6 +401,7 @@ def search_runs(draw):
         "n_steps": n_steps,
         "seed": draw(st.integers(0, 2**32 - 1)),
         "noise": draw(st.sampled_from([0.0, 0.05])),
+        "quantum": draw(st.sampled_from([0.0, 0.5, 4.0])),
         "translate_at": draw(st.sets(steps, max_size=8)),
         "reinit_at": draw(st.sets(steps, max_size=4)),
     }
@@ -423,6 +426,8 @@ class TestSequentialSearch:
                 x = x + shift
             value = float(np.sum(weights * (x - target) ** 2))
             value += run["noise"] * rng.standard_normal()
+            if run["quantum"]:
+                value = run["quantum"] * round(value / run["quantum"])
             nm.tell(value)
             ref.tell(value)
             assert _bits(nm.current_best) == _bits(ref.current_best), step
@@ -518,6 +523,55 @@ class TestClosedLoopStatics:
         frames[-1, 1] = bad
         with pytest.raises(InvalidFieldError):
             run_closed_loop(frames, topo, ControllerConfig(evals_per_frame=50), seed=0)
+
+    @pytest.mark.parametrize("frames", [
+        np.full((1, 3), 1e200),                      # each |a|^2 overflows
+        np.full((2, 3), 1.1e154),                    # only their sum does
+        np.array([[1.0, 1.0, 1.0], [1e308 + 1e308j, 0.0, 0.0]]),  # |a| does, in frame 1
+    ], ids=["square", "sum", "modulus"])
+    def test_overflowing_frames_fail_before_any_evaluation(self, frames, monkeypatch):
+        # finite amplitudes whose summed power is not: a named error, no warning
+        monkeypatch.setattr(controller, "_evaluate", lambda *a, **k: pytest.fail("evaluated"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidFieldError, match="^frames: "):
+                run_closed_loop(frames, CombinerTopology.balanced(3, 0.0, 0.0),
+                                ControllerConfig(evals_per_frame=20), seed=0)
+
+    def test_large_finite_frames_run(self):
+        # large powers whose sum stays in the float range evaluate with no warning
+        frames = np.full((2, 3), 1e153 + 0j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_closed_loop(frames, CombinerTopology.balanced(3, 0.0, 0.0),
+                                    ControllerConfig(evals_per_frame=20), seed=0)
+        assert np.isfinite(trace.power_w).all()
+        assert trace.frame_ideal_power_w.tolist() == [3e306, 3e306]
+        assert trace.power_w.max() <= 3e306 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("n_frames, at_cap", [(1, True), (2, False), (7, False)])
+    def test_trace_beyond_cap_fails_before_allocating(self, n_frames, at_cap, monkeypatch):
+        # no trace array is allocated in this test: reaching the allocation
+        # raises Reached, so a run at the cap shows where the check stands
+        class Reached(Exception):
+            pass
+
+        def allocate(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(controller.np, "empty", allocate)
+        monkeypatch.setattr(controller.np, "zeros", allocate)
+        monkeypatch.setattr(controller, "_evaluate", lambda *a, **k: pytest.fail("evaluated"))
+        cap = controller._MAX_LOOP_EVALS
+        assert 9 * cap <= 2**30 < 9 * (cap + 1)  # 1 GiB of 9-byte trace entries
+        config = ControllerConfig(evals_per_frame=cap if at_cap else cap // n_frames + 1)
+        frames = np.ones((n_frames, 2), dtype=complex)
+        if at_cap:
+            with pytest.raises(Reached):
+                run_closed_loop(frames, CombinerTopology.balanced(2, 0.0, 0.0), config, seed=0)
+        else:
+            with pytest.raises(ParameterError, match="^evals_per_frame: "):
+                run_closed_loop(frames, CombinerTopology.balanced(2, 0.0, 0.0), config, seed=0)
 
     def test_one_input_tree_fails_before_any_evaluation(self, monkeypatch):
         # a 1-input tree has no elements, so the search would be 0-dimensional
@@ -649,8 +703,9 @@ def _digests(traces):
 
 
 class TestRecordedDigests:
-    """The closed-loop traces of acceptance criteria 5 and 8, pinned bit for
-    bit to the digests recorded in CHANGES.md."""
+    """The closed-loop traces of acceptance criteria 5 and 8 and of a
+    15-input tree, pinned bit for bit to the digests recorded in
+    CHANGES.md."""
 
     def test_criterion_5_oracle_runs(self):
         cfg = neutral_wrap_config(evals_per_frame=200)
@@ -679,6 +734,22 @@ class TestRecordedDigests:
             "20e46a85c1dd15c86d3796094c7518e2f183234d44992da9a508d41c2f3050c9",
         )
         np.testing.assert_array_equal(trace.frame_index, np.repeat(np.arange(F), 150))
+
+    def test_fifteen_inputs(self):
+        # the benchmark's 15-input tree at the default config: phase and ratio
+        # searches of 14 and joint searches of 28 dimensions, on numpy rows;
+        # seeded amplitudes with drifting phases, no frame synthesis
+        rng = np.random.default_rng(15)
+        amps = rng.uniform(0.2, 1.0, 15) * np.exp(2j * math.pi * rng.uniform(size=15))
+        rates = rng.uniform(-1.5, 1.5, 15)
+        frames = amps * np.exp(1j * np.outer(np.arange(6), rates))
+        trace = run_closed_loop(frames, CombinerTopology.balanced(15, 0.0, 0.0),
+                                ControllerConfig(), seed=7)
+        assert int(trace.wrap_flag.sum()) == 3
+        assert _digests([trace]) == (
+            "d9d9c7addf80b15f9bce85a5ce4b25f29e6635fe23a4a735f51c45ecaf533a97",
+            "63e4bd1bd207a3c424f2538421d4c3524f1936858b117dea1d8ec7dc4fd7f454",
+        )
 
 
 class TestCorrectionBandwidth:
