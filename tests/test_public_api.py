@@ -8,9 +8,9 @@ worker thread renders the phase screens):
 - one small call of each entry point perfbench/workloads.py imports;
 
 and adds what tests/test_acceptance.py uses, read with ast, not run.  Every
-name in a package module's __all__, every public callable of fsolink and
-every public method or property of a public class must be reached or stand
-in KEPT with the reason it stays public.
+name in a package module's __all__ (the fsolink namespace re-exports eight
+of them) and every public method or property of a public class must be
+reached or stand in KEPT with the reason it stays public.
 
 A function is reached when its code object ran (keyed by fn.__code__:
 co_qualname needs Python 3.11) or the acceptance suite imports it.  A
@@ -120,15 +120,13 @@ def _package_modules():
 
 
 def _census():
-    """{name: object} of the public surface: module __all__ names, public
-    callables of fsolink, and public methods and properties of public classes."""
+    """{name: object} of the public surface: module __all__ names (the fsolink
+    namespace is made of them), and public methods and properties of public
+    classes."""
     surface = {}
     for mod in _package_modules():
         for name in getattr(mod, "__all__", ()):
             surface[name] = getattr(mod, name)
-    for name, obj in vars(fsolink).items():
-        if not name.startswith("_") and callable(obj):
-            surface[name] = obj
     for name, obj in list(surface.items()):
         if inspect.isclass(obj):
             for attr, member in vars(obj).items():
@@ -208,3 +206,33 @@ def test_the_pass_calls_every_entry_point_of_the_benchmark(reached):
         obj = surface[name]
         members = vars(obj).values() if inspect.isclass(obj) else [obj]
         assert any(_code(m) in reached for m in members), name
+
+
+# the modules whose __all__ make up the fsolink namespace, in import order;
+# cli and _streams stay out of it
+NAMESPACE_MODULES = ("combiner", "comms", "controller", "field", "modes", "scenario",
+                     "turbulence", "wdm")
+
+
+def test_namespace_is_the_modules_all_in_order():
+    modules = [importlib.import_module(f"fsolink.{m}") for m in NAMESPACE_MODULES]
+    names = [name for mod in modules for name in mod.__all__]
+    assert fsolink.__all__ == names
+    assert len(set(names)) == len(names)
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(fsolink, name) is getattr(mod, name), name
+
+
+def test_star_import_binds_exactly_the_namespace():
+    namespace = {}
+    exec("from fsolink import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(fsolink.__all__)
+
+
+def test_init_spells_out_no_public_name():
+    """fsolink/__init__.py imports the namespace modules and their * only."""
+    tree = ast.parse(Path(fsolink.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported == {"*", *NAMESPACE_MODULES}
