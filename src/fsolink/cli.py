@@ -17,8 +17,9 @@ the process.  The readers
 also reject a dataset file stamped by another scenario, and report a run
 directory whose JSON stamps differ.  Exit codes: 0 ok, 2 configuration
 error (including a value the run cannot use, such as a run too short for
-the BER window, and a run directory that cannot be created or a file in it
-that cannot be read or written), 3 missing prerequisite artifact, 4
+the BER window or a BER sweep above its cap, a command that runs out of
+memory, and a run directory that cannot be created or a file in it that
+cannot be read or written), 3 missing prerequisite artifact, 4
 numerical-contract violation (including mixed scenario hashes, a corrupted
 or unstamped artifact, and a modes.csv whose row count differs from
 index.json's n_frames) or any other numerical failure.
@@ -57,6 +58,11 @@ from .modes import ModeBasis, decompose, optimize_smf_waist, smf_coupling_effici
 from .scenario import Scenario, load_scenario
 from .turbulence import build_time_series
 from .wdm import C_VACUUM, OpticalSpectrum, two_path_efficiency, vodl_scan, wdm_link_run
+
+# ber_curve evaluates each window over one (setpoint x frame) grid and, by
+# tracemalloc, peaks at four float64 grids of that size, 32 bytes per
+# element; a 256 MiB budget caps the grid at 2**28 // 32 = 8388608 elements
+_MAX_BER_GRID = 2**28 // 32
 
 __all__ = ["main", "run_synth", "run_couple", "run_ber", "run_wdm", "run_report"]
 
@@ -280,18 +286,27 @@ def run_couple(scenario: Scenario, out_dir, mode_counts=(3, 6, 10, 15), lossless
 def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
             lossless=True) -> dict:
     """Cumulated-BER curves, penalties and sync loss for both windows."""
-    time_s, traces = _receiver_traces(scenario, out_dir, mode_counts, lossless)
     bercfg = scenario["ber"]
     rop = scenario.rop_grid()
-
-    smf_db = 10.0 * np.log10(np.maximum(traces["smf"], 1e-300))
-    if window == "auto":
-        windows = select_windows(smf_db, bercfg["window_len"], bercfg["window_stride"])
+    if window == "auto":  # select_windows' windows: window_len frames, or the whole run
+        frames = min(bercfg["window_len"], scenario["run"]["n_frames"])
     else:
         try:
             start, end = (int(x) for x in window.split(":"))
         except ValueError:
             raise ConfigError("window", f"expected auto or START:END, got {window!r}")
+        frames = end - start
+    # before the dataset is read or a grid allocated
+    if rop.size * frames > _MAX_BER_GRID:
+        raise ConfigError("ber.window_len" if window == "auto" else "window",
+                          f"{rop.size} setpoints of ber.rop_* x {frames} frames exceeds the "
+                          f"BER sweep's cap of {_MAX_BER_GRID} (setpoint x frame) elements")
+    time_s, traces = _receiver_traces(scenario, out_dir, mode_counts, lossless)
+
+    smf_db = 10.0 * np.log10(np.maximum(traces["smf"], 1e-300))
+    if window == "auto":
+        windows = select_windows(smf_db, bercfg["window_len"], bercfg["window_stride"])
+    else:
         if not 0 <= start < end <= smf_db.size:
             raise ConfigError("window", f"window {start}:{end} outside 0..{smf_db.size}")
         windows = {"manual": (start, end)}
@@ -589,6 +604,10 @@ def main(argv=None) -> int:
     except FsolinkError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print(f"configuration error: {args.command}: out of memory; the scenario asks for "
+              f"more than this machine holds", file=sys.stderr)
+        return 2
     except OSError as exc:
         # a run directory that cannot be created, or a file in it that cannot
         # be read or written, e.g. a directory in its place; after

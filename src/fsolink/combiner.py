@@ -10,7 +10,7 @@ demultiplexer insertion losses are lumped on the output.
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,12 @@ __all__ = [
 TWO_PI = 2 * math.pi
 
 
+@functools.lru_cache(maxsize=64)
 def _tree_slots(n_inputs: int) -> tuple:
-    """(_elements, _output) of the balanced tree of n_inputs leaves."""
+    """(elements, output) of the balanced tree of n_inputs leaves, over a
+    signal buffer [inputs..., element outputs...]: element k reads the two
+    slots elements[k] and writes slot n_inputs + k; output is the output
+    slot."""
     live = list(range(n_inputs))  # buffer slot of each signal of the stage
     elements = []
     while len(live) > 1:
@@ -45,26 +49,19 @@ class CombinerTopology:
 
     Stage by stage, signals (0, 1), (2, 3), ... meet in one element each
     (phase actuator + split ratio) and an odd last signal passes on, so the
-    tree has n_inputs - 1 elements.  Construction compiles it over a signal
-    buffer [inputs..., element outputs...]: element k reads the two slots in
-    _elements[k] and writes slot n_inputs + k; _output is the output slot.
-    The shape depends on n_inputs alone, and so does _tree_kernel, the same
-    walk compiled once per input count into straight-line code.
+    tree has n_inputs - 1 elements.  The shape depends on n_inputs alone:
+    _tree_slots(n_inputs) is its table, and _tree_kernel the same walk
+    compiled once per input count into straight-line code.
     """
 
     n_inputs: int
     pic_insertion_loss_db: float = 7.0
     demux_insertion_loss_db: float = 1.0
-    _elements: tuple = field(init=False, repr=False, compare=False)
-    _output: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = _num(self.n_inputs, "n_inputs", lo=1, integer=True)
+        _num(self.n_inputs, "n_inputs", lo=1, integer=True)
         _num(self.pic_insertion_loss_db, "pic_insertion_loss_db", lo=0)
         _num(self.demux_insertion_loss_db, "demux_insertion_loss_db", lo=0)
-        elements, output = _tree_slots(n)
-        object.__setattr__(self, "_elements", elements)
-        object.__setattr__(self, "_output", output)
 
     @classmethod
     def balanced(cls, n_inputs: int, pic_insertion_loss_db: float = 7.0,
@@ -114,10 +111,11 @@ def _tree_output(topology: CombinerTopology, inputs, ratios, phases) -> complex:
     """Unchecked kernel of combine, and the reference of _tree_kernel.
     inputs is a list of finite complex amplitudes, one per leaf; ratios
     (each in [0, 1]) and phases (finite) are lists of one value per element."""
+    elements, output = _tree_slots(topology.n_inputs)
     buf = list(inputs)
-    for (i, j), rho, theta in zip(topology._elements, ratios, phases):
+    for (i, j), rho, theta in zip(elements, ratios, phases):
         buf.append(math.sqrt(rho) * buf[i] + (cmath.rect(math.sqrt(1.0 - rho), theta) * buf[j]))
-    return buf[topology._output] * 10.0 ** (-topology.total_loss_db / 20.0)
+    return buf[output] * 10.0 ** (-topology.total_loss_db / 20.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -196,7 +194,7 @@ def align_state(inputs, topology: CombinerTopology) -> CombinerState:
     buf = list(inputs)
     phases = []
     ratios = []
-    for i, j in topology._elements:
+    for i, j in _tree_slots(topology.n_inputs)[0]:
         x, y = buf[i], buf[j]
         p = abs(x) ** 2 + abs(y) ** 2
         if p == 0:

@@ -53,7 +53,6 @@ import numpy as np
 
 from ._streams import substream
 # combine and CombinerState are unused here: perfbench/tracing.py patches both by these names
-# combine and CombinerState are unused here: perfbench/tracing.py patches both by these names
 from .combiner import CombinerState, CombinerTopology, combine  # noqa: F401
 from .combiner import _phase_kernel, _summed_power, _tree_kernel
 from .errors import ControllerFault, ParameterError, _array, _num

@@ -507,7 +507,9 @@ def build_time_series(
     applies the screen, propagates to the next layer (band-limited angular
     spectrum) and finally clips by the receive aperture.  Fully
     deterministic per (seed, profile, grid): frame k never depends on
-    n_frames.
+    n_frames.  A wind speed that shifts the last frame so far that its
+    translation phase is beyond the float range raises ParameterError
+    naming wind_speed_mps before the first draw.
 
     All layers share one spectral template (PSD amplitude, sign table,
     augmentation cells), built once per parameter set per process: a later
@@ -542,6 +544,15 @@ def build_time_series(
                                   profile.inner_scale_m, profile.subharmonic_levels)
     screens = []
     azimuths = [math.radians(lay.wind_azimuth_deg) for lay in profile.layers]
+    # the translation ramp's largest phase, 2 pi times the grid's highest
+    # frequency 1/(2 dx) times a last-frame shift, computed as render and
+    # phase_at compute it, must be a float
+    t_last = max(n_frames - 1, 0) / frame_rate_hz
+    ramp_rate = 2 * math.pi * float(np.abs(template.f1).max())
+    if not all(math.isfinite(ramp_rate * (profile.wind_speed_mps * t_last * trig(a)))
+               for a in azimuths for trig in (math.cos, math.sin)):
+        raise ParameterError(f"wind_speed_mps: {profile.wind_speed_mps:g} m/s shifts the last "
+                             f"frame's screens by a translation phase beyond the float range")
     top, *below = profile.layers
     step_on_worker = _FIRST_STEP_ON_WORKER
 

@@ -5,6 +5,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fsolink import cli
 from fsolink.cli import _build_parser, _write_csv, main, run_couple, run_report, run_synth
 from fsolink.comms import ReceiverModel, ber_instant
 from fsolink.errors import ConfigError
@@ -442,6 +445,63 @@ class TestExitCodes:
         assert self._run(tmp_path, cfg, "synth", "ber") == [0, 2]
         err = capsys.readouterr().err
         assert "1 s of trace" in err and "Traceback" not in err
+
+
+def _cli_under_warnings_as_errors(tmp_path, cfg, *args):
+    """Run one CLI command in a new process under -W error; returns the exit
+    code, stderr and the tracemalloc peak (bytes) of the command itself."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    argv = [*args, "--config", str(path), "--out", str(tmp_path / "run")]
+    probe = ("import sys, tracemalloc\n"
+             "from fsolink.cli import main\n"
+             "tracemalloc.start()\n"
+             f"code = main({argv!r})\n"
+             "print(tracemalloc.get_traced_memory()[1])\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-W", "error", "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=300)
+    return run.returncode, run.stderr, int(run.stdout or 0)
+
+
+class TestRejectedBeforeWork:
+    """Scenarios the validator accepts but the run cannot hold exit 2 under
+    -W error, with no traceback and no warning."""
+
+    def test_extreme_wind_speed_exits_2(self, tmp_path):
+        cfg = {"run": {"seed": 1, "n_frames": 3, "frame_rate_hz": 1.0}, "grid": {"n": 64},
+               "atmosphere": {"wind_speed_mps": 1e307},
+               "ber": {"window_len": 3, "window_stride": 1}}
+        code, err, _ = _cli_under_warnings_as_errors(tmp_path, cfg, "synth")
+        assert code == 2, err
+        assert err.startswith("configuration error: wind_speed_mps: ")
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("window, named", [("auto", "ber.window_len"), ("0:1000", "window")])
+    def test_ber_sweep_above_cap_exits_2(self, tmp_path, window, named):
+        # 150001 setpoints x 1000 frames, 1.2 GB per float64 grid, all of it
+        # accepted by the validator; rejected before the dataset is read
+        cfg = {"run": {"seed": 1, "n_frames": 1000}, "grid": {"n": 64},
+               "ber": {"rop_start_dbm": -120.0, "rop_stop_dbm": 30.0, "rop_step_db": 0.001,
+                       "window_len": 1000}}
+        code, err, peak = _cli_under_warnings_as_errors(tmp_path, cfg, "ber", "--window", window)
+        assert code == 2, err
+        assert err.startswith(f"configuration error: {named}: 150001 setpoints")
+        assert "Traceback" not in err and "Warning" not in err
+        assert peak < 4e6
+
+    def test_memory_error_exits_2_naming_the_command(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_synth", exhausted)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(TINY))
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: synth: out of memory")
+        assert "Traceback" not in err
 
 
 class TestLossyFlag:

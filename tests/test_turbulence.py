@@ -462,6 +462,33 @@ class TestTimeSeries:
         values = [corr(lag) for lag in (1, 2, 4, 8, 16)]
         assert all(values[i] > values[i + 1] for i in range(len(values) - 1))
 
+    def test_wind_speed_bound_is_the_float_range_of_the_translation_phase(self):
+        # the largest accepted wind speed renders finite frames with no
+        # RuntimeWarning (an error under this suite); the next float up is
+        # rejected before a screen is drawn
+        grid = GridSpec(64, 1.0, 1.55e-6)
+
+        def frames(wind, n_frames=3):
+            return build_time_series(default_profile(wind_speed_mps=wind), grid=grid,
+                                     n_frames=n_frames, frame_rate_hz=1.0, seed=1)
+
+        lo, hi = 1e300, 1e308
+        while math.nextafter(lo, math.inf) < hi:
+            mid = (lo + hi) / 2
+            try:
+                next(frames(mid))
+                lo = mid
+            except ParameterError:
+                hi = mid
+        # 2 pi / (2 dx) times the last frame's shift, 2 s of wind at azimuth 0
+        assert lo == pytest.approx(sys.float_info.max / (2 * math.pi * 32.0 * 2.0), rel=1e-12)
+        assert all(np.isfinite(f.samples).all() for f in frames(lo))
+        with pytest.raises(ParameterError, match="wind_speed_mps"):
+            next(frames(hi))
+        with pytest.raises(ParameterError, match="wind_speed_mps"):
+            next(frames(1e307))
+        next(frames(1e307, n_frames=1))  # a single frame is never shifted
+
 
 def sequential_time_series(profile, grid, n_frames, frame_rate_hz, seed,
                            rx_aperture_m=0.5, absorb_edges=False):
