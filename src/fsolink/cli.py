@@ -288,13 +288,16 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
     """Cumulated-BER curves, penalties and sync loss for both windows."""
     bercfg = scenario["ber"]
     rop = scenario.rop_grid()
+    n_frames = scenario["run"]["n_frames"]  # the dataset's row count, as _load_dataset checks
     if window == "auto":  # select_windows' windows: window_len frames, or the whole run
-        frames = min(bercfg["window_len"], scenario["run"]["n_frames"])
+        frames = min(bercfg["window_len"], n_frames)
     else:
         try:
             start, end = (int(x) for x in window.split(":"))
         except ValueError:
             raise ConfigError("window", f"expected auto or START:END, got {window!r}")
+        if not 0 <= start < end <= n_frames:
+            raise ConfigError("window", f"window {start}:{end} outside 0..{n_frames}")
         frames = end - start
     # before the dataset is read or a grid allocated
     if rop.size * frames > _MAX_BER_GRID:
@@ -303,12 +306,10 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
                           f"BER sweep's cap of {_MAX_BER_GRID} (setpoint x frame) elements")
     time_s, traces = _receiver_traces(scenario, out_dir, mode_counts, lossless)
 
-    smf_db = 10.0 * np.log10(np.maximum(traces["smf"], 1e-300))
     if window == "auto":
+        smf_db = 10.0 * np.log10(np.maximum(traces["smf"], 1e-300))
         windows = select_windows(smf_db, bercfg["window_len"], bercfg["window_stride"])
     else:
-        if not 0 <= start < end <= smf_db.size:
-            raise ConfigError("window", f"window {start}:{end} outside 0..{smf_db.size}")
         windows = {"manual": (start, end)}
 
     model = scenario.receiver_model()
@@ -323,8 +324,7 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
         "rop_grid_dbm": [float(x) for x in rop],
         "windows": {},
     }
-    _write_csv(scenario, out_dir, "ber_btb.csv", ["rop_dbm", "ber"], [rop, btb])
-
+    curves = {"ber_btb.csv": btb}  # written once every window has passed its checks
     for wname, (start, end) in windows.items():
         wrep = {"start": start, "end": end, "receivers": {}}
         for rx, eff in traces.items():
@@ -346,8 +346,7 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
                 ber_threshold=bercfg["sync_threshold"],
                 reacquire_s=bercfg["reacquire_s"],
             )
-            _write_csv(scenario, out_dir, f"ber_{rx}_{wname}.csv", ["rop_dbm", "ber"],
-                       [rop, curve])
+            curves[f"ber_{rx}_{wname}.csv"] = curve
             wrep["receivers"][rx] = {
                 "curve_csv": f"ber_{rx}_{wname}.csv",
                 "penalty_db": penalties,
@@ -355,6 +354,8 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
                 "ber_at_top_of_sweep": float(curve[-1]),
             }
         report["windows"][wname] = wrep
+    for name, ber in curves.items():
+        _write_csv(scenario, out_dir, name, ["rop_dbm", "ber"], [rop, ber])
     return _write_json(scenario, out_dir, "ber_report.json", report)
 
 

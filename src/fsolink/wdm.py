@@ -54,6 +54,9 @@ class OpticalSpectrum:
         """Two equal-weight lines spaced spacing_hz about center_hz."""
         center_hz = _num(center_hz, "center_hz", gt=0)
         spacing_hz = _num(spacing_hz, "spacing_hz", lo=0)
+        if spacing_hz >= 2 * center_hz:
+            raise ParameterError(f"spacing_hz: {spacing_hz:g} Hz puts the lower line at or below "
+                                 f"0 Hz about a center of {center_hz:g} Hz")
         lines = np.array([center_hz - spacing_hz / 2, center_hz + spacing_hz / 2])
         return cls(lines_hz=lines)
 
@@ -62,9 +65,14 @@ class OpticalSpectrum:
         """Rectangular band given as wavelength center/width (e.g. 16 nm at 1560 nm)."""
         center_m = _num(center_m, "center_m", gt=0)
         width_m = _num(width_m, "width_m", lo=0)
-        center_hz = C_VACUUM / center_m
-        width_hz = C_VACUUM * width_m / center_m**2
-        return cls(band_center_hz=center_hz, band_width_hz=width_hz)
+        try:
+            width_hz = C_VACUUM * width_m / center_m**2
+        except (OverflowError, ZeroDivisionError):  # center_m**2 beyond the float range, or 0
+            width_hz = math.inf
+        if not math.isfinite(width_hz):
+            raise ParameterError(f"center_m: a band of {width_m:g} m about {center_m:g} m spans "
+                                 f"a frequency width beyond the float range")
+        return cls(band_center_hz=C_VACUUM / center_m, band_width_hz=width_hz)
 
     @property
     def centroid_hz(self) -> float:

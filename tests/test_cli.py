@@ -441,10 +441,24 @@ class TestExitCodes:
             assert "modes:" in err and "Traceback" not in err
 
     def test_ber_on_run_shorter_than_replay_exits_2(self, tmp_path, capsys):
-        cfg = dict(TINY, run=dict(TINY["run"], n_frames=2))
-        assert self._run(tmp_path, cfg, "synth", "ber") == [0, 2]
+        cfg = {"run": {"seed": 1, "n_frames": 2}, "grid": {"n": 64},
+               "ber": {"window_len": 3, "window_stride": 1}}
+        assert self._run(tmp_path, cfg, "synth") == [0]
+        run = tmp_path / "run"
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        assert self._run(tmp_path, cfg, "ber") == [2]
         err = capsys.readouterr().err
         assert "1 s of trace" in err and "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    def test_manual_ber_window_checked_before_the_dataset(self, tmp_path, capsys):
+        # no synth has run: an out-of-range window exits 2, not 3
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(TINY))
+        ber = ["ber", "--config", str(path), "--out", str(tmp_path / "run")]
+        assert main([*ber, "--window", "0:5"]) == 2
+        assert capsys.readouterr().err == "configuration error: window: window 0:5 outside 0..4\n"
+        assert main([*ber, "--window", "0:4"]) == 3
 
 
 def _cli_under_warnings_as_errors(tmp_path, cfg, *args):
@@ -490,6 +504,17 @@ class TestRejectedBeforeWork:
         assert err.startswith(f"configuration error: {named}: 150001 setpoints")
         assert "Traceback" not in err and "Warning" not in err
         assert peak < 4e6
+
+    @pytest.mark.parametrize("mode, field, value, named", [
+        ("--scan", "center_wavelength_nm", 1e300, "center_m"),
+        ("--link", "line_spacing_ghz", 1e30, "spacing_hz"),
+    ])
+    def test_wdm_spectrum_out_of_range_exits_2(self, tmp_path, mode, field, value, named):
+        cfg = {"run": {"seed": 1, "n_frames": 2}, "grid": {"n": 64}, "wdm": {field: value}}
+        code, err, _ = _cli_under_warnings_as_errors(tmp_path, cfg, "wdm", mode)
+        assert code == 2, err
+        assert err.startswith(f"configuration error: {named}: ")
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_memory_error_exits_2_naming_the_command(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

@@ -281,12 +281,17 @@ class TestSpectrumValidation:
         (lambda: OpticalSpectrum.two_lines(CENTER, "1"), "spacing_hz"),
         (lambda: OpticalSpectrum.two_lines(CENTER, True), "spacing_hz"),
         (lambda: OpticalSpectrum.two_lines(CENTER, -1e11), "spacing_hz"),
+        (lambda: OpticalSpectrum.rectangular_wavelength(1e200, 1e-9), "center_m"),
+        (lambda: OpticalSpectrum.rectangular_wavelength(1e-300, 1e-9), "center_m"),
+        (lambda: OpticalSpectrum.two_lines(1.9e14, 1e39), "spacing_hz"),
+        (lambda: OpticalSpectrum.two_lines(1.9e14, 3.8e14), "spacing_hz"),
     ], ids=["zero-center", "string-center", "bool-center", "nan-width", "negative-width",
             "negative-center", "infinite-center", "string-spacing", "bool-spacing",
-            "negative-spacing"])
+            "negative-spacing", "center-squared-overflows", "center-squared-underflows",
+            "spacing-far-beyond-center", "lower-line-at-zero"])
     def test_named_constructor_argument_checked_first(self, call, name):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error")
             with pytest.raises(ParameterError, match=f"^{name}: "):
                 call()
 
