@@ -12,10 +12,9 @@ phase ramp (cyclic), the augmentation components translate analytically
 (non-periodic), so long wind-driven time series never wrap the large scales.
 
 A time series renders its phase factors on one worker thread, each with
-one tan in the half-angle form of exp(i phi).  Where numpy runs tan on
-SIMD code, the worker also takes each frame's first propagation step,
-which depends on the top layer's factor alone; the calling thread takes
-the other steps and the aperture.
+one tan in the half-angle form of exp(i phi).  The worker also takes each
+frame's first propagation step, which depends on the top layer's factor
+alone; the calling thread takes the other steps and the aperture.
 """
 
 import functools
@@ -467,23 +466,8 @@ def _phase_factor(phase: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _vectorized_tan() -> bool:
-    """Whether numpy runs float64 tan on SIMD code on this CPU (on x86, its
-    AVX-512 build), as numpy's dispatch introspection reports it."""
-    try:
-        from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
-    except ImportError:
-        return False
-    targets = [sig["current"] for sig in opt_func_info("^tan$", "float64").get("tan", {}).values()]
-    return bool(targets) and not any(t.startswith("baseline") for t in targets)
-
-
 # phase factors the worker may hold rendered beyond the one the field needs
 _FACTORS_AHEAD = 2
-# With SIMD tan the factors cost the worker so little that it also takes
-# each frame's first propagation step; with scalar tan the worker is
-# already the longer thread, so the step stays on the calling thread.
-_FIRST_STEP_ON_WORKER = _vectorized_tan()
 
 
 def build_time_series(
@@ -525,14 +509,13 @@ def build_time_series(
     time only, never on the field, and neither does the first propagation
     step, whose input is the top layer's factor.  So one worker thread
     renders the factors in (frame, layer) order, up to two ahead of the
-    field chain on the calling thread, which takes the propagation steps
-    and applies the aperture.  Where numpy runs tan on SIMD code the
-    worker also takes each frame's first step, on the top layer's factor
-    in place, and the calling thread checks that step's distance and warns
-    of its sampling each frame.  The frames do not depend on the thread
-    split.  A worker error is raised from next() of the frame that needs
-    that factor; closing the generator cancels the rendering not yet
-    started and joins the thread.
+    field chain on the calling thread, which takes the later propagation
+    steps and applies the aperture.  The worker also takes each frame's
+    first step, on the top layer's factor in place, and the calling thread
+    checks that step's distance and warns of its sampling each frame.  The
+    frames do not depend on the thread split.  A worker error is raised
+    from next() of the frame that needs that factor; closing the generator
+    cancels the rendering not yet started and joins the thread.
     """
     n, extent_m, wavelength_m = grid.n, grid.extent_m, grid.wavelength_m
     _check_geometry(n, extent_m, wavelength_m)
@@ -554,7 +537,6 @@ def build_time_series(
         raise ParameterError(f"wind_speed_mps: {profile.wind_speed_mps:g} m/s shifts the last "
                              f"frame's screens by a translation phase beyond the float range")
     top, *below = profile.layers
-    step_on_worker = _FIRST_STEP_ON_WORKER
 
     def render(i, t):
         shift = (
@@ -562,7 +544,7 @@ def build_time_series(
             profile.wind_speed_mps * t * math.sin(azimuths[i]),
         )
         factor = _phase_factor(screens[i].phase_at(shift))  # finite: from finite draws
-        if i == 0 and step_on_worker:  # run only once the calling thread has checked the step
+        if i == 0:  # run only once the calling thread has checked the step
             return _propagation_step(factor, dx, wavelength_m, top.distance_to_next_m,
                                      absorb_edges, in_place=True)
         return factor
@@ -585,13 +567,10 @@ def build_time_series(
 
     try:
         for k in range(n_frames):
-            if step_on_worker:
-                _check_step(top.distance_to_next_m, n, dx, wavelength_m, stacklevel=2)
+            _check_step(top.distance_to_next_m, n, dx, wavelength_m, stacklevel=2)
             # the series' first field is checked where it enters; every
             # later field derives from checked ones
             u = (_unchecked_field if k else ComplexFieldGrid)(rendered(), extent_m, wavelength_m)
-            if not step_on_worker:
-                u = angular_spectrum_propagate(u, top.distance_to_next_m, absorb_edges=absorb_edges)
             for layer in below:
                 u = _apply_phase_factor(u, rendered())
                 u = angular_spectrum_propagate(u, layer.distance_to_next_m, absorb_edges=absorb_edges)

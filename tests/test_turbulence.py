@@ -1,13 +1,10 @@
 import itertools
 import math
-import os
 import re
-import subprocess
 import sys
 import threading
 import types
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -535,17 +532,10 @@ class TestRenderingWorker:
         for a, b in itertools.zip_longest(threaded, reference):
             assert a.samples.tobytes() == b.samples.tobytes()
 
-    @pytest.fixture(params=["worker", "caller"])
-    def first_step_on(self, request, monkeypatch):
-        """Each frame's first step on either thread, whatever numpy's tan
-        dispatch picks on this CPU."""
-        monkeypatch.setattr(turbulence, "_FIRST_STEP_ON_WORKER", request.param == "worker")
-        return request.param
-
     @pytest.mark.parametrize("absorb_edges", [False, True])
     @pytest.mark.parametrize("layers", ["default", "one layer", "zero first step"])
-    def test_frames_match_sequential_loop_with_the_first_step_on_either_thread(
-            self, grid64, first_step_on, layers, absorb_edges):
+    def test_frames_match_sequential_loop_for_each_first_step(
+            self, grid64, layers, absorb_edges):
         # with one layer the first step is the only one, and a zero step
         # only absorbs the edges, or does nothing
         if layers == "default":
@@ -560,8 +550,8 @@ class TestRenderingWorker:
         reference = list(sequential_time_series(*args, absorb_edges=absorb_edges))
         assert [f.samples.tobytes() for f in threaded] == [f.samples.tobytes() for f in reference]
 
-    def test_each_over_long_step_warns_once_per_frame(self, first_step_on):
-        # the first step warns from the calling thread wherever it is taken
+    def test_each_over_long_step_warns_once_per_frame(self):
+        # the first step, taken on the worker, warns from the calling thread
         grid = GridSpec(64, 0.2, 1.55e-6)
         profile = default_profile()
         bound = grid.n * grid.spacing_m**2 / grid.wavelength_m
@@ -574,18 +564,6 @@ class TestRenderingWorker:
                 counts.append(sum("sampling bound violated" in str(w.message) for w in caught))
                 caught.clear()
         assert counts == [over_long] * 3
-
-    def test_scalar_tan_keeps_the_first_step_on_the_calling_thread(self):
-        # numpy's scalar tan, which CPUs without AVX-512 run, leaves the
-        # worker the longer thread without the step
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path,
-                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
-        probe = "from fsolink import turbulence; print(turbulence._FIRST_STEP_ON_WORKER)"
-        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "False"
 
     @pytest.mark.parametrize("n, extent_m, wavelength_m", [
         (48, 1.0, 1.55e-6), (64, 0.0, 1.55e-6), (64, 1.0, -1.0)])
