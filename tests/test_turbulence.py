@@ -550,6 +550,23 @@ class TestRenderingWorker:
         reference = list(sequential_time_series(*args, absorb_edges=absorb_edges))
         assert [f.samples.tobytes() for f in threaded] == [f.samples.tobytes() for f in reference]
 
+    @pytest.mark.parametrize("n_layers", [1, 5])
+    def test_each_first_step_is_taken_on_the_worker(self, grid64, monkeypatch, n_layers):
+        # on every CPU, whatever numpy's tan dispatch, and in place on the
+        # top layer's factor
+        taken = []
+
+        def step(u, *args, **kwargs):
+            taken.append((threading.current_thread() is threading.main_thread(),
+                          kwargs.get("in_place")))
+            return real_step(u, *args, **kwargs)
+
+        real_step = turbulence._propagation_step
+        monkeypatch.setattr(turbulence, "_propagation_step", step)
+        frames = list(build_time_series(default_profile(n_layers=n_layers), grid64, 3, seed=4))
+        assert len(frames) == 3
+        assert taken == [(False, True)] * 3
+
     def test_each_over_long_step_warns_once_per_frame(self):
         # the first step, taken on the worker, warns from the calling thread
         grid = GridSpec(64, 0.2, 1.55e-6)
