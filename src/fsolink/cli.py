@@ -7,22 +7,26 @@ power into cumulated-BER curves, penalties and sync-loss statistics; wdm
 runs the delay-mismatch scan or the two-wavelength link; report renders a
 markdown summary of everything in the run directory.
 
-All artifacts are stamped with the scenario hash by the writers
-(_write_csv, _write_json) and byte-identical on reruns.  Each writer builds
-the file's text in memory and writes it at once; _write_csv takes one 1-D
-array per column and formats a column in one pass.  main builds its
-argparse parser on its first call and reuses it for every later call in
-the process.  The readers
-(_read_table, _read_json) reject a file without a stamp; couple and ber
-also reject a dataset file stamped by another scenario, and report a run
-directory whose JSON stamps differ.  Exit codes: 0 ok, 2 configuration
-error (including a value the run cannot use, such as a run too short for
-the BER window or a BER sweep above its cap, a command that runs out of
-memory, and a run directory that cannot be created or a file in it that
-cannot be read or written), 3 missing prerequisite artifact, 4
-numerical-contract violation (including mixed scenario hashes, a corrupted
-or unstamped artifact, and a modes.csv whose row count differs from
-index.json's n_frames) or any other numerical failure.
+Each command builds the text of every stamped artifact it produces (_csv,
+one 1-D array per column formatted in one pass; _json) and writes them all
+in one call, _commit, after its last computation and check.  So a command
+that fails before that call leaves the run directory as it found it, but
+for synth's fields/*.bin, which stream as the frames are made.  One
+reader, _read, checks a file's presence, decoding and scenario stamp and
+returns a JSON file's object or a CSV file's body, whose rows _read_table
+checks; couple and ber reject a dataset file stamped by another scenario,
+and report a run directory whose JSON stamps differ.  Artifacts are
+byte-identical on reruns.  main builds its argparse parser on its first
+call and reuses it for every later call in the process.
+
+Exit codes: 0 ok, 2 configuration error (including a value the run cannot
+use, such as a run too short for the BER window or a BER sweep above its
+cap, a command that runs out of memory, and a run directory that cannot be
+created or a file in it that cannot be read or written), 3 missing
+prerequisite artifact, 4 numerical-contract violation (including mixed
+scenario hashes, a corrupted or unstamped artifact, and a modes.csv whose
+row count differs from index.json's n_frames) or any other numerical
+failure.
 """
 
 import argparse
@@ -57,7 +61,7 @@ from .field import uniform_disc_field, write_field_bin
 from .modes import ModeBasis, decompose, optimize_smf_waist, smf_coupling_efficiency
 from .scenario import Scenario, load_scenario
 from .turbulence import build_time_series
-from .wdm import C_VACUUM, OpticalSpectrum, two_path_efficiency, vodl_scan, wdm_link_run
+from .wdm import C_VACUUM, two_path_efficiency, vodl_scan, wdm_link_run
 
 # ber_curve evaluates each window over one (setpoint x frame) grid and, by
 # tracemalloc, peaks at four float64 grids of that size, 32 bytes per
@@ -77,50 +81,63 @@ def _column_text(column):
     return map(repr if values.dtype.kind == "f" else str, values.tolist())
 
 
-def _write_csv(scenario, out_dir, name, header, columns):
-    """Write out_dir/name: the scenario stamp, the header, then one line per
-    row of the columns, one 1-D array or sequence per header name."""
+def _csv(scenario, header, columns) -> str:
+    """The text of a CSV artifact: the scenario stamp, the header, then one
+    line per row of the columns, one 1-D array or sequence per header name."""
     rows = zip(*(_column_text(c) for c in columns))
     lines = [f"# scenario={scenario.hash}", ",".join(header), *map(",".join, rows)]
-    with open(os.path.join(out_dir, name), "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(scenario, out_dir, name, payload) -> dict:
-    """Write out_dir/name: payload stamped with the scenario hash and the
-    tool version.  Returns the stamped payload."""
-    payload = {"scenario_hash": scenario.hash, "version": __version__, **payload}
-    with open(os.path.join(out_dir, name), "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
+def _stamped(scenario, payload) -> dict:
+    """payload stamped with the scenario hash and the tool version."""
+    return {"scenario_hash": scenario.hash, "version": __version__, **payload}
 
 
-def _check_scenario(scenario, name, stamp):
-    """Reject an artifact stamped by another scenario than the configured one."""
-    if stamp != scenario.hash:
-        raise NumericalContractError(
-            f"{name} was produced by scenario {stamp}, not the configured {scenario.hash}; "
-            "artifacts from different scenarios cannot be mixed"
-        )
+def _json(payload) -> str:
+    """The text of a JSON artifact."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _read_json(path, scenario=None):
-    """A JSON artifact: an object that carries a scenario stamp, which must
-    be scenario's hash when a scenario is given."""
+def _commit(out_dir, artifacts):
+    """Write {name: text} into out_dir: every artifact of a command, in one
+    call made after its last computation and check."""
+    for name, text in artifacts.items():
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            fh.write(text)
+
+
+def _read(path, scenario=None):
+    """A stamped artifact: a .json file's object, or the body of any other
+    file, its lines after the stamp.  The stamp must be scenario's hash when
+    a scenario is given."""
     if not os.path.exists(path):
         raise MissingArtifactError(f"missing artifact: {path}")
     try:
         with open(path) as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # undecodable bytes or invalid JSON
-        raise NumericalContractError(f"{path}: not a JSON artifact ({exc})")
-    if not isinstance(payload, dict):
-        raise NumericalContractError(f"{path}: not a JSON object")
-    if not isinstance(payload.get("scenario_hash"), str):
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise NumericalContractError(f"{path}: not a text artifact ({exc.reason})")
+    if path.endswith(".json"):
+        try:
+            body = json.loads(text)
+        except ValueError as exc:
+            raise NumericalContractError(f"{path}: not a JSON artifact ({exc})")
+        if not isinstance(body, dict):
+            raise NumericalContractError(f"{path}: not a JSON object")
+        stamp = body.get("scenario_hash")
+    else:
+        first, _, body = text.partition("\n")
+        first = first.strip()
+        stamp = first.split("=", 1)[1] if first.startswith("# scenario=") else None
+    if not isinstance(stamp, str):
         raise NumericalContractError(f"{path}: missing scenario stamp")
-    if scenario is not None:
-        _check_scenario(scenario, os.path.basename(path), payload["scenario_hash"])
-    return payload
+    if scenario is not None and stamp != scenario.hash:
+        raise NumericalContractError(
+            f"{os.path.basename(path)} was produced by scenario {stamp}, not the configured "
+            f"{scenario.hash}; artifacts from different scenarios cannot be mixed"
+        )
+    return body
 
 
 def run_synth(scenario: Scenario, out_dir) -> dict:
@@ -169,15 +186,13 @@ def run_synth(scenario: Scenario, out_dir) -> dict:
             write_field_bin(field, os.path.join(out_dir, file_name))
         frame_entries.append({"frame": k, "time_s": t, "file": file_name})
 
-    _write_json(scenario, out_dir, "resolved_config.json", {"config": scenario.resolved})
     frames = np.arange(run["n_frames"])
-    _write_csv(scenario, out_dir, "modes.csv", ["frame", "time_s", *basis.names(), "residual"],
-               [frames, times, *np.array(mode_powers).T, residuals])
-    _write_csv(scenario, out_dir, "smf.csv", ["frame", "time_s", "efficiency"],
-               [frames, times, smf_effs])
-    _write_json(
-        scenario, out_dir, "index.json",
-        {
+    _commit(out_dir, {
+        "resolved_config.json": _json(_stamped(scenario, {"config": scenario.resolved})),
+        "modes.csv": _csv(scenario, ["frame", "time_s", *basis.names(), "residual"],
+                          [frames, times, *np.array(mode_powers).T, residuals]),
+        "smf.csv": _csv(scenario, ["frame", "time_s", "efficiency"], [frames, times, smf_effs]),
+        "index.json": _json(_stamped(scenario, {
             "n_frames": run["n_frames"],
             "frame_rate_hz": run["frame_rate_hz"],
             "seed": run["seed"],
@@ -188,27 +203,18 @@ def run_synth(scenario: Scenario, out_dir) -> dict:
             "mode_names": basis.names(),
             "files": {"modes": "modes.csv", "smf": "smf.csv"},
             "frames": frame_entries,
-        },
-    )
+        })),
+    })
     return {"n_frames": run["n_frames"], "basis_waist_m": basis.waist_m,
             "smf_waist_m": smf_waist}
 
 
 def _read_table(scenario: Scenario, out_dir, name):
-    """The data rows of a stamped CSV artifact as lists of finite floats."""
+    """The data rows of a stamped CSV artifact as one 2-D array of finite floats."""
     path = os.path.join(out_dir, name)
-    if not os.path.exists(path):
-        raise MissingArtifactError(f"missing artifact: {path}")
-    try:
-        with open(path) as fh:
-            first = fh.readline().strip()
-            header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise NumericalContractError(f"{path}: not a text artifact ({exc.reason})")
-    if not first.startswith("# scenario="):
-        raise NumericalContractError(f"{path}: missing scenario stamp")
-    _check_scenario(scenario, name, first.split("=", 1)[1])
+    header, _, body = _read(path, scenario).partition("\n")
+    header = header.strip().split(",")
+    rows = [line.strip().split(",") for line in body.split("\n") if line.strip()]
     if not rows:
         raise NumericalContractError(f"{path}: no data rows")
     table = []
@@ -224,25 +230,22 @@ def _read_table(scenario: Scenario, out_dir, name):
         if not all(math.isfinite(v) for v in values):
             raise NumericalContractError(f"{path}: data row {k} holds a non-finite value")
         table.append(values)
-    return table
+    return np.array(table)
 
 
 def _load_dataset(scenario: Scenario, out_dir):
     """Modal powers, residuals and SMF efficiencies from a synth dataset."""
     rows = _read_table(scenario, out_dir, "modes.csv")  # frame, time_s, modes..., residual
-    n_frames = _read_json(os.path.join(out_dir, "index.json"), scenario).get("n_frames")
+    n_frames = _read(os.path.join(out_dir, "index.json"), scenario).get("n_frames")
     if len(rows) != n_frames:
         raise NumericalContractError(
             f"{os.path.join(out_dir, 'modes.csv')}: {len(rows)} data rows, "
             f"index.json records {n_frames!r} frames"
         )
-    time_s = np.array([r[1] for r in rows])
-    powers = np.array([r[2:-1] for r in rows])
-    residual = np.array([r[-1] for r in rows])
-    smf = np.array([r[2] for r in _read_table(scenario, out_dir, "smf.csv")])
-    if smf.shape[0] != powers.shape[0]:
+    smf = _read_table(scenario, out_dir, "smf.csv")[:, 2]
+    if smf.shape[0] != rows.shape[0]:
         raise NumericalContractError("modes.csv and smf.csv disagree on frame count")
-    return time_s, powers, residual, smf
+    return rows[:, 1], rows[:, 2:-1], rows[:, -1], smf
 
 
 def _receiver_traces(scenario, out_dir, mode_counts, lossless):
@@ -260,14 +263,14 @@ def _receiver_traces(scenario, out_dir, mode_counts, lossless):
 def run_couple(scenario: Scenario, out_dir, mode_counts=(3, 6, 10, 15), lossless=True) -> dict:
     """Receiver coupling-efficiency traces plus the summary table."""
     time_s, traces = _receiver_traces(scenario, out_dir, mode_counts, lossless)
-    summary = {}
+    artifacts, receivers = {}, {}
     for name, eff in traces.items():
         eff_db = 10.0 * np.log10(np.maximum(eff, 1e-300))
-        _write_csv(scenario, out_dir, f"couple_{name}.csv",
-                   ["frame", "time_s", "efficiency", "efficiency_db"],
-                   [np.arange(eff.size), time_s, eff, eff_db])
+        artifacts[f"couple_{name}.csv"] = _csv(
+            scenario, ["frame", "time_s", "efficiency", "efficiency_db"],
+            [np.arange(eff.size), time_s, eff, eff_db])
         counts, edges = np.histogram(eff_db, bins=40)
-        summary[name] = {
+        receivers[name] = {
             "mean_efficiency": float(eff.mean()),
             "mean_loss_db": float(10.0 * math.log10(eff.mean())),
             "variation_db": float(eff_db.max() - eff_db.min()),
@@ -276,15 +279,16 @@ def run_couple(scenario: Scenario, out_dir, mode_counts=(3, 6, 10, 15), lossless
                 "counts": [int(c) for c in counts],
             },
         }
-    return _write_json(scenario, out_dir, "couple_summary.json", {
+    summary = _stamped(scenario, {
         "lossless": lossless,
         "normalization": "post-aperture power",
-        "receivers": summary,
+        "receivers": receivers,
     })
+    _commit(out_dir, {**artifacts, "couple_summary.json": _json(summary)})
+    return summary
 
 
-def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
-            lossless=True) -> dict:
+def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15)) -> dict:
     """Cumulated-BER curves, penalties and sync loss for both windows."""
     bercfg = scenario["ber"]
     rop = scenario.rop_grid()
@@ -304,7 +308,9 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
         raise ConfigError("ber.window_len" if window == "auto" else "window",
                           f"{rop.size} setpoints of ber.rop_* x {frames} frames exceeds the "
                           f"BER sweep's cap of {_MAX_BER_GRID} (setpoint x frame) elements")
-    time_s, traces = _receiver_traces(scenario, out_dir, mode_counts, lossless)
+    # a constant insertion loss cancels in every curve and replay, which
+    # centre each trace on its own mean: the lossless traces serve
+    time_s, traces = _receiver_traces(scenario, out_dir, mode_counts, lossless=True)
 
     if window == "auto":
         smf_db = 10.0 * np.log10(np.maximum(traces["smf"], 1e-300))
@@ -315,7 +321,7 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
     model = scenario.receiver_model()
     btb = ber_instant(rop, model)
 
-    report = {
+    report = _stamped(scenario, {
         "model": {
             "format": model.format,
             "sensitivity_dbm": model.sensitivity_dbm,
@@ -323,8 +329,8 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
         },
         "rop_grid_dbm": [float(x) for x in rop],
         "windows": {},
-    }
-    curves = {"ber_btb.csv": btb}  # written once every window has passed its checks
+    })
+    artifacts = {"ber_btb.csv": _csv(scenario, ["rop_dbm", "ber"], [rop, btb])}
     for wname, (start, end) in windows.items():
         wrep = {"start": start, "end": end, "receivers": {}}
         for rx, eff in traces.items():
@@ -346,7 +352,7 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
                 ber_threshold=bercfg["sync_threshold"],
                 reacquire_s=bercfg["reacquire_s"],
             )
-            curves[f"ber_{rx}_{wname}.csv"] = curve
+            artifacts[f"ber_{rx}_{wname}.csv"] = _csv(scenario, ["rop_dbm", "ber"], [rop, curve])
             wrep["receivers"][rx] = {
                 "curve_csv": f"ber_{rx}_{wname}.csv",
                 "penalty_db": penalties,
@@ -354,9 +360,8 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15),
                 "ber_at_top_of_sweep": float(curve[-1]),
             }
         report["windows"][wname] = wrep
-    for name, ber in curves.items():
-        _write_csv(scenario, out_dir, name, ["rop_dbm", "ber"], [rop, ber])
-    return _write_json(scenario, out_dir, "ber_report.json", report)
+    _commit(out_dir, {**artifacts, "ber_report.json": _json(report)})
+    return report
 
 
 def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
@@ -365,27 +370,19 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
     The other mode's section is kept when the report carries this scenario's
     hash; a report from another scenario is replaced."""
     w = scenario["wdm"]
-    center_hz = C_VACUUM / (w["center_wavelength_nm"] * 1e-9)
     mismatch_s = w["mismatch_mm"] * 1e-3 / C_VACUUM
     path = os.path.join(out_dir, "wdm_report.json")
-    payload = {}
+    payload, artifacts = {}, {}
     if os.path.exists(path):
-        previous = _read_json(path)
+        previous = _read(path)
         if previous["scenario_hash"] == scenario.hash:
             payload.update((k, previous[k]) for k in ("scan", "link") if k in previous)
 
     if mode == "scan":
-        if w["band_width_nm"] > 0:
-            spectrum = OpticalSpectrum.rectangular_wavelength(
-                w["center_wavelength_nm"] * 1e-9, w["band_width_nm"] * 1e-9
-            )
-        else:
-            spectrum = OpticalSpectrum.two_lines(center_hz, w["line_spacing_ghz"] * 1e9)
-        scan = vodl_scan(
-            spectrum, mismatch_s, w["scan_range_mm"] * 1e-3, w["scan_step_mm"] * 1e-3
-        )
-        _write_csv(scenario, out_dir, "wdm_scan.csv", ["delay_mm", "efficiency"],
-                   [scan.delay_m * 1e3, scan.efficiency])
+        scan = vodl_scan(scenario.spectrum(), mismatch_s, w["scan_range_mm"] * 1e-3,
+                         w["scan_step_mm"] * 1e-3)
+        artifacts["wdm_scan.csv"] = _csv(scenario, ["delay_mm", "efficiency"],
+                                         [scan.delay_m * 1e3, scan.efficiency])
         payload["scan"] = {
             "peak_delay_mm": scan.peak_delay_m * 1e3,
             "half_width_mm": (None if math.isinf(scan.half_width_m)
@@ -393,7 +390,7 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
             "peak_efficiency": float(scan.efficiency.max()),
         }
     elif mode == "link":
-        spectrum = OpticalSpectrum.two_lines(center_hz, w["line_spacing_ghz"] * 1e9)
+        spectrum = scenario.spectrum(band=False)
         result = wdm_link_run(spectrum, mismatch_s)
         payload["link"] = {
             "line_hz": [float(x) for x in result.line_hz],
@@ -403,7 +400,9 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
         }
     else:
         raise ConfigError("wdm.mode", f"expected scan or link, got {mode!r}")
-    return _write_json(scenario, out_dir, "wdm_report.json", payload)
+    report = _stamped(scenario, payload)
+    _commit(out_dir, {**artifacts, "wdm_report.json": _json(report)})
+    return report
 
 
 def _scenario_section(rc):
@@ -491,7 +490,7 @@ def run_report(out_dir) -> str:
     for name, _ in _REPORT_SECTIONS:
         path = os.path.join(out_dir, name)
         if os.path.exists(path):
-            artifacts[name] = _read_json(path)
+            artifacts[name] = _read(path)
     if not artifacts:
         raise MissingArtifactError(f"no artifacts found in {out_dir}")
     hashes = {a["scenario_hash"] for a in artifacts.values()}
@@ -512,8 +511,7 @@ def run_report(out_dir) -> str:
                 )
             lines.append("")
     text = "\n".join(lines)
-    with open(os.path.join(out_dir, "report.md"), "w") as fh:
-        fh.write(text)
+    _commit(out_dir, {"report.md": text})
     return text
 
 
@@ -552,8 +550,6 @@ def _build_parser():
     pb = sub.add_parser("ber", parents=[common], help="BER curves, penalties, sync loss")
     pb.add_argument("--modes", default="6,10,15")
     pb.add_argument("--window", default="auto", help="auto or START:END frame range")
-    pb.add_argument("--lossy", dest="lossless", action="store_false",
-                    help="apply chip + demultiplexer insertion losses to the multimode receivers")
 
     pw = sub.add_parser("wdm", parents=[common], help="delay scan or two-wavelength link")
     g = pw.add_mutually_exclusive_group()
@@ -585,8 +581,7 @@ def main(argv=None) -> int:
             run_couple(scenario, args.out, mode_counts=_parse_modes(args.modes),
                        lossless=args.lossless)
         elif args.command == "ber":
-            run_ber(scenario, args.out, window=args.window,
-                    mode_counts=_parse_modes(args.modes), lossless=args.lossless)
+            run_ber(scenario, args.out, window=args.window, mode_counts=_parse_modes(args.modes))
         elif args.command == "wdm":
             run_wdm(scenario, args.out, mode=args.wdm_mode)
         return 0

@@ -17,7 +17,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .comms import ReceiverModel
-from .errors import ConfigError, _array, _num
+from .errors import ConfigError, ParameterError, _array, _num
 from .field import GridSpec
 from .modes import _MAX_GROUP
 from .turbulence import (
@@ -27,6 +27,7 @@ from .turbulence import (
     _psd_peak_bounded,
     default_profile,
 )
+from .wdm import C_VACUUM, OpticalSpectrum
 
 __all__ = ["SCHEMA", "Scenario", "load_scenario", "scenario_from_dict"]
 
@@ -95,9 +96,11 @@ SCHEMA = {
         "max_mode_group": (4, _number(lo=0, hi=_MAX_GROUP, integer=True)),
         "absorb_edges": (False, _bool),
     },
+    # a stage that loses more than 100 dB passes no light a receiver could
+    # use; the 200 dB total keeps a lossy efficiency a normal float
     "topology": {
-        "pic_insertion_loss_db": (7.0, _number(lo=0.0)),
-        "demux_insertion_loss_db": (1.0, _number(lo=0.0)),
+        "pic_insertion_loss_db": (7.0, _number(lo=0.0, hi=100.0)),
+        "demux_insertion_loss_db": (1.0, _number(lo=0.0, hi=100.0)),
     },
     "receiver": {
         "format": ("ook", partial(_str, choices={"ook", "dpsk"})),
@@ -117,7 +120,8 @@ SCHEMA = {
     },
     "wdm": {
         "line_spacing_ghz": (100.0, _number(lo=0.0)),
-        "center_wavelength_nm": (1560.0, _number(lo=1.0)),
+        # up to the far infrared's edge, 1 mm (ISO 20473)
+        "center_wavelength_nm": (1560.0, _number(lo=1.0, hi=1e6)),
         "band_width_nm": (16.0, _number(lo=0.0)),
         "mismatch_mm": (0.0, _number(lo=-1e4, hi=1e4)),
         "scan_range_mm": (6.0, _number(lo=1e-6)),
@@ -129,6 +133,17 @@ SCHEMA = {
 # the cap keeps a scan's arrays under 100 MB (48 MB for a band, 80 MB for
 # two lines)
 _MAX_SCAN_POINTS = 10**6
+
+
+def _spectrum_builds(resolved, band):
+    """Whether wdm's spectrum (its band, or its two lines) has every line
+    and band edge above 0 Hz, as OpticalSpectrum checks in Hz."""
+    try:
+        Scenario(resolved).spectrum(band)
+    except ParameterError:
+        return False
+    return True
+
 
 # Rules between fields, checked once every field has resolved:
 # (dotted path reported, message, predicate over the resolved sections).
@@ -146,6 +161,10 @@ _RULES = (
      lambda r: r["optics"]["receive_aperture_m"] <= r["grid"]["extent_m"]),
     ("ber.rop_stop_dbm", "must exceed ber.rop_start_dbm",
      lambda r: r["ber"]["rop_stop_dbm"] > r["ber"]["rop_start_dbm"]),
+    ("wdm.line_spacing_ghz", "must be under twice the centre frequency, so both lines stay "
+     "above 0 Hz", lambda r: _spectrum_builds(r, band=False)),
+    ("wdm.band_width_nm", "must be under twice wdm.center_wavelength_nm, so the band stays "
+     "above 0 Hz", lambda r: _spectrum_builds(r, band=True)),
     ("wdm.scan_step_mm", f"must keep the scan over wdm.scan_range_mm under {_MAX_SCAN_POINTS} points",
      lambda r: r["wdm"]["scan_range_mm"] / r["wdm"]["scan_step_mm"] < _MAX_SCAN_POINTS / 2),
 )
@@ -180,6 +199,15 @@ class Scenario:
 
     def receiver_model(self) -> ReceiverModel:
         return ReceiverModel(**self["receiver"])
+
+    def spectrum(self, band=True) -> OpticalSpectrum:
+        """The wdm section's spectrum: its band when band and band_width_nm
+        > 0, otherwise its two lines."""
+        w = self["wdm"]
+        center_m = w["center_wavelength_nm"] * 1e-9
+        if band and w["band_width_nm"] > 0:
+            return OpticalSpectrum.rectangular_wavelength(center_m, w["band_width_nm"] * 1e-9)
+        return OpticalSpectrum.two_lines(C_VACUUM / center_m, w["line_spacing_ghz"] * 1e9)
 
     def rop_grid(self):
         b = self["ber"]

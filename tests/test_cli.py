@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fsolink import cli
-from fsolink.cli import _build_parser, _write_csv, main, run_couple, run_report, run_synth
+from fsolink.cli import _build_parser, _csv, main
 from fsolink.comms import ReceiverModel, ber_instant
-from fsolink.errors import ConfigError
+from fsolink.errors import ConfigError, NumericalContractError
 from fsolink.modes import ModeBasis
 from fsolink.scenario import SCHEMA, load_scenario, scenario_from_dict
 import pins
@@ -506,14 +508,28 @@ class TestRejectedBeforeWork:
         assert peak < 4e6
 
     @pytest.mark.parametrize("mode, field, value, named", [
-        ("--scan", "center_wavelength_nm", 1e300, "center_m"),
-        ("--link", "line_spacing_ghz", 1e30, "spacing_hz"),
+        ("--scan", "center_wavelength_nm", 1e300, "wdm.center_wavelength_nm"),
+        ("--link", "line_spacing_ghz", 1e30, "wdm.line_spacing_ghz"),
+        ("--scan", "band_width_nm", 5000.0, "wdm.band_width_nm"),
     ])
     def test_wdm_spectrum_out_of_range_exits_2(self, tmp_path, mode, field, value, named):
+        # named by the validator, before any work
         cfg = {"run": {"seed": 1, "n_frames": 2}, "grid": {"n": 64}, "wdm": {field: value}}
         code, err, _ = _cli_under_warnings_as_errors(tmp_path, cfg, "wdm", mode)
         assert code == 2, err
         assert err.startswith(f"configuration error: {named}: ")
+        assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("topology", [{"pic_insertion_loss_db": 4000.0},
+                                          {"pic_insertion_loss_db": 1e308,
+                                           "demux_insertion_loss_db": 1e308}],
+                             ids=["4000-dB", "1e308-each"])
+    def test_insertion_loss_beyond_range_exits_2(self, tmp_path, topology):
+        cfg = {"run": {"seed": 1, "n_frames": 2}, "grid": {"n": 64}, "topology": topology}
+        code, err, _ = _cli_under_warnings_as_errors(tmp_path, cfg, "couple", "--lossy")
+        assert code == 2, err
+        assert err.startswith("configuration error: topology.pic_insertion_loss_db: ")
         assert "Traceback" not in err and "Warning" not in err
 
     def test_memory_error_exits_2_naming_the_command(self, tmp_path, capsys, monkeypatch):
@@ -527,6 +543,52 @@ class TestRejectedBeforeWork:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: synth: out of memory")
         assert "Traceback" not in err
+
+
+def _tree(out: Path) -> dict:
+    """Every file under out: {relative path: bytes}."""
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+class TestFailedCommandWritesNothing:
+    """A command that fails after it has built the text of its first
+    artifact leaves the run directory's names and bytes as they were: it
+    writes nothing until its last check has passed."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("dataset")
+        config = tmp / "scenario.json"
+        config.write_text(json.dumps(dict(TINY, ber={"window_len": 3})))
+        assert main(["synth", "--config", str(config), "--out", str(tmp / "run")]) == 0
+        return str(config), tmp / "run"
+
+    # the JSON text that fails is built after the text of at least one CSV
+    # artifact: modes.csv and smf.csv for synth (whose second JSON artifact
+    # is index.json), every curve or trace for couple and ber, wdm_scan.csv
+    @pytest.mark.parametrize("args, failing_dump", [
+        (("synth", "--seed", "6"), 2),
+        (("couple",), 1),
+        (("ber",), 1),
+        (("wdm", "--scan"), 1),
+    ], ids=["synth", "couple", "ber", "wdm-scan"])
+    def test_run_directory_unchanged(self, dataset, tmp_path, monkeypatch, args, failing_dump):
+        config, base = dataset
+        out = tmp_path / "run"
+        shutil.copytree(base, out)
+        before = _tree(out)
+        calls = []
+
+        def dumps(*a, **k):
+            calls.append(a)
+            if len(calls) == failing_dump:
+                raise NumericalContractError("injected failure")
+            return json.dumps(*a, **k)
+
+        monkeypatch.setattr(cli, "json", SimpleNamespace(loads=json.loads, dumps=dumps))
+        assert main([args[0], "--config", config, "--out", str(out), *args[1:]]) == 4
+        assert len(calls) == failing_dump
+        assert _tree(out) == before
 
 
 class TestLossyFlag:
@@ -555,8 +617,12 @@ class TestLossyFlag:
         assert not json.load(open(os.path.join(out, "couple_summary.json")))["lossless"]
 
     def test_lossless_flag_is_gone(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["couple", "--config", "x.json", "--out", str(tmp_path), "--lossless"])
+        # ber never had a use for --lossy: a constant loss cancels in every
+        # curve and replay, which centre each trace on its own mean
+        for command, flag in (("couple", "--lossless"), ("ber", "--lossy")):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", "x.json", "--out", str(tmp_path), flag])
+            assert exc.value.code == 2
 
 
 def _row_writer_text(stamp, header, rows):
@@ -569,9 +635,9 @@ def _row_writer_text(stamp, header, rows):
 
 
 class TestCsvWriter:
-    """_write_csv writes columns with the text the row writer gave each value."""
+    """_csv writes columns with the text the row writer gave each value."""
 
-    def test_columns_written_as_the_row_writer_did(self, tmp_path):
+    def test_columns_written_as_the_row_writer_did(self):
         scenario = scenario_from_dict({"run": {"seed": 1}})
         columns = {
             "py_int": [0, 1, 2, 3, 7],
@@ -580,31 +646,29 @@ class TestCsvWriter:
             "float64": np.array([0.1 + 0.2, -0.0, 5e-324, 1e-300, 1e308]),
             "zeros": np.zeros(5, dtype=np.int64),
         }
-        _write_csv(scenario, str(tmp_path), "t.csv", list(columns), list(columns.values()))
+        text = _csv(scenario, list(columns), list(columns.values()))
         # iterating an array gives numpy scalars, as the row writer was passed
         rows = list(zip(*columns.values()))
         assert isinstance(rows[0][3], np.float64) and isinstance(rows[0][4], np.int64)
-        text = (tmp_path / "t.csv").read_text()
         assert text == _row_writer_text(scenario.hash, list(columns), rows)
         data = [line.split(",") for line in text.splitlines()[2:]]
         assert [r[3] for r in data] == ["0.30000000000000004", "-0.0", "5e-324", "1e-300",
                                         "1e+308"]
         assert {r[4] for r in data} == {"0"}
 
-    def test_header_and_stamp_without_rows(self, tmp_path):
+    def test_header_and_stamp_without_rows(self):
         scenario = scenario_from_dict({"run": {"seed": 1}})
-        _write_csv(scenario, str(tmp_path), "t.csv", ["a", "b"], [[], np.arange(0)])
-        assert (tmp_path / "t.csv").read_text() == _row_writer_text(scenario.hash, ["a", "b"], [])
+        text = _csv(scenario, ["a", "b"], [[], np.arange(0)])
+        assert text == _row_writer_text(scenario.hash, ["a", "b"], [])
 
     @pytest.mark.parametrize("column", [np.array([True, False]), np.array(["a", "b"]),
                                         np.array([1 + 2j, 0j]), [None, None],
                                         np.zeros((2, 1))],
                              ids=["bool", "str", "complex", "object", "2-D"])
-    def test_other_columns_are_a_type_error(self, tmp_path, column):
+    def test_other_columns_are_a_type_error(self, column):
         scenario = scenario_from_dict({"run": {"seed": 1}})
         with pytest.raises(TypeError, match="CSV column"):
-            _write_csv(scenario, str(tmp_path), "t.csv", ["a", "b"], [np.arange(2), column])
-        assert not (tmp_path / "t.csv").exists()
+            _csv(scenario, ["a", "b"], [np.arange(2), column])
 
 
 class TestParserReuse:
@@ -639,11 +703,12 @@ class TestParserReuse:
                     for name in os.listdir(run) if name.startswith("ber_")}
 
         assert main(["ber", *common, "--out", plain]) == 0
-        lossless = ber_files(plain)
-        assert main(["ber", *common, "--out", out, "--lossy"]) == 0
-        assert ber_files(out) != lossless
+        default = ber_files(plain)
+        assert main(["ber", *common, "--out", out, "--modes", "6"]) == 0
+        windows = json.load(open(os.path.join(out, "ber_report.json")))["windows"]
+        assert windows and all(sorted(w["receivers"]) == ["mm6", "smf"] for w in windows.values())
         assert main(["ber", *common, "--out", out]) == 0
-        assert ber_files(out) == lossless
+        assert ber_files(out) == default
 
         assert main(["wdm", *common, "--out", out, "--link"]) == 0
         assert main(["wdm", *common, "--out", out]) == 0
@@ -693,6 +758,7 @@ class TestChainProperty:
             codes = [
                 main(["synth", *common]),
                 main(["couple", *common, modes_arg]),
+                main(["couple", *common, modes_arg, "--lossy"]),
                 main(["ber", *common, modes_arg]),
                 main(["wdm", *common, "--scan"]),
                 main(["wdm", *common, "--link"]),
@@ -770,3 +836,83 @@ class TestCorruptedArtifactProperty:
                 ]
         assert set(codes) <= {0, 2, 3, 4}, codes
         assert "Traceback" not in err.getvalue()
+
+
+# one non-default value per option of each subcommand, as its arguments;
+# --config and --out name the scenario file and the run directory, whose
+# fields test_scenario.test_every_field_changes_an_artifact covers
+OPTION_VALUES = {
+    ("synth", "--seed"): ["--seed", "6"],
+    ("synth", "--frames"): ["--frames", "5"],
+    ("couple", "--seed"): ["--seed", "6"],
+    ("couple", "--frames"): ["--frames", "5"],
+    ("couple", "--modes"): ["--modes", "3"],
+    ("couple", "--lossy"): ["--lossy"],
+    ("ber", "--seed"): ["--seed", "6"],
+    ("ber", "--frames"): ["--frames", "5"],
+    ("ber", "--modes"): ["--modes", "6"],
+    ("ber", "--window"): ["--window", "0:3"],
+    ("wdm", "--seed"): ["--seed", "6"],
+    ("wdm", "--frames"): ["--frames", "5"],
+    ("wdm", "--scan"): ["--scan"],
+    ("wdm", "--link"): ["--link"],
+}
+ADDRESSES = ("--config", "--out")
+# what a run with an option is compared with: the command's defaults, but
+# for --scan, wdm's default mode, which is compared with --link
+OPTION_REFERENCE = {("wdm", "--scan"): ["--link"]}
+OPTION_BASE = dict(TINY, run=dict(TINY["run"], n_frames=6), ber={"window_len": 3})
+
+
+def _parser_options() -> set:
+    """(command, option) for every option of every subcommand but help."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {(command, option) for command, parser in sub.choices.items()
+            for action in parser._actions if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings}
+
+
+def _option_run(tmp: Path, command, args) -> dict:
+    """synth, given those of args it accepts, then command with args; the
+    artifacts command wrote or changed, decoded, scenario stamps included."""
+    tmp.mkdir()
+    config = tmp / "scenario.json"
+    config.write_text(json.dumps(OPTION_BASE))
+    out = tmp / "run"
+    common = ["--config", str(config), "--out", str(out)]
+    before = {}
+    if command != "synth":
+        synth_args = args if args and ("synth", args[0]) in _parser_options() else []
+        assert main(["synth", *common, *synth_args]) == 0
+        before = _tree(out)
+    assert main([command, *common, *args]) == 0
+    return {name: pins.decode(out / name) for name, data in _tree(out).items()
+            if before.get(name) != data}
+
+
+def _values_differ(a, b) -> bool:
+    """Whether two decoded artifacts differ: in structure, in a string or
+    in a number beyond a relative 1e-9."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() != b.keys() or any(_values_differ(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) != len(b) or any(map(_values_differ, a, b))
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        return not math.isclose(a, b, rel_tol=1e-9, abs_tol=0.0)
+    return a != b
+
+
+def test_option_table_covers_the_parser():
+    addresses = {(c, o) for c, o in _parser_options() if o in ADDRESSES}
+    assert set(OPTION_VALUES) | addresses == _parser_options()
+    assert not set(OPTION_VALUES) & addresses
+
+
+@pytest.mark.parametrize("command, option", sorted(OPTION_VALUES))
+def test_every_option_changes_an_artifact_value(tmp_path, command, option):
+    # wdm reads no dataset: its --seed and --frames act through the stamp,
+    # which lets report accept its artifacts beside the rest of the run
+    reference = _option_run(tmp_path / "reference", command,
+                            OPTION_REFERENCE.get((command, option), []))
+    changed = _option_run(tmp_path / "changed", command, OPTION_VALUES[(command, option)])
+    assert _values_differ(changed, reference), f"{command} {option} changes no artifact value"

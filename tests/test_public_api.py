@@ -52,8 +52,7 @@ SCENARIO = {
     "ber": {"window_len": 3, "window_stride": 1},
 }
 COMMANDS = (
-    ("synth",), ("couple",), ("couple", "--lossy"), ("ber",), ("ber", "--lossy"),
-    ("ber", "--window", "0:3"), ("wdm", "--scan"), ("wdm", "--link"), ("report",),
+    ("synth",), ("couple",), ("couple", "--lossy"), ("ber",), ("ber", "--window", "0:3"), ("wdm", "--scan"), ("wdm", "--link"), ("report",),
 )
 
 

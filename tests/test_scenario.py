@@ -189,7 +189,7 @@ def _chain_artifacts(cfg, tmp):
     codes = [
         main(["synth", *common]),
         main(["couple", *common, "--lossy", "--modes=3,6,10"]),
-        main(["ber", *common, "--lossy", "--modes=3,6,10"]),
+        main(["ber", *common, "--modes=3,6,10"]),
         main(["wdm", *common, "--scan"]),
         main(["wdm", *common, "--link"]),
         main(["report", "--out", out]),
