@@ -16,8 +16,10 @@ reader, _read, checks a file's presence, decoding and scenario stamp and
 returns a JSON file's object or a CSV file's body, whose rows _read_table
 checks; couple and ber reject a dataset file stamped by another scenario,
 and report a run directory whose JSON stamps differ.  Artifacts are
-byte-identical on reruns.  main builds its argparse parser on its first
-call and reuses it for every later call in the process.
+byte-identical on reruns.  main, the one public entry, builds its
+argparse parser on its first call and reuses it; each command's body
+(run_synth, ..., run_report) takes every argument from it and returns
+nothing.
 
 Exit codes: 0 ok, 2 configuration error (including a value the run cannot
 use, such as a run too short for the BER window or a BER sweep above its
@@ -68,7 +70,7 @@ from .wdm import C_VACUUM, two_path_efficiency, vodl_scan, wdm_link_run
 # element; a 256 MiB budget caps the grid at 2**28 // 32 = 8388608 elements
 _MAX_BER_GRID = 2**28 // 32
 
-__all__ = ["main", "run_synth", "run_couple", "run_ber", "run_wdm", "run_report"]
+__all__ = ["main"]
 
 
 def _column_text(column):
@@ -140,9 +142,8 @@ def _read(path, scenario=None):
     return body
 
 
-def run_synth(scenario: Scenario, out_dir) -> dict:
+def run_synth(scenario: Scenario, out_dir) -> None:
     """Simulate the time series; write the modal dataset to out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
     grid = scenario.grid()
     profile = scenario.profile()
     opt = scenario["optics"]
@@ -205,8 +206,6 @@ def run_synth(scenario: Scenario, out_dir) -> dict:
             "frames": frame_entries,
         })),
     })
-    return {"n_frames": run["n_frames"], "basis_waist_m": basis.waist_m,
-            "smf_waist_m": smf_waist}
 
 
 def _read_table(scenario: Scenario, out_dir, name):
@@ -249,7 +248,8 @@ def _load_dataset(scenario: Scenario, out_dir):
 
 
 def _receiver_traces(scenario, out_dir, mode_counts, lossless):
-    """Efficiency trace per receiver name, from the synth dataset."""
+    """The frame times, and each receiver's efficiency trace, linear and in
+    dB, by receiver name, from the synth dataset."""
     time_s, powers, residual, smf = _load_dataset(scenario, out_dir)
     traces = {"smf": smf}
     for n in mode_counts:
@@ -257,15 +257,15 @@ def _receiver_traces(scenario, out_dir, mode_counts, lossless):
             raise ConfigError("modes", f"dataset holds {powers.shape[1]} modes, asked for {n}")
         loss_db = 0.0 if lossless else CombinerTopology(n, **scenario["topology"]).total_loss_db
         traces[f"mm{n}"] = mm_coupling_efficiency(powers, residual, n, loss_db)
-    return time_s, traces
+    return time_s, {name: (eff, 10.0 * np.log10(np.maximum(eff, 1e-300)))
+                    for name, eff in traces.items()}
 
 
-def run_couple(scenario: Scenario, out_dir, mode_counts=(3, 6, 10, 15), lossless=True) -> dict:
+def run_couple(scenario: Scenario, out_dir, mode_counts, lossless) -> None:
     """Receiver coupling-efficiency traces plus the summary table."""
     time_s, traces = _receiver_traces(scenario, out_dir, mode_counts, lossless)
     artifacts, receivers = {}, {}
-    for name, eff in traces.items():
-        eff_db = 10.0 * np.log10(np.maximum(eff, 1e-300))
+    for name, (eff, eff_db) in traces.items():
         artifacts[f"couple_{name}.csv"] = _csv(
             scenario, ["frame", "time_s", "efficiency", "efficiency_db"],
             [np.arange(eff.size), time_s, eff, eff_db])
@@ -285,16 +285,15 @@ def run_couple(scenario: Scenario, out_dir, mode_counts=(3, 6, 10, 15), lossless
         "receivers": receivers,
     })
     _commit(out_dir, {**artifacts, "couple_summary.json": _json(summary)})
-    return summary
 
 
-def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15)) -> dict:
+def run_ber(scenario: Scenario, out_dir, window, mode_counts) -> None:
     """Cumulated-BER curves, penalties and sync loss for both windows."""
     bercfg = scenario["ber"]
     rop = scenario.rop_grid()
     n_frames = scenario["run"]["n_frames"]  # the dataset's row count, as _load_dataset checks
     if window == "auto":  # select_windows' windows: window_len frames, or the whole run
-        frames = min(bercfg["window_len"], n_frames)
+        manual, named, frames = None, "ber.window_len", min(bercfg["window_len"], n_frames)
     else:
         try:
             start, end = (int(x) for x in window.split(":"))
@@ -302,21 +301,17 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15))
             raise ConfigError("window", f"expected auto or START:END, got {window!r}")
         if not 0 <= start < end <= n_frames:
             raise ConfigError("window", f"window {start}:{end} outside 0..{n_frames}")
-        frames = end - start
+        manual, named, frames = {"manual": (start, end)}, "window", end - start
     # before the dataset is read or a grid allocated
     if rop.size * frames > _MAX_BER_GRID:
-        raise ConfigError("ber.window_len" if window == "auto" else "window",
+        raise ConfigError(named,
                           f"{rop.size} setpoints of ber.rop_* x {frames} frames exceeds the "
                           f"BER sweep's cap of {_MAX_BER_GRID} (setpoint x frame) elements")
     # a constant insertion loss cancels in every curve and replay, which
     # centre each trace on its own mean: the lossless traces serve
-    time_s, traces = _receiver_traces(scenario, out_dir, mode_counts, lossless=True)
-
-    if window == "auto":
-        smf_db = 10.0 * np.log10(np.maximum(traces["smf"], 1e-300))
-        windows = select_windows(smf_db, bercfg["window_len"], bercfg["window_stride"])
-    else:
-        windows = {"manual": (start, end)}
+    _, traces = _receiver_traces(scenario, out_dir, mode_counts, lossless=True)
+    windows = manual or select_windows(traces["smf"][1], bercfg["window_len"],
+                                       bercfg["window_stride"])
 
     model = scenario.receiver_model()
     btb = ber_instant(rop, model)
@@ -333,9 +328,8 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15))
     artifacts = {"ber_btb.csv": _csv(scenario, ["rop_dbm", "ber"], [rop, btb])}
     for wname, (start, end) in windows.items():
         wrep = {"start": start, "end": end, "receivers": {}}
-        for rx, eff in traces.items():
-            seg = eff[start:end]
-            eta_db = 10.0 * np.log10(np.maximum(seg, 1e-300))
+        for rx, (_, eff_db) in traces.items():
+            eta_db = eff_db[start:end]
             curve = ber_curve(rop, model, efficiency_db=eta_db)
             penalties = {}
             for target in bercfg["target_bers"]:
@@ -361,10 +355,9 @@ def run_ber(scenario: Scenario, out_dir, window="auto", mode_counts=(6, 10, 15))
             }
         report["windows"][wname] = wrep
     _commit(out_dir, {**artifacts, "ber_report.json": _json(report)})
-    return report
 
 
-def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
+def run_wdm(scenario: Scenario, out_dir, mode) -> None:
     """Delay-mismatch scan, or the per-line efficiencies and penalties of the
     two-wavelength link, written under the mode's key of wdm_report.json.
     The other mode's section is kept when the report carries this scenario's
@@ -389,7 +382,7 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
                               else scan.half_width_m * 1e3),
             "peak_efficiency": float(scan.efficiency.max()),
         }
-    elif mode == "link":
+    else:
         spectrum = scenario.spectrum(band=False)
         result = wdm_link_run(spectrum, mismatch_s)
         payload["link"] = {
@@ -398,11 +391,7 @@ def run_wdm(scenario: Scenario, out_dir, mode="scan") -> dict:
             "aggregate_efficiency": two_path_efficiency(spectrum, mismatch_s),
             "penalty_vs_single_db": result.penalty_vs_single_db,
         }
-    else:
-        raise ConfigError("wdm.mode", f"expected scan or link, got {mode!r}")
-    report = _stamped(scenario, payload)
-    _commit(out_dir, {**artifacts, "wdm_report.json": _json(report)})
-    return report
+    _commit(out_dir, {**artifacts, "wdm_report.json": _json(_stamped(scenario, payload))})
 
 
 def _scenario_section(rc):
@@ -484,7 +473,7 @@ _REPORT_SECTIONS = (
 )
 
 
-def run_report(out_dir) -> str:
+def run_report(out_dir) -> None:
     """Render report.md from the artifacts in a run directory."""
     artifacts = {}
     for name, _ in _REPORT_SECTIONS:
@@ -510,9 +499,7 @@ def run_report(out_dir) -> str:
                     f"{os.path.join(out_dir, name)}: malformed artifact ({exc!r})"
                 )
             lines.append("")
-    text = "\n".join(lines)
-    _commit(out_dir, {"report.md": text})
-    return text
+    _commit(out_dir, {"report.md": "\n".join(lines)})
 
 
 def _parse_modes(arg):
@@ -563,6 +550,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    """Run the command argv names (sys.argv[1:] when None); return its exit code."""
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":
@@ -578,12 +566,11 @@ def main(argv=None) -> int:
         if args.command == "synth":
             run_synth(scenario, args.out)
         elif args.command == "couple":
-            run_couple(scenario, args.out, mode_counts=_parse_modes(args.modes),
-                       lossless=args.lossless)
+            run_couple(scenario, args.out, _parse_modes(args.modes), args.lossless)
         elif args.command == "ber":
-            run_ber(scenario, args.out, window=args.window, mode_counts=_parse_modes(args.modes))
-        elif args.command == "wdm":
-            run_wdm(scenario, args.out, mode=args.wdm_mode)
+            run_ber(scenario, args.out, args.window, _parse_modes(args.modes))
+        else:
+            run_wdm(scenario, args.out, args.wdm_mode)
         return 0
     except (ConfigError, ParameterError, ScanRangeError) as exc:
         # ParameterError and ScanRangeError: a value the validator accepts but
