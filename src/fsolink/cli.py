@@ -5,33 +5,31 @@ synth simulates the turbulent time series and writes the modal dataset;
 couple derives receiver coupling-efficiency traces; ber sweeps received
 power into cumulated-BER curves, penalties and sync-loss statistics; wdm
 runs the delay-mismatch scan or the two-wavelength link; report renders a
-markdown summary of everything in the run directory.
+markdown summary of everything in the run directory.  main is the one
+public entry; each command's body, run_<command>, takes every argument
+from main's parser (built once per process) and returns nothing.
 
-Each command builds the text of every stamped artifact it produces (_csv,
-one 1-D array per column formatted in one pass; _json) and writes them all
-in one call, _commit, after its last computation and check.  So a command
-that fails before that call leaves the run directory as it found it, but
-for synth's fields/*.bin, which stream as the frames are made.  One
-reader, _read, checks a file's presence, decoding and scenario stamp and
-returns a JSON file's object or a CSV file's body, whose rows _read_table
-checks; couple and ber reject a dataset file stamped by another scenario,
-and report a run directory whose JSON stamps differ.  Artifacts are
-byte-identical on reruns.  main, the one public entry, builds its
-argparse parser on its first call and reuses it; each command's body
-(run_synth, ..., run_report) takes every argument from it and returns
-nothing.
+Each command builds the text of every stamped artifact it makes (_csv,
+_json) and writes them all in one call, _commit, after its last check, all
+or nothing: a command that fails leaves the run directory as it found it,
+but for synth's fields/*.bin, which stream as the frames are made.  One
+reader, _read, checks a file's presence, decoding and scenario stamp;
+couple and ber reject a dataset file stamped by another scenario, and
+report a run directory whose JSON stamps differ.  Artifacts are
+byte-identical on reruns.
 
 Exit codes: 0 ok, 2 configuration error (including a value the run cannot
-use, such as a run too short for the BER window or a BER sweep above its
-cap, a command that runs out of memory, and a run directory that cannot be
-created or a file in it that cannot be read or written), 3 missing
-prerequisite artifact, 4 numerical-contract violation (including mixed
-scenario hashes, a corrupted or unstamped artifact, and a modes.csv whose
-row count differs from index.json's n_frames) or any other numerical
-failure.
+use, such as a run too short for the BER window, a BER sweep above its cap
+or a wdm --scan range that does not bracket the mismatch, a command that
+runs out of memory, and a run directory that cannot be created or a file
+in it that cannot be read or written), 3 missing prerequisite artifact, 4
+numerical-contract violation (including mixed scenario hashes, a corrupted
+or unstamped artifact, and a modes.csv whose row count differs from
+index.json's n_frames) or any other numerical failure.
 """
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -102,11 +100,26 @@ def _json(payload) -> str:
 
 
 def _commit(out_dir, artifacts):
-    """Write {name: text} into out_dir: every artifact of a command, in one
-    call made after its last computation and check."""
-    for name, text in artifacts.items():
-        with open(os.path.join(out_dir, name), "w", newline="") as fh:
-            fh.write(text)
+    """Write {name: text} into out_dir, all or nothing: each text goes to a
+    temporary file .NAME.tmp, and these replace their targets once all are
+    written and no target is a directory; on a failure, none is left."""
+    staged = []  # (temporary file, target) of each text written and not yet in place
+    try:
+        for name, text in artifacts.items():
+            tmp = os.path.join(out_dir, f".{name}.tmp")
+            with open(tmp, "w", newline="") as fh:
+                staged.append((tmp, os.path.join(out_dir, name)))
+                fh.write(text)
+        for _, path in staged:
+            if os.path.isdir(path):  # where os.replace fails, after the replaces before it
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        while staged:
+            os.replace(*staged[-1])
+            staged.pop()
+    except BaseException:
+        for tmp, _ in staged:
+            os.remove(tmp)
+        raise
 
 
 def _read(path, scenario=None):
@@ -155,9 +168,8 @@ def run_synth(scenario: Scenario, out_dir) -> None:
         uniform_disc_field(grid, opt["receive_aperture_m"])
     )
 
-    fields_dir = os.path.join(out_dir, "fields")
     if run["save_fields"]:
-        os.makedirs(fields_dir, exist_ok=True)
+        os.makedirs(os.path.join(out_dir, "fields"), exist_ok=True)
 
     times = []
     mode_powers = []
@@ -269,7 +281,10 @@ def run_couple(scenario: Scenario, out_dir, mode_counts, lossless) -> None:
         artifacts[f"couple_{name}.csv"] = _csv(
             scenario, ["frame", "time_s", "efficiency", "efficiency_db"],
             [np.arange(eff.size), time_s, eff, eff_db])
-        counts, edges = np.histogram(eff_db, bins=40)
+        try:
+            counts, edges = np.histogram(eff_db, bins=40)
+        except ValueError:  # a span of a few ulps: binned as numpy bins a zero span
+            counts, edges = np.histogram(eff_db, 40, (eff_db.min() - 0.5, eff_db.max() + 0.5))
         receivers[name] = {
             "mean_efficiency": float(eff.mean()),
             "mean_loss_db": float(10.0 * math.log10(eff.mean())),
@@ -315,6 +330,7 @@ def run_ber(scenario: Scenario, out_dir, window, mode_counts) -> None:
 
     model = scenario.receiver_model()
     btb = ber_instant(rop, model)
+    setpoint = model.effective_sensitivity_dbm + bercfg["operating_margin_db"]
 
     report = _stamped(scenario, {
         "model": {
@@ -337,10 +353,7 @@ def run_ber(scenario: Scenario, out_dir, window, mode_counts) -> None:
                     penalties[f"{target:g}"] = power_penalty((rop, curve), (rop, btb), target)
                 except CurveCrossingError as exc:
                     penalties[f"{target:g}"] = {"error": str(exc), "side": exc.side}
-            setpoint = model.effective_sensitivity_dbm + bercfg["operating_margin_db"]
-            replay = PowerTrace.from_rop(
-                setpoint + (eta_db - eta_db.mean()), frame_rate_hz=3.0
-            )
+            replay = PowerTrace.from_rop(setpoint + (eta_db - eta_db.mean()), frame_rate_hz=3.0)
             sync = sync_loss_stats(
                 replay, model,
                 ber_threshold=bercfg["sync_threshold"],
@@ -372,8 +385,11 @@ def run_wdm(scenario: Scenario, out_dir, mode) -> None:
             payload.update((k, previous[k]) for k in ("scan", "link") if k in previous)
 
     if mode == "scan":
-        scan = vodl_scan(scenario.spectrum(), mismatch_s, w["scan_range_mm"] * 1e-3,
-                         w["scan_step_mm"] * 1e-3)
+        try:
+            scan = vodl_scan(scenario.spectrum(), mismatch_s, w["scan_range_mm"] * 1e-3,
+                             w["scan_step_mm"] * 1e-3)
+        except ScanRangeError as exc:  # not a validator rule: wdm --link runs on the scenario
+            raise ConfigError("wdm.scan_range_mm", str(exc))
         artifacts["wdm_scan.csv"] = _csv(scenario, ["delay_mm", "efficiency"],
                                          [scan.delay_m * 1e3, scan.efficiency])
         payload["scan"] = {
@@ -556,12 +572,8 @@ def main(argv=None) -> int:
         if args.command == "report":
             run_report(args.out)
             return 0
-        overrides = {}
-        if args.seed is not None:
-            overrides["run.seed"] = args.seed
-        if args.frames is not None:
-            overrides["run.n_frames"] = args.frames
-        scenario = load_scenario(args.config, overrides)
+        overrides = {"run.seed": args.seed, "run.n_frames": args.frames}
+        scenario = load_scenario(args.config, {k: v for k, v in overrides.items() if v is not None})
         os.makedirs(args.out, exist_ok=True)
         if args.command == "synth":
             run_synth(scenario, args.out)
@@ -572,10 +584,10 @@ def main(argv=None) -> int:
         else:
             run_wdm(scenario, args.out, args.wdm_mode)
         return 0
-    except (ConfigError, ParameterError, ScanRangeError) as exc:
-        # ParameterError and ScanRangeError: a value the validator accepts but
-        # the run cannot use, e.g. a BER window shorter than the 1 s sync-loss
-        # replay on a short run
+    except (ConfigError, ParameterError) as exc:
+        # ParameterError: a value the validator accepts but the run cannot
+        # use, e.g. a BER window shorter than the 1 s sync-loss replay on a
+        # short run
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except MissingArtifactError as exc:

@@ -82,7 +82,9 @@ SCHEMA = {
     "atmosphere": {
         "total_r0_m": (0.22, _number(lo=1e-6)),
         "n_layers": (5, _number(lo=1, hi=64, integer=True)),
-        "top_altitude_m": (2000.0, _number(lo=1.0)),
+        # the Karman line, 100 km: far above where Cn^2 matters; 1e308 made
+        # the slant distances overflow
+        "top_altitude_m": (2000.0, _number(lo=1.0, hi=1e5)),
         "outer_scale_m": (25.0, _number(lo=1e-3)),
         "inner_scale_m": (5e-3, _number(lo=1e-6)),
         "wind_speed_mps": (47.0, _number(lo=0.0)),

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fsolink import cli
@@ -321,6 +321,30 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section, field", [("atmosphere", "total_r0_m"),
+                                                ("run", "frame_rate_hz")])
+    def test_near_constant_traces_run_the_chain(self, tmp_path, section, field):
+        # no turbulence, or frames too close in time to differ: each trace
+        # spreads over a few ulps, which numpy cannot cut into 40 bins
+        cfg = dict(TINY, ber={"window_len": 3})
+        cfg[section] = dict(cfg.get(section, {}), **{field: 1e15})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        common = ["--config", str(path), "--out", str(tmp_path / "run")]
+        argvs = [[*command, *common] for command in (["synth"], ["couple"], ["couple", "--lossy"],
+                                                     ["ber"], ["wdm", "--scan"], ["wdm", "--link"])]
+        argvs.append(["report", "--out", str(tmp_path / "run")])
+        probe = f"from fsolink.cli import main\nprint([main(argv) for argv in {argvs!r}])\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        run = subprocess.run([sys.executable, "-W", "error", "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert (run.returncode, run.stdout, run.stderr) == (0, f"{[0] * len(argvs)}\n", "")
+        summary = json.loads((tmp_path / "run" / "couple_summary.json").read_text())
+        for rx in summary["receivers"].values():  # 40 bins of finite width hold every frame
+            edges = np.array(rx["histogram"]["bin_edges_db"])
+            assert edges.size == 41 and (np.diff(edges) > 0).all()
+            assert sum(rx["histogram"]["counts"]) == 4
+
     def test_truncated_dataset_exits_4_naming_modes_csv(self, tmp_path, capsys):
         cfg = dict(TINY, run=dict(TINY["run"], n_frames=8), ber={"window_len": 3})
         assert self._run(tmp_path, cfg, "synth") == [0]
@@ -521,6 +545,24 @@ class TestRejectedBeforeWork:
         assert "Traceback" not in err and "Warning" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_scan_range_short_of_the_mismatch_exits_2(self, tmp_path):
+        # --link runs on the same scenario, so the validator cannot reject it
+        cfg = {"run": {"seed": 1, "n_frames": 2}, "grid": {"n": 64}, "wdm": {"mismatch_mm": 10.0}}
+        code, err, _ = _cli_under_warnings_as_errors(tmp_path, cfg, "wdm", "--scan")
+        assert code == 2, err
+        assert err.startswith("configuration error: wdm.scan_range_mm: scan range +-0.006 m ")
+        assert "Traceback" not in err and "Warning" not in err
+        assert _cli_under_warnings_as_errors(tmp_path, cfg, "wdm", "--link")[0] == 0
+
+    def test_top_altitude_beyond_the_karman_line_exits_2(self, tmp_path):
+        cfg = {"run": {"seed": 1, "n_frames": 2}, "grid": {"n": 64},
+               "atmosphere": {"top_altitude_m": 1e308}}
+        code, err, _ = _cli_under_warnings_as_errors(tmp_path, cfg, "synth")
+        assert code == 2, err
+        assert err.startswith("configuration error: atmosphere.top_altitude_m: ")
+        assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("topology", [{"pic_insertion_loss_db": 4000.0},
                                           {"pic_insertion_loss_db": 1e308,
                                            "demux_insertion_loss_db": 1e308}],
@@ -589,6 +631,34 @@ class TestFailedCommandWritesNothing:
         assert main([args[0], "--config", config, "--out", str(out), *args[1:]]) == 4
         assert len(calls) == failing_dump
         assert _tree(out) == before
+
+    # a write that fails in _commit itself: synth's first and last artifact
+    @pytest.mark.parametrize("name", ["modes.csv", "index.json"])
+    def test_directory_in_place_of_an_artifact(self, dataset, tmp_path, capsys, name):
+        config, base = dataset
+        out = tmp_path / "run"
+        shutil.copytree(base, out)
+        (out / name).unlink()
+        (out / name).mkdir()
+        before = _tree(out)
+        assert main(["synth", "--config", config, "--out", str(out), "--seed", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {out / name}: cannot read or write it: Is a directory\n"
+        assert _tree(out) == before and (out / name).is_dir()
+
+    def test_stale_temporary_files_are_replaced(self, dataset, tmp_path):
+        # what a run killed inside _commit leaves; the artifacts get the
+        # mode open() gives a new file, as a command wrote them in place
+        config, base = dataset
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("modes.csv", "index.json"):
+            (out / f".{name}.tmp").write_text("stale")
+        (out / "made_by_open").write_text("")
+        assert main(["synth", "--config", config, "--out", str(out)]) == 0
+        assert _tree(out) == dict(_tree(base), made_by_open=b"")
+        mode = (out / "made_by_open").stat().st_mode
+        assert all(p.stat().st_mode == mode for p in out.iterdir())
 
 
 class TestLossyFlag:
@@ -745,6 +815,12 @@ def _faulty_scenarios(draw):
 class TestChainProperty:
     """No scenario the CLI is given ends in a traceback or an undocumented code."""
 
+    # atmosphere.top_altitude_m's bound and the float past it, which the
+    # derandomized draws do not reach
+    @example(cfg=dict(TINY, ber={"window_len": 3}, atmosphere={"top_altitude_m": 1e5}),
+             modes=[6])
+    @example(cfg=dict(TINY, ber={"window_len": 3},
+                      atmosphere={"top_altitude_m": math.nextafter(1e5, math.inf)}), modes=[6])
     @given(cfg=_faulty_scenarios(), modes=st.lists(st.integers(-1, 16), min_size=1, max_size=4))
     @settings(max_examples=500, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
