@@ -228,7 +228,8 @@ def _propagation_step(u: np.ndarray, dx: float, lam: float, distance_m: float,
                       absorb_edges: bool, in_place: bool = False) -> np.ndarray:
     """The samples angular_spectrum_propagate gives for samples u and a
     distance _check_step passed; with in_place, computed in u's memory (the
-    same bits), for a thread that owns u while another checks the step."""
+    same bits), for a caller that owns u: the time series' rendering worker
+    for each frame's first step, and its calling thread for the others."""
     if absorb_edges:
         u = np.multiply(u, _edge_absorber(u.shape[0]), out=u if in_place else None)
     if distance_m == 0:
@@ -253,11 +254,6 @@ def apply_phase_screen(field: ComplexFieldGrid, screen) -> ComplexFieldGrid:
     _require_same_geometry(field.n, field.spacing_m, phase.shape[0], screen.spacing_m,
                            "apply_phase_screen")
     return field._derive(np.exp(1j * phase) * field.samples)
-
-
-def _apply_phase_factor(field: ComplexFieldGrid, factor: np.ndarray) -> ComplexFieldGrid:
-    """factor * field for a finite phase factor exp(i phi), written into factor."""
-    return field._derive(np.multiply(factor, field.samples, out=factor))
 
 
 def apply_aperture(field: ComplexFieldGrid, diameter_m: float) -> ComplexFieldGrid:

@@ -14,7 +14,8 @@ phase ramp (cyclic), the augmentation components translate analytically
 A time series renders its phase factors on one worker thread, each with
 one tan in the half-angle form of exp(i phi).  The worker also takes each
 frame's first propagation step, which depends on the top layer's factor
-alone; the calling thread takes the other steps and the aperture.
+alone; the calling thread takes the other steps and the aperture, each in
+the memory of the factor the worker made for that layer.
 """
 
 import functools
@@ -30,19 +31,10 @@ import scipy.fft as _fft
 
 from ._streams import substream
 from .errors import ParameterError, _array, _num
-# apply_phase_screen is unused here: perfbench/tracing.py patches it by this name
-from .field import (  # noqa: F401
-    ComplexFieldGrid,
-    GridSpec,
-    _apply_phase_factor,
-    _check_geometry,
-    _check_step,
-    _propagation_step,
-    _unchecked_field,
-    angular_spectrum_propagate,
-    apply_aperture,
-    apply_phase_screen,
-)
+from .field import (ComplexFieldGrid, GridSpec, _aperture_mask, _check_geometry, _check_step,
+                    _propagation_step, _unchecked_field)
+# unused here, each kept because perfbench/tracing.py patches it by this name
+from .field import angular_spectrum_propagate, apply_aperture, apply_phase_screen  # noqa: F401
 
 __all__ = [
     "PhaseScreen",
@@ -509,13 +501,17 @@ def build_time_series(
     time only, never on the field, and neither does the first propagation
     step, whose input is the top layer's factor.  So one worker thread
     renders the factors in (frame, layer) order, up to two ahead of the
-    field chain on the calling thread, which takes the later propagation
-    steps and applies the aperture.  The worker also takes each frame's
+    field chain on the calling thread.  The worker also takes each frame's
     first step, on the top layer's factor in place, and the calling thread
     checks that step's distance and warns of its sampling each frame.  The
-    frames do not depend on the thread split.  A worker error is raised
-    from next() of the frame that needs that factor; closing the generator
-    cancels the rendering not yet started and joins the thread.
+    calling thread takes each later step in the memory of that layer's
+    factor, field times factor written into it, and zeroes the samples
+    outside the aperture (checked before the first frame) in the last one,
+    so it allocates no grid per frame.  The frames are the bits of
+    angular_spectrum_propagate and apply_aperture, whatever the thread
+    split.  A worker error is raised from next() of the frame that needs
+    that factor; closing the generator cancels the rendering not yet
+    started and joins the thread.
     """
     n, extent_m, wavelength_m = grid.n, grid.extent_m, grid.wavelength_m
     _check_geometry(n, extent_m, wavelength_m)
@@ -536,6 +532,7 @@ def build_time_series(
                for a in azimuths for trig in (math.cos, math.sin)):
         raise ParameterError(f"wind_speed_mps: {profile.wind_speed_mps:g} m/s shifts the last "
                              f"frame's screens by a translation phase beyond the float range")
+    outside = ~_aperture_mask(n, extent_m, rx_aperture_m)
     top, *below = profile.layers
 
     def render(i, t):
@@ -568,13 +565,17 @@ def build_time_series(
     try:
         for k in range(n_frames):
             _check_step(top.distance_to_next_m, n, dx, wavelength_m, stacklevel=2)
-            # the series' first field is checked where it enters; every
-            # later field derives from checked ones
-            u = (_unchecked_field if k else ComplexFieldGrid)(rendered(), extent_m, wavelength_m)
-            for layer in below:
-                u = _apply_phase_factor(u, rendered())
-                u = angular_spectrum_propagate(u, layer.distance_to_next_m, absorb_edges=absorb_edges)
-            yield apply_aperture(u, rx_aperture_m)
+            u = rendered()
+            if k == 0:  # checked where it enters, through a view: with one layer u is the frame
+                ComplexFieldGrid(u.view(), extent_m, wavelength_m)
+            for layer in below:  # each step in the memory of the factor the worker made for it
+                factor = rendered()
+                np.multiply(factor, u, out=factor)
+                _check_step(layer.distance_to_next_m, n, dx, wavelength_m, stacklevel=2)
+                u = _propagation_step(factor, dx, wavelength_m, layer.distance_to_next_m,
+                                      absorb_edges, in_place=True)
+            np.copyto(u, 0, where=outside)  # the +0 np.where writes
+            yield _unchecked_field(u, extent_m, wavelength_m)
     finally:
         worker.shutdown(cancel_futures=True)
 

@@ -825,22 +825,62 @@ class TestChainProperty:
     @settings(max_examples=500, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_chain_exits_with_documented_codes(self, cfg, modes):
-        with tempfile.TemporaryDirectory() as tmp:
-            path, out = os.path.join(tmp, "scenario.json"), os.path.join(tmp, "run")
-            with open(path, "w") as fh:
-                json.dump(cfg, fh)
-            modes_arg = "--modes=" + ",".join(map(str, modes))
-            common = ["--config", path, "--out", out]
-            codes = [
-                main(["synth", *common]),
-                main(["couple", *common, modes_arg]),
-                main(["couple", *common, modes_arg, "--lossy"]),
-                main(["ber", *common, modes_arg]),
-                main(["wdm", *common, "--scan"]),
-                main(["wdm", *common, "--link"]),
-                main(["report", "--out", out]),
-            ]
+        codes = _chain_codes(cfg, modes)
         assert set(codes) <= {0, 2, 3, 4}, codes
+
+
+def _chain_codes(cfg, modes=(6,)):
+    """The exit codes of the whole CLI chain on scenario cfg, synth's first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "scenario.json"), os.path.join(tmp, "run")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        modes_arg = "--modes=" + ",".join(map(str, modes))
+        common = ["--config", path, "--out", out]
+        return [
+            main(["synth", *common]),
+            main(["couple", *common, modes_arg]),
+            main(["couple", *common, modes_arg, "--lossy"]),
+            main(["ber", *common, modes_arg]),
+            main(["wdm", *common, "--scan"]),
+            main(["wdm", *common, "--link"]),
+            main(["report", "--out", out]),
+        ]
+
+
+def _bounds():
+    """(section, field, bound, values past it) for each lo and hi in SCHEMA:
+    the float just past the bound, and for an integer field the integer too."""
+    for section, fields in SCHEMA.items():
+        for field, (_, check) in fields.items():
+            kw = getattr(check, "keywords", {})
+            for side, sign in (("lo", -1), ("hi", 1)):
+                bound = kw.get(side)
+                if bound is not None:
+                    past = [math.nextafter(bound, sign * math.inf)]
+                    past += [bound + sign] if kw.get("integer") else []
+                    yield pytest.param(section, field, bound, past,
+                                       id=f"{section}.{field}-{side}")
+
+
+class TestEveryBound:
+    """Each field's bounds run the chain, and the value just past one stops synth."""
+
+    @pytest.mark.parametrize("section, field, bound, past", _bounds())
+    def test_bound_runs_and_the_value_past_it_is_named(self, capsys, section, field, bound, past):
+        base = dict(TINY, ber={"window_len": 3})
+
+        def at(value):
+            return dict(base, **{section: dict(base.get(section, {}), **{field: value})})
+
+        codes = _chain_codes(at(bound))
+        assert set(codes) <= {0, 2, 3, 4}, codes
+        for value in past:
+            capsys.readouterr()
+            codes = _chain_codes(at(value))
+            assert codes[0] == 2 and set(codes) <= {0, 2, 3, 4}, (value, codes)
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: {section}.{field}"), (value, err)
 
 
 # every artifact a command after synth reads

@@ -38,9 +38,15 @@ import fsolink
 ROOT = Path(__file__).resolve().parents[1]
 
 # name -> why it stays public although the pass does not reach it
+# angular_spectrum_propagate and apply_aperture are also the oracle that the
+# sequential series of tests/test_turbulence.py checks the time series'
+# in-place field chain against, bit for bit
+_TRACED = ("perfbench/tracing.py patches it by name; goes with the stage instrumentation "
+           "(ROADMAP item 3)")
 KEPT = {
-    "apply_phase_screen": "perfbench/tracing.py patches it by name; goes with the stage "
-                          "instrumentation (ROADMAP item 3)",
+    "angular_spectrum_propagate": _TRACED,
+    "apply_aperture": _TRACED,
+    "apply_phase_screen": _TRACED,
     "read_field_bin": "reads the fields run.save_fields writes",
     "ModeBasis.gram": "the basis' orthonormality, which diagnostics.json reports "
                       "(ROADMAP item 4)",

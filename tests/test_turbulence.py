@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fsolink import turbulence
+from fsolink import field, turbulence
 from fsolink._streams import substream
 from fsolink.errors import ParameterError
 from fsolink.field import (ComplexFieldGrid, GridSpec, angular_spectrum_propagate,
@@ -552,20 +552,29 @@ class TestRenderingWorker:
 
     @pytest.mark.parametrize("n_layers", [1, 5])
     def test_each_first_step_is_taken_on_the_worker(self, grid64, monkeypatch, n_layers):
-        # on every CPU, whatever numpy's tan dispatch, and in place on the
-        # top layer's factor
-        taken = []
+        # on every CPU, whatever numpy's tan dispatch: the worker takes each
+        # frame's first step and the calling thread the others, all in place
+        # in the factors' memory, and the frame is the last step's array
+        caller = threading.get_ident()
+        worker, calling = [], []
 
         def step(u, *args, **kwargs):
-            taken.append((threading.current_thread() is threading.main_thread(),
-                          kwargs.get("in_place")))
-            return real_step(u, *args, **kwargs)
+            out = real_step(u, *args, **kwargs)
+            on_worker = threading.get_ident() != caller
+            (worker if on_worker else calling).append((on_worker, kwargs.get("in_place"), out))
+            return out
 
         real_step = turbulence._propagation_step
         monkeypatch.setattr(turbulence, "_propagation_step", step)
-        frames = list(build_time_series(default_profile(n_layers=n_layers), grid64, 3, seed=4))
-        assert len(frames) == 3
-        assert taken == [(False, True)] * 3
+        frames = []
+        for frame in build_time_series(default_profile(n_layers=n_layers), grid64, 3, seed=4):
+            frames.append((frame, calling[:]))
+            calling.clear()
+        assert len(frames) == 3 and len(worker) == 3  # the worker renders no frame beyond the last
+        for (frame, steps), first in zip(frames, worker):
+            steps = [first] + steps  # the worker takes its steps in frame order
+            assert [s[:2] for s in steps] == [(True, True)] + [(False, True)] * (n_layers - 1)
+            assert np.shares_memory(frame.samples, steps[-1][2])
 
     def test_each_over_long_step_warns_once_per_frame(self):
         # the first step, taken on the worker, warns from the calling thread
@@ -652,21 +661,24 @@ class TestRenderingWorker:
         assert threading.active_count() == before
 
     def test_field_chain_runs_on_the_calling_thread(self, grid64, monkeypatch):
-        # the benchmark's tracer wraps these names with a single-threaded
-        # span stack, so the rendering worker must never call them
-        callers = []
+        # in the worker's factor buffers, through none of the public field
+        # operations, which perfbench/tracing.py still patches here by name
+        called = []
         for name in ("angular_spectrum_propagate", "apply_aperture", "apply_phase_screen"):
-            original = getattr(turbulence, name)
-
-            def traced(*args, _name=name, _fn=original, **kwargs):
-                callers.append((_name, threading.get_ident()))
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(turbulence, name, traced)
+            assert getattr(turbulence, name) is getattr(field, name)
+            monkeypatch.setattr(turbulence, name,
+                                lambda *args, _name=name, **kwargs: called.append(_name))
         frames = list(build_time_series(default_profile(), grid=grid64, n_frames=3, seed=4))
-        assert len(frames) == 3
-        assert sorted({name for name, _ in callers}) == ["angular_spectrum_propagate", "apply_aperture"]
-        assert {ident for _, ident in callers} == {threading.get_ident()}
+        assert len(frames) == 3 and called == []
+
+    @pytest.mark.parametrize("diameter_m, name", [(0.0, "diameter_m"), (2.0, "exceeds grid extent")])
+    def test_bad_aperture_raises_before_any_rendering(self, grid64, diameter_m, name):
+        before = threading.active_count()
+        for n_frames in (0, 2):
+            frames = build_time_series(default_profile(), grid64, n_frames, rx_aperture_m=diameter_m)
+            with pytest.raises(ParameterError, match=name):
+                next(frames)
+        assert threading.active_count() == before
 
     def test_fields_are_checked_once_where_they_enter(self, grid64, monkeypatch):
         # a series' first field is checked; every frame and analysis derives from it
